@@ -42,6 +42,10 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+# Longest START:STOP:STEP grid accepted, far beyond any useful sweep; the
+# length is checked before the grid is built.
+_MAX_GRID_POINTS = 10_000
+
 
 def _fmt(value) -> str:
     """12-significant-digit serialization; empty for missing fields."""
@@ -75,7 +79,10 @@ def _parse_grid(single, rng, flag_single: str, flag_range: str) -> list[float]:
         raise ValueError(f"{flag_range} step must be positive, got {step}")
     if start > stop:
         raise ValueError(f"{flag_range} start must not exceed stop")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    intervals = (stop - start) / step + 1e-9
+    if intervals >= _MAX_GRID_POINTS:
+        raise ValueError(f"{flag_range} has more than the {_MAX_GRID_POINTS} points supported")
+    count = int(math.floor(intervals)) + 1
     return [start + i * step for i in range(count)]
 
 

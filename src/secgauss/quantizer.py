@@ -4,7 +4,10 @@ Bins are indexed by the nearest-integer multiple of the step about the
 source mean, tails are folded into the outermost kept bins, and every
 bin carries its exact probability, centroid, and second moment.  All
 entropy and distortion summaries of a quantized source are computed
-from these tables.
+from these tables.  Statistics of bins grouped by a function of the
+index (residue mod n, magnitude, or the outer bins merged by a fold)
+all come from one routine, `_class_moments`, which sums the mass and
+moments of each group in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -17,12 +20,7 @@ import numpy as np
 from scipy import special
 
 from .errors import SolverError
-from .model import (
-    GaussianSource,
-    binary_entropy,
-    entropy_bits,
-    truncated_moments,
-)
+from .model import GaussianSource, entropy_bits, truncated_moments
 
 __all__ = [
     "QuantizerSpec",
@@ -167,33 +165,61 @@ def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
         return table
     _require_symmetric(table)
 
+    # Fold the nonnegative half, then mirror it so the result is exactly symmetric.
     k = int(max_index)
-    prob = np.zeros(2 * k + 1)
-    centroid = np.zeros(2 * k + 1)
-    second = np.zeros(2 * k + 1)
+    half = slice(k_old, None)
+    p, pc, ps = _class_moments(table, np.minimum(table.indices[half], k), half)
+    # A class without mass keeps the moments of its innermost bin.
+    c = np.divide(pc, p, out=table.centroid[half][: k + 1].copy(), where=p > 0.0)
+    s = np.divide(ps, p, out=table.second_moment[half][: k + 1].copy(), where=p > 0.0)
     mu = table.source.mean
-    for j in range(k + 1):
-        if j < k:
-            rows = [table.row(j)]
-        else:
-            rows = [table.row(i) for i in range(k, k_old + 1)]
-        p = float(sum(table.prob[r] for r in rows))
-        if p > 0.0:
-            c = float(sum(table.prob[r] * table.centroid[r] for r in rows)) / p
-            s = float(sum(table.prob[r] * table.second_moment[r] for r in rows)) / p
-        else:
-            c = table.centroid[rows[0]]
-            s = table.second_moment[rows[0]]
-        prob[k + j] = p
-        centroid[k + j] = c
-        second[k + j] = s
-        if j > 0:
-            prob[k - j] = p
-            centroid[k - j] = 2.0 * mu - c
-            second[k - j] = 4.0 * mu * mu - 4.0 * mu * c + s
+    prob = np.concatenate([p[:0:-1], p])
+    centroid = np.concatenate([(2.0 * mu - c)[:0:-1], c])
+    second = np.concatenate([(4.0 * mu * mu - 4.0 * mu * c + s)[:0:-1], s])
 
     indices = np.arange(-k, k + 1, dtype=np.int64)
     return BinTable(indices, prob, centroid, second, table.source, table.step)
+
+
+def _class_moments(table: BinTable, labels: np.ndarray, rows: slice = slice(None)):
+    """Sums of prob, prob * centroid and prob * second_moment per class of bins.
+
+    `labels` gives the nonnegative integer class of each table row in
+    `rows`; entry u of each array sums over the rows labelled u, in row order.
+    """
+    p = table.prob[rows]
+    centroid, second = table.centroid[rows], table.second_moment[rows]
+    return tuple(np.bincount(labels, weights=w) for w in (p, p * centroid, p * second))
+
+
+def _conditional_entropy(table: BinTable, labels: np.ndarray) -> float:
+    """Entropy in bits of the output given its class: -sum_i p_i log2(p_i / P(class of i)).
+
+    Summed directly rather than as H(output) - H(class), which cancels
+    catastrophically when the remainder is tiny.
+    """
+    p = table.prob
+    class_mass = _class_moments(table, labels)[0][labels]
+    ratio = np.divide(p, class_mass, out=np.ones_like(p), where=p > 0.0)
+    # 0.0 - x rather than -x, so an exact zero never prints as -0.
+    return 0.0 - float(np.sum(special.xlogy(p, ratio))) / math.log(2.0)
+
+
+def _eve_mmse(table: BinTable, labels: np.ndarray) -> float:
+    """Least mean squared error of an estimator that sees only the class."""
+    mass, first, _ = _class_moments(table, labels)
+    mean = np.divide(first, mass, out=np.zeros_like(first), where=mass > 0.0)
+    second = float(np.dot(table.prob, table.second_moment))
+    return max(second - float(np.dot(mass * mean, mean)), 0.0)
+
+
+def _residues(table: BinTable, modulus: int) -> np.ndarray:
+    """Nonnegative residues 0..modulus-1 of the indices, as class labels."""
+    if int(modulus) != modulus or modulus < 1:
+        raise ValueError(f"modulus must be an integer >= 1, got {modulus}")
+    # Every modulus of at least the table width leaves each bin in its own
+    # class, so capping it keeps the class arrays no longer than the table.
+    return np.mod(table.indices, min(int(modulus), len(table.indices)))
 
 
 def _require_symmetric(table: BinTable) -> None:
@@ -219,15 +245,7 @@ def entropy_given_magnitude(table: BinTable) -> float:
     nonzero.  Asymmetric tables are rejected.
     """
     _require_symmetric(table)
-    acc = 0.0
-    for k in range(1, table.max_index + 1):
-        p_pos = float(table.prob[table.row(k)])
-        p_neg = float(table.prob[table.row(-k)])
-        pu = p_pos + p_neg
-        if pu <= 0.0:
-            continue
-        acc += pu * binary_entropy(p_pos / pu)
-    return acc
+    return _conditional_entropy(table, np.abs(table.indices))
 
 
 def entropy_given_residue(table: BinTable, modulus: int) -> float:
@@ -236,17 +254,7 @@ def entropy_given_residue(table: BinTable, modulus: int) -> float:
     Residues are the nonnegative representatives 0..modulus-1, matching
     the arithmetic a decoder applies to received indices.
     """
-    if int(modulus) != modulus or modulus < 1:
-        raise ValueError(f"modulus must be an integer >= 1, got {modulus}")
-    residues = np.mod(table.indices, modulus)
-    acc = 0.0
-    for u in range(int(modulus)):
-        mask = residues == u
-        pu = float(table.prob[mask].sum())
-        if pu <= 0.0:
-            continue
-        acc += pu * entropy_bits(table.prob[mask] / pu)
-    return acc
+    return _conditional_entropy(table, _residues(table, modulus))
 
 
 def bob_distortion(table: BinTable, reconstruction: str) -> float:
@@ -266,19 +274,7 @@ def bob_distortion(table: BinTable, reconstruction: str) -> float:
 
 def eve_mmse_given_residue(table: BinTable, modulus: int) -> float:
     """Least mean squared error of an estimator that sees only index mod `modulus`."""
-    if int(modulus) != modulus or modulus < 1:
-        raise ValueError(f"modulus must be an integer >= 1, got {modulus}")
-    second = float(np.dot(table.prob, table.second_moment))
-    residues = np.mod(table.indices, modulus)
-    acc = 0.0
-    for u in range(int(modulus)):
-        mask = residues == u
-        pu = float(table.prob[mask].sum())
-        if pu <= 0.0:
-            continue
-        mean_u = float(np.dot(table.prob[mask], table.centroid[mask])) / pu
-        acc += pu * mean_u * mean_u
-    return max(second - acc, 0.0)
+    return _eve_mmse(table, _residues(table, modulus))
 
 
 def eve_mmse_given_magnitude(table: BinTable) -> float:
@@ -289,19 +285,7 @@ def eve_mmse_given_magnitude(table: BinTable) -> float:
     value must equal the source variance; that identity is asserted.
     """
     _require_symmetric(table)
-    second = float(np.dot(table.prob, table.second_moment))
-    acc = 0.0
-    for u in range(table.max_index + 1):
-        if u == 0:
-            rows = [table.row(0)]
-        else:
-            rows = [table.row(u), table.row(-u)]
-        pu = float(sum(table.prob[r] for r in rows))
-        if pu <= 0.0:
-            continue
-        mean_u = float(sum(table.prob[r] * table.centroid[r] for r in rows)) / pu
-        acc += pu * mean_u * mean_u
-    mmse = max(second - acc, 0.0)
+    mmse = _eve_mmse(table, np.abs(table.indices))
     expected = table.source.variance
     if abs(mmse - expected) > 1e-9 * max(1.0, expected):
         raise SolverError(

@@ -25,6 +25,7 @@ from .model import GaussianSource, RatePair, entropy_bits
 from .quantizer import (
     BinTable,
     QuantizerSpec,
+    _class_moments,
     build_bin_table,
     output_entropy,
     step_size_for_entropy,
@@ -45,6 +46,11 @@ SIM_SCENARIOS = ("weak", "causal_source", "causal_general")
 
 _RATE_TOL = 1e-9
 
+# Largest run accepted.  A run peaks at about 63 bytes per symbol (207 MB
+# at 2e6 symbols, about 80 MB of which is the interpreter and libraries),
+# so this keeps one run under about 0.7 GB.
+_MAX_SYMBOLS = 10_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -62,8 +68,10 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scenario not in SIM_SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if int(self.n_symbols) != self.n_symbols or self.n_symbols < 1:
-            raise ValueError(f"n_symbols must be a positive integer, got {self.n_symbols}")
+        if int(self.n_symbols) != self.n_symbols or not 1 <= self.n_symbols <= _MAX_SYMBOLS:
+            raise ValueError(
+                f"n_symbols must be an integer in [1, {_MAX_SYMBOLS}], got {self.n_symbols}"
+            )
         if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -110,21 +118,22 @@ def eve_oracle_estimate(observable, scheme: str, table: BinTable, history=None) 
         u = int(observable)
         if u < 0:
             raise ValueError("magnitude observable must be >= 0")
-        u = min(u, table.max_index)
-        if u == 0:
-            return float(table.centroid[table.row(0)])
-        p_pos = float(table.prob[table.row(u)])
-        p_neg = float(table.prob[table.row(-u)])
-        if p_pos + p_neg <= 0.0:
-            return source.mean
-        c_pos = float(table.centroid[table.row(u)])
-        c_neg = float(table.centroid[table.row(-u)])
-        return (p_pos * c_pos + p_neg * c_neg) / (p_pos + p_neg)
+        return float(_magnitude_means(table)[1][min(u, table.max_index)])
     if scheme == "no_key":
         n = int(observable)
         n = max(min(n, table.max_index), -table.max_index)
         return float(table.centroid[table.row(n)])
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _magnitude_means(table: BinTable) -> tuple[np.ndarray, np.ndarray]:
+    """Mass of each magnitude 0..k and the mean over its {+u, -u} bin pair.
+
+    A pair without mass gets the source mean.
+    """
+    mass, first, _ = _class_moments(table, np.abs(table.indices))
+    mean = np.full(mass.size, table.source.mean)
+    return mass, np.divide(first, mass, out=mean, where=mass > 0.0)
 
 
 def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
@@ -148,10 +157,7 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     h_table = output_entropy(table)
 
     k = table.max_index
-    mag_prob = np.empty(k + 1)
-    mag_prob[0] = table.prob[table.row(0)]
-    upper = table.prob[k + 1 :]
-    mag_prob[1:] = upper + table.prob[:k][::-1]
+    mag_prob, pair_mean = _magnitude_means(table)
 
     if config.scheme == "sign_pad":
         if rates.key_rate < 1.0:
@@ -184,10 +190,6 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         zs = np.full(config.n_symbols, source.mean)
     else:
         # Eve sees only the magnitude; condition on the {+u, -u} pair.
-        pair_mean = np.empty(k + 1)
-        pair_mean[0] = table.centroid[table.row(0)]
-        for u in range(1, k + 1):
-            pair_mean[u] = eve_oracle_estimate(u, "sign_pad", table)
         zs = pair_mean[np.abs(idx)]
 
     bob_sq = (ys - xs) ** 2

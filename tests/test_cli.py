@@ -1,20 +1,27 @@
 """CLI behaviour: exit codes, CSV shape, determinism, library agreement."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import secgauss
 from secgauss import (
     STANDARD_SOURCE,
     QuantizerSpec,
     RatePair,
+    SimResult,
     bob_distortion,
     build_bin_table,
     eve_mmse_given_magnitude,
     output_entropy,
     weak_eavesdropper_payoff,
 )
-from secgauss.cli import CSV_HEADER, main
+from secgauss.cli import _MAX_GRID_POINTS, CSV_HEADER, _parse_grid, main
+from secgauss.sim import _MAX_SYMBOLS
 
 
 def run_cli(argv):
@@ -221,3 +228,66 @@ class TestVerify:
 
     def test_unknown_suite(self):
         assert run_cli(["verify", "--suite", "everything"]) == 2
+
+
+def run_cli_capped(argv):
+    """Run the CLI in a child process that cannot map more than 1 GiB.
+
+    An input that slipped past validation into a huge allocation ends
+    in a MemoryError traceback there, not in the machine running out.
+    """
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "secgauss.cli", *argv],
+        preexec_fn=cap, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestInputBounds:
+    def test_huge_sim_rejected_before_allocating(self):
+        proc = run_cli_capped(
+            ["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "7",
+             "--n", "1000000000000"]
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: n_symbols")
+
+    def test_huge_grid_rejected_before_allocating(self):
+        proc = run_cli_capped(
+            ["curve", "--schemes", "weak", "--r", "2", "--rs-range", "0:1:1e-12"]
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: --rs-range")
+
+    def test_overflowing_grid_rejected(self, capsys):
+        # STOP - START overflows to inf, which must not reach math.floor.
+        code = run_cli(["curve", "--schemes", "weak", "--r", "2", "--rs-range=-1e308:1e308:1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --rs-range")
+
+    def test_grid_cap_is_inclusive(self):
+        grid = _parse_grid(None, f"0:{_MAX_GRID_POINTS - 1}:1", "--rs", "--rs-range")
+        assert len(grid) == _MAX_GRID_POINTS
+        with pytest.raises(ValueError):
+            _parse_grid(None, f"0:{_MAX_GRID_POINTS}:1", "--rs", "--rs-range")
+
+    def test_symbol_cap_is_inclusive(self, monkeypatch, capsys):
+        # The simulation itself is stubbed out: only validation is under test.
+        seen = []
+
+        def fake_run_sim(config, source):
+            seen.append(config.n_symbols)
+            return SimResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr("secgauss.cli.run_sim", fake_run_sim)
+        base = ["sim", "--scheme", "no_key", "--seed", "1", "--n"]
+        assert run_cli(base + [str(_MAX_SYMBOLS + 1)]) == 2
+        assert run_cli(base + [str(_MAX_SYMBOLS)]) == 0
+        assert seen == [_MAX_SYMBOLS]
+        capsys.readouterr()

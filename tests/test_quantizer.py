@@ -8,12 +8,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from secgauss import (
     STANDARD_SOURCE,
+    BinTable,
     GaussianSource,
     QuantizerSpec,
     SolverError,
+    binary_entropy,
     bob_distortion,
     build_bin_table,
     entropy_given_magnitude,
@@ -22,6 +26,7 @@ from secgauss import (
     eve_mmse_given_residue,
     fold_bin_table,
     output_entropy,
+    entropy_bits,
     quantize_index,
     step_size_for_entropy,
 )
@@ -292,3 +297,165 @@ class TestStepSizeForEntropy:
     def test_unreachable_target_rejected(self):
         with pytest.raises((ValueError, SolverError)):
             step_size_for_entropy(STANDARD_SOURCE, -1.0)
+
+
+# Reference implementations: the per-class loops that the vectorized
+# grouping in secgauss.quantizer replaced, kept to pin its results.
+
+
+def ref_fold_bin_table(table, max_index):
+    k_old = table.max_index
+    if max_index >= k_old:
+        return table
+    k = int(max_index)
+    prob = np.zeros(2 * k + 1)
+    centroid = np.zeros(2 * k + 1)
+    second = np.zeros(2 * k + 1)
+    mu = table.source.mean
+    for j in range(k + 1):
+        if j < k:
+            rows = [table.row(j)]
+        else:
+            rows = [table.row(i) for i in range(k, k_old + 1)]
+        p = float(sum(table.prob[r] for r in rows))
+        if p > 0.0:
+            c = float(sum(table.prob[r] * table.centroid[r] for r in rows)) / p
+            s = float(sum(table.prob[r] * table.second_moment[r] for r in rows)) / p
+        else:
+            c = table.centroid[rows[0]]
+            s = table.second_moment[rows[0]]
+        prob[k + j] = p
+        centroid[k + j] = c
+        second[k + j] = s
+        if j > 0:
+            prob[k - j] = p
+            centroid[k - j] = 2.0 * mu - c
+            second[k - j] = 4.0 * mu * mu - 4.0 * mu * c + s
+    indices = np.arange(-k, k + 1, dtype=np.int64)
+    return BinTable(indices, prob, centroid, second, table.source, table.step)
+
+
+def ref_entropy_given_magnitude(table):
+    acc = 0.0
+    for k in range(1, table.max_index + 1):
+        p_pos = float(table.prob[table.row(k)])
+        p_neg = float(table.prob[table.row(-k)])
+        pu = p_pos + p_neg
+        if pu <= 0.0:
+            continue
+        acc += pu * binary_entropy(p_pos / pu)
+    return acc
+
+
+def ref_entropy_given_residue(table, modulus):
+    residues = np.mod(table.indices, modulus)
+    acc = 0.0
+    for u in range(int(modulus)):
+        mask = residues == u
+        pu = float(table.prob[mask].sum())
+        if pu <= 0.0:
+            continue
+        acc += pu * entropy_bits(table.prob[mask] / pu)
+    return acc
+
+
+def ref_eve_mmse_given_residue(table, modulus):
+    second = float(np.dot(table.prob, table.second_moment))
+    residues = np.mod(table.indices, modulus)
+    acc = 0.0
+    for u in range(int(modulus)):
+        mask = residues == u
+        pu = float(table.prob[mask].sum())
+        if pu <= 0.0:
+            continue
+        mean_u = float(np.dot(table.prob[mask], table.centroid[mask])) / pu
+        acc += pu * mean_u * mean_u
+    return max(second - acc, 0.0)
+
+
+def ref_eve_mmse_given_magnitude(table):
+    second = float(np.dot(table.prob, table.second_moment))
+    acc = 0.0
+    for u in range(table.max_index + 1):
+        if u == 0:
+            rows = [table.row(0)]
+        else:
+            rows = [table.row(u), table.row(-u)]
+        pu = float(sum(table.prob[r] for r in rows))
+        if pu <= 0.0:
+            continue
+        mean_u = float(sum(table.prob[r] * table.centroid[r] for r in rows)) / pu
+        acc += pu * mean_u * mean_u
+    return max(second - acc, 0.0)
+
+
+# Half-table bin weights: exact zeros, and masses small enough that an
+# entropy computed as a difference of large entropies would lose them.
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-12, 1.0))
+
+
+@st.composite
+def symmetric_tables(draw):
+    """A hand-built table, symmetric about a nonzero-capable mean, any bin possibly empty."""
+    k = draw(st.integers(1, 6))
+    mu = draw(st.floats(-5.0, 5.0))
+    w = np.array(draw(st.lists(_WEIGHT, min_size=k + 1, max_size=k + 1)))
+    if w.sum() == 0.0:
+        w[0] = 1.0
+    offset = np.array([0.0] + draw(st.lists(st.floats(0.0, 4.0), min_size=k, max_size=k)))
+    spread = np.array(draw(st.lists(st.floats(0.01, 2.0), min_size=k + 1, max_size=k + 1)))
+    half = w / (w[0] + 2.0 * w[1:].sum())
+    prob = np.concatenate([half[:0:-1], half])
+    centroid = mu + np.concatenate([-offset[:0:-1], offset])
+    second = centroid**2 + np.concatenate([spread[:0:-1], spread])
+    variance = float(prob @ second) - mu * mu
+    indices = np.arange(-k, k + 1, dtype=np.int64)
+    return BinTable(indices, prob, centroid, second, GaussianSource(mu, variance), 1.0)
+
+
+class TestClassStatisticsMatchReference:
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_tables())
+    def test_entropies(self, table):
+        # Relative comparison: a conditional entropy that is tiny next to
+        # H(output) must still be exact to its own size.
+        got = entropy_given_magnitude(table)
+        assert got == pytest.approx(ref_entropy_given_magnitude(table), rel=1e-10, abs=0.0)
+        assert math.copysign(1.0, got) == 1.0
+        for n in range(1, 2 * table.max_index + 3):
+            got = entropy_given_residue(table, n)
+            ref = ref_entropy_given_residue(table, n)
+            assert got == pytest.approx(ref, rel=1e-10, abs=0.0), n
+            assert math.copysign(1.0, got) == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_tables())
+    def test_eve_mmse(self, table):
+        power = float(table.prob @ table.second_moment)
+        tol = 1e-12 * max(1.0, power)
+        assert eve_mmse_given_magnitude(table) == pytest.approx(
+            ref_eve_mmse_given_magnitude(table), abs=tol
+        )
+        for n in range(1, 2 * table.max_index + 3):
+            got = eve_mmse_given_residue(table, n)
+            assert got == pytest.approx(ref_eve_mmse_given_residue(table, n), abs=tol), n
+            assert math.isfinite(got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_tables())
+    def test_fold_is_bit_identical(self, table):
+        # Same additions in the same order, so no tolerance.
+        for k in range(1, table.max_index + 2):
+            got, ref = fold_bin_table(table, k), ref_fold_bin_table(table, k)
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.prob, ref.prob)
+            assert np.array_equal(got.centroid, ref.centroid)
+            assert np.array_equal(got.second_moment, ref.second_moment)
+
+    def test_huge_modulus_needs_no_allocation(self, unit_table):
+        # Every modulus past the table width discloses the index exactly.
+        full = 2 * unit_table.max_index + 1
+        assert entropy_given_residue(unit_table, 10**15) == 0.0
+        assert eve_mmse_given_residue(unit_table, 10**15) == pytest.approx(
+            eve_mmse_given_residue(unit_table, full), abs=1e-15
+        )
