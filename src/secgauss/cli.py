@@ -214,22 +214,7 @@ def _curve_rows(scheme: str, r: float, rs_grid, source, args) -> list[str]:
                 _csv_row(scheme, r, rs, math.nan, None, None, False, "rate must be positive")
                 for rs in rs_grid
             ]
-        pmf = build_quantized_pmf(source, QuantizerSpec(step=step), max_support=args.lp_max_support)
-        candidates = enumerate_subset_candidates(pmf, args.lp_max_support, args.lp_mode)
-        support = pmf.points.size
-        for rs in rs_grid:
-            sol = solve_secrecy_lp(pmf, RatePair(r, rs), candidates)
-            if not sol.feasible:
-                rows.append(
-                    _csv_row(scheme, r, rs, math.nan, step, None, False,
-                             "rate below quantized entropy")
-                )
-                continue
-            rows.append(
-                _csv_row(scheme, r, rs, sol.value / source.variance, step, None, True,
-                         f"support={support}")
-            )
-        return rows
+        return _lp_rows(source, r, step, rs_grid, args.lp_max_support, args.lp_mode, False)
 
     closed = {
         "weak": weak_eavesdropper_payoff,
@@ -312,32 +297,31 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
-def cmd_lp(args) -> int:
-    source = _source(args)
-    rs_grid = _parse_grid(args.rs, args.rs_range, "--rs", "--rs-range")
-    pmf = build_quantized_pmf(source, QuantizerSpec(step=args.t), max_support=args.max_support)
-    candidates = enumerate_subset_candidates(pmf, args.max_support, args.mode)
-    support = pmf.points.size
-
+def _lp_rows(source, r, step, rs_grid, max_support, mode, mixtures: bool) -> list[str]:
+    """Subset-LP rows at one step; `mixtures` adds D and the active mixture to notes."""
+    pmf = build_quantized_pmf(source, QuantizerSpec(step=step), max_support=max_support)
+    candidates = enumerate_subset_candidates(pmf, max_support, mode)
     rows = []
     for rs in rs_grid:
-        sol = solve_secrecy_lp(pmf, RatePair(args.r, rs), candidates)
+        sol = solve_secrecy_lp(pmf, RatePair(r, rs), candidates)
         if not sol.feasible:
-            rows.append(
-                _csv_row("lp_quantized", args.r, rs, math.nan, args.t, None, False,
-                         "rate below quantized entropy")
-            )
+            rows.append(_csv_row("lp_quantized", r, rs, math.nan, step, None, False,
+                                 "rate below quantized entropy"))
             continue
-        active = [
-            f"{candidates[j].label}:{sol.weights[j]:.12g}"
-            for j in range(len(candidates))
-            if sol.weights[j] > 1e-9
-        ]
-        note = f"D={sol.value:.12g};support={support};active=" + ";".join(active)
-        rows.append(
-            _csv_row("lp_quantized", args.r, rs, sol.value / source.variance,
-                     args.t, None, True, note)
-        )
+        note = f"support={pmf.points.size}"
+        if mixtures:
+            # Labels are built only for the active columns.
+            active = [f"{candidates[j].label}:{sol.weights[j]:.12g}"
+                      for j in (sol.weights > 1e-9).nonzero()[0]]
+            note = f"D={sol.value:.12g};{note};active=" + ";".join(active)
+        rows.append(_csv_row("lp_quantized", r, rs, sol.value / source.variance, step, None,
+                             True, note))
+    return rows
+
+
+def cmd_lp(args) -> int:
+    rs_grid = _parse_grid(args.rs, args.rs_range, "--rs", "--rs-range")
+    rows = _lp_rows(_source(args), args.r, args.t, rs_grid, args.max_support, args.mode, True)
     _emit(args.out, "\n".join([CSV_HEADER] + rows) + "\n")
     return EXIT_OK
 

@@ -4,15 +4,18 @@ The quantized source is a finite pmf over bin centroids.  A disclosure
 strategy mixes posterior candidates whose barycenter is that pmf and
 whose average entropy fits the key rate; the best achievable
 eavesdropper error is then a linear program over the mixture weights.
-Candidates here are the subset restrictions of the pmf, and the solver
-also accepts externally supplied candidate lists.
+Candidates here are the subset restrictions of the pmf, held column by
+column in a `CandidateSet`; the solver also accepts externally supplied
+sequences of `PosteriorCandidate`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import special
@@ -25,6 +28,7 @@ from .simplex import linear_program_max
 __all__ = [
     "QuantizedPmf",
     "PosteriorCandidate",
+    "CandidateSet",
     "LpSolution",
     "build_quantized_pmf",
     "candidate_score",
@@ -34,6 +38,10 @@ __all__ = [
 ]
 
 DEFAULT_SUPPORT_CAP = 15
+# Largest support cap accepted; above it the 2**k subset masks are
+# refused before any is built.  Peak RSS of one `lp` solve: 134 MB at
+# support 15, 311 MB at 17, 943 MB at 19 (about 4x per two points).
+_MAX_SUPPORT = 19
 
 _SCORE_MODES = ("continuous", "alphabet_restricted")
 
@@ -87,15 +95,64 @@ class PosteriorCandidate:
 
     def __post_init__(self) -> None:
         q = np.asarray(self.posterior, dtype=float)
-        if q.ndim != 1 or q.size == 0 or (q < -1e-12).any():
+        if q.ndim != 1:
             raise ValueError("posterior must be a nonnegative 1-d pmf")
-        if abs(float(q.sum()) - 1.0) > 1e-9:
-            raise ValueError("posterior must sum to 1")
-        q = np.clip(q, 0.0, None)
-        q.setflags(write=False)
-        object.__setattr__(self, "posterior", q)
-        if self.entropy_bits < -1e-12 or self.score < -1e-12:
-            raise ValueError("entropy and score must be nonnegative")
+        object.__setattr__(self, "posterior", _checked(q, self.entropy_bits, self.score))
+
+
+@dataclass(frozen=True, eq=False)
+class CandidateSet(Sequence):
+    """Subset candidates as read-only columns; entry i of each is candidate i.
+
+    `posteriors` holds the pmf renormalized on subset `masks[i]` in row
+    i, with its `entropy_bits` and `scores`; all rows are checked once,
+    as `PosteriorCandidate` checks one.  An integer index builds that
+    candidate, labelled by its subset ("1+3" for mask 0b1010); a slice
+    gives a smaller set.
+    """
+
+    masks: np.ndarray
+    posteriors: np.ndarray
+    entropy_bits: np.ndarray
+    scores: np.ndarray
+
+    def __post_init__(self) -> None:
+        masks = np.array(self.masks, dtype=np.int64)
+        q = np.asarray(self.posteriors, dtype=float)
+        ent, scores = np.array(self.entropy_bits, dtype=float), np.array(self.scores, dtype=float)
+        if q.ndim != 2 or not masks.shape == ent.shape == scores.shape == q.shape[:1]:
+            raise ValueError("candidate arrays must hold one entry per posterior row")
+        for name, column in zip(("masks", "posteriors", "entropy_bits", "scores"),
+                                (masks, _checked(q, ent, scores), ent, scores)):
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return self.masks.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CandidateSet(self.masks[index], self.posteriors[index],
+                                self.entropy_bits[index], self.scores[index])
+        i = operator.index(index)
+        mask = int(self.masks[i])
+        label = "+".join(str(j) for j in range(self.posteriors.shape[1]) if mask >> j & 1)
+        return PosteriorCandidate(
+            self.posteriors[i], float(self.entropy_bits[i]), float(self.scores[i]), label
+        )
+
+
+def _checked(q: np.ndarray, entropy, score) -> np.ndarray:
+    """Clipped read-only posterior row(s), after the checks every candidate passes."""
+    if q.shape[-1] == 0 or (q < -1e-12).any():
+        raise ValueError("posterior must be a nonnegative 1-d pmf")
+    if (np.abs(q.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("posterior must sum to 1")
+    if (np.asarray(entropy) < -1e-12).any() or (np.asarray(score) < -1e-12).any():
+        raise ValueError("entropy and score must be nonnegative")
+    q = np.clip(q, 0.0, None)
+    q.setflags(write=False)
+    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,76 +200,59 @@ def candidate_score(points, q, mode: str = "continuous") -> float:
     `continuous` allows any real estimate (the variance); the
     `alphabet_restricted` estimate must be one of the support points.
     """
-    if mode not in _SCORE_MODES:
-        raise ValueError(f"unknown score mode {mode!r}")
     points = np.asarray(points, dtype=float)
     q = np.asarray(q, dtype=float)
     if points.shape != q.shape:
         raise ValueError("points and q must have matching shapes")
-    mean = float(np.dot(q, points))
-    var = float(np.dot(q, (points - mean) ** 2))
-    if mode == "continuous":
-        return var
-    return var + float(np.min((points - mean) ** 2))
+    return float(_scores(points, q[None, :], mode)[0])
+
+
+def _scores(points: np.ndarray, q: np.ndarray, mode: str) -> np.ndarray:
+    """`candidate_score` of every posterior row of q."""
+    if mode not in _SCORE_MODES:
+        raise ValueError(f"unknown score mode {mode!r}")
+    gaps = (points - (q @ points)[:, None]) ** 2
+    var = np.sum(q * gaps, axis=1)
+    return var if mode == "continuous" else var + gaps.min(axis=1)
 
 
 def enumerate_subset_candidates(
     pmf: QuantizedPmf,
     k_cap: int = DEFAULT_SUPPORT_CAP,
     mode: str = "continuous",
-) -> list[PosteriorCandidate]:
+) -> CandidateSet:
     """All subset restrictions of the pmf, in ascending bitmask order.
 
     Candidate for subset S: the pmf renormalized on S.  Mixtures of
     these realize every "reveal which subset the symbol fell in"
-    disclosure.  Supports larger than k_cap are refused outright rather
-    than approximated.
+    disclosure.  Subsets of zero mass are left out.  Supports larger
+    than k_cap are refused outright rather than approximated, and so is
+    a k_cap above `_MAX_SUPPORT`, before any mask is built.
     """
     if mode not in _SCORE_MODES:
         raise ValueError(f"unknown score mode {mode!r}")
+    if k_cap > _MAX_SUPPORT:
+        raise ValueError(f"support cap {k_cap} exceeds the largest supported, {_MAX_SUPPORT}")
     k = int(pmf.points.size)
     if k > k_cap:
         raise ValueError(
             f"support size {k} exceeds the cap {k_cap}; fold the pmf or raise the cap"
         )
     masks = np.arange(1, 2**k, dtype=np.int64)
-    member = ((masks[:, None] >> np.arange(k)) & 1).astype(float)
-    raw = member * pmf.probs
+    raw = ((masks[:, None] >> np.arange(k)) & 1) * pmf.probs
     totals = raw.sum(axis=1)
-    live = totals > 0.0
     # Subsets of zero total mass cannot be disclosed; skip them.
-    masks, member, raw, totals = masks[live], member[live], raw[live], totals[live]
-    q = raw / totals[:, None]
-
+    live = totals > 0.0
+    masks, q = masks[live], raw[live] / totals[live, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ent = -np.sum(special.xlogy(q, q), axis=1) / math.log(2.0)
-    means = q @ pmf.points
-    seconds = q @ (pmf.points**2)
-    var = np.clip(seconds - means**2, 0.0, None)
-    if mode == "continuous":
-        scores = var
-    else:
-        gaps = (means[:, None] - pmf.points[None, :]) ** 2
-        scores = var + gaps.min(axis=1)
-
-    out = []
-    for i in range(masks.size):
-        bits = [str(j) for j in range(k) if member[i, j]]
-        out.append(
-            PosteriorCandidate(
-                posterior=q[i],
-                entropy_bits=float(max(ent[i], 0.0)),
-                score=float(scores[i]),
-                label="+".join(bits),
-            )
-        )
-    return out
+    return CandidateSet(masks, q, np.maximum(ent, 0.0), _scores(pmf.points, q, mode))
 
 
 def solve_secrecy_lp(
     pmf: QuantizedPmf,
     rates: RatePair,
-    candidates: Optional[Sequence[PosteriorCandidate]] = None,
+    candidates: Optional[Sequence] = None,
     mode: str = "continuous",
 ) -> LpSolution:
     """Best eavesdropper error over key-feasible mixtures of candidates.
@@ -222,7 +262,9 @@ def solve_secrecy_lp(
     message rate must cover the pmf entropy outright; otherwise the
     instance is reported infeasible without solving.  When `candidates`
     is omitted the subset family is enumerated with the given mode;
-    supplied candidates are trusted as scored.
+    supplied candidates are trusted as scored.  A `CandidateSet` fills
+    the constraint matrix straight from its arrays; any other sequence
+    of `PosteriorCandidate` is stacked into the same arrays first.
     """
     if rates.rate < pmf.entropy_bits() - 1e-9:
         return LpSolution(value=math.nan, weights=np.zeros(0), feasible=False, slack_rs=math.nan)
@@ -232,18 +274,22 @@ def solve_secrecy_lp(
         raise ValueError("candidate list is empty")
     k = pmf.points.size
     n = len(candidates)
-    for cand in candidates:
-        if cand.posterior.size != k:
-            raise ValueError("candidate posterior length does not match the pmf support")
+    if isinstance(candidates, CandidateSet):
+        post, ent, score = candidates.posteriors, candidates.entropy_bits, candidates.scores
+    else:  # ragged posteriors make np.array raise ValueError too
+        post = np.array([cand.posterior for cand in candidates])
+        ent = np.array([cand.entropy_bits for cand in candidates])
+        score = np.array([cand.score for cand in candidates])
+    if post.shape[1] != k:
+        raise ValueError("candidate posterior length does not match the pmf support")
 
     # Columns: candidate weights plus one slack for the entropy row.
     a = np.zeros((k + 1, n + 1))
-    for j, cand in enumerate(candidates):
-        a[:k, j] = cand.posterior
-        a[k, j] = cand.entropy_bits
+    a[:k, :n] = post.T
+    a[k, :n] = ent
     a[k, n] = 1.0
     b = np.concatenate([pmf.probs, [rates.key_rate]])
-    cost = np.array([cand.score for cand in candidates] + [0.0])
+    cost = np.append(score, 0.0)
 
     # Equilibrate before solving: outer bins carry probabilities many
     # orders below 1, and a raw tableau loses feasibility in the noise.
@@ -267,7 +313,7 @@ def solve_secrecy_lp(
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-8:
         raise SolverError(f"LP weights sum to {total}, expected 1")
-    used = float(np.dot(weights, [cand.entropy_bits for cand in candidates]))
+    used = float(np.dot(weights, ent))
     if used > rates.key_rate + 1e-8:
         raise SolverError("LP solution violates the key-rate constraint")
     return LpSolution(

@@ -1,9 +1,15 @@
-"""Dense two-phase primal simplex with Bland's rule.
+"""Dense two-phase primal simplex with Dantzig pricing and a Bland fallback.
 
 The secrecy trade-off LP has a handful of equality rows and up to a few
-tens of thousands of columns.  A dense tableau handles that comfortably,
-and Bland's anti-cycling rule makes the pivot sequence, and therefore
-the returned vertex, deterministic.
+tens of thousands of columns.  A dense tableau handles that comfortably.
+The entering column is the one with the most negative reduced cost
+(Dantzig), ties going to the smallest index.  Dantzig's rule alone can
+cycle, but a cycle consists only of degenerate pivots, so after
+`_STALL` degenerate pivots in a row the entering column is the smallest
+improving index (Bland 1977) until a pivot makes progress; Bland's rule
+cannot cycle, so the solve terminates.  Both rules and the leaving-row
+rule break ties by index, so the pivot sequence, and therefore the
+returned vertex, is a deterministic function of the data.
 
 Long degenerate pivot runs let the running tableau drift away from the
 exact canonical form, so the solve is wrapped in reinversion rounds:
@@ -20,6 +26,8 @@ from .errors import SolverError
 __all__ = ["linear_program_max"]
 
 _MAX_REFRESH = 60
+# Consecutive degenerate pivots after which pricing falls back to Bland.
+_STALL = 50
 
 
 def linear_program_max(
@@ -148,19 +156,23 @@ def _iterate(
     forbid: int | None = None,
 ) -> None:
     m = tableau.shape[0] - 1
+    stalled = 0
     for _ in range(max_iter):
         red = tableau[m, :-1] if forbid is None else tableau[m, :forbid]
-        negatives = np.flatnonzero(red < -tol)
-        if negatives.size == 0:
+        if stalled < _STALL:  # Dantzig: most negative reduced cost
+            col = int(np.argmin(red))
+        else:  # Bland: smallest improving index (0 if there is none)
+            col = int(np.argmax(red < -tol))
+        if red[col] >= -tol:
             return
-        col = int(negatives[0])  # Bland: smallest improving index
         ratios = tableau[:m, col]
         rows = np.flatnonzero(ratios > tol)
         if rows.size == 0:
             raise SolverError("LP unbounded along an improving direction")
         values = tableau[rows, -1] / ratios[rows]
         best = values.min()
-        # Among minimizing rows, Bland again: smallest basic variable.
+        stalled = stalled + 1 if best <= 0.0 else 0
+        # Among minimizing rows, Bland's leaving rule: smallest basic variable.
         # The tie slack must stay relative: right-hand sides can be tiny
         # and an absolute slack would admit non-ties, driving basic
         # variables negative.

@@ -265,6 +265,13 @@ class TestInputBounds:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: --rs-range")
 
+    def test_huge_lp_support_rejected_before_allocating(self):
+        proc = run_cli_capped(
+            ["lp", "--t", "0.05", "--r", "9", "--rs", "1", "--max-support", "41"]
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: support cap 41")
+
     def test_overflowing_grid_rejected(self, capsys):
         # STOP - START overflows to inf, which must not reach math.floor.
         code = run_cli(["curve", "--schemes", "weak", "--r", "2", "--rs-range=-1e308:1e308:1"])

@@ -10,11 +10,14 @@ To re-record a file after an intended output change, run the command
 with `--out tests/golden/<name>.txt` and review the diff.
 """
 
+import csv
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from secgauss import STANDARD_SOURCE, QuantizerSpec, build_quantized_pmf
 from secgauss.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -103,3 +106,92 @@ class TestComparisonRule:
 
     def test_line_count(self):
         assert mismatches("a\nb\n", "a\n")
+
+
+# On the key-slack plateau (rs >= 0.75 in lp.txt) the optimal vertex is
+# not unique.  These are the mixtures an earlier pivot rule (Bland's
+# smallest index) returned there; they are kept to show that they, like
+# the recorded ones, meet every constraint at the same value D.
+EARLIER_PLATEAU_MIXTURES = {
+    "0.75": "4:0.323597230361;3+5:0.408556680901;3+4+5:0.134231686201;2+6:0.121195071886;"
+            "1+7:0.0119540724935;0+8:0.000465258158071",
+    "1": "4:0.212016025252;3+5:0.267680175996;3+4+5:0.386689396214;2+6:0.121195071886;"
+         "1+7:0.0119540724935;0+8:0.000465258158071",
+    "1.25": "4:0.100434820143;3+5:0.126803671091;3+4+5:0.639147106228;2+6:0.121195071886;"
+            "1+7:0.0119540724935;0+8:0.000465258158071",
+    "1.5": "3+4+5:0.825596434226;2+6:0.115489245768;2+3+4+5+6:0.0464949893543;"
+           "1+7:0.0119540724935;0+8:0.000465258158071",
+    "1.75": "3+4+5:0.417275350446;2+6:0.0583709104142;2+3+4+5+6:0.511934408489;"
+            "1+7:0.0119540724935;0+8:0.000465258158071",
+    "2": "3+4+5:0.00895426666518;2+6:0.00125257506052;2+3+4+5+6:0.977373827623;"
+         "1+7:0.0119540724935;0+8:0.000465258158071",
+}
+# Weights and D are printed to 12 significant digits.
+MIXTURE_TOL = 1e-10
+
+
+def golden_lp_rows() -> list[tuple[str, float, str]]:
+    """(Rs_bits, D, active mixture) of every row of lp.txt."""
+    with open(GOLDEN_DIR / "lp.txt", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    out = []
+    for row in rows:
+        notes = dict(item.split("=", 1) for item in row["notes"].split(";", 2))
+        assert notes["support"] == "9"
+        out.append((row["Rs_bits"], float(notes["D"]), notes["active"]))
+    return out
+
+
+def mixture_violations(rs: float, d: float, active: str) -> list[str]:
+    """Constraints of the lp.txt instance that a printed mixture breaks.
+
+    Each `label:weight` names a subset of the support; its posterior,
+    entropy and score are recomputed here from the pmf.
+    """
+    pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=1.0), max_support=9)
+    labels, weights = zip(*(item.split(":") for item in active.split(";")))
+    w = np.array([float(x) for x in weights])
+    q = np.zeros((len(labels), pmf.probs.size))
+    for i, label in enumerate(labels):
+        members = [int(j) for j in label.split("+")]
+        q[i, members] = pmf.probs[members]
+    q /= q.sum(axis=1, keepdims=True)
+    logs = np.log2(q, out=np.zeros_like(q), where=q > 0.0)
+    entropy = -(q * logs).sum(axis=1)
+    means = q @ pmf.points
+    scores = (q * (pmf.points - means[:, None]) ** 2).sum(axis=1)
+    found = []
+    if (w < 0.0).any():
+        found.append("negative weight")
+    if abs(w.sum() - 1.0) > MIXTURE_TOL:
+        found.append(f"weights sum to {w.sum()}")
+    if np.abs(w @ q - pmf.probs).max() > MIXTURE_TOL:
+        found.append("barycenter is not the pmf")
+    if w @ entropy > rs + MIXTURE_TOL:
+        found.append(f"key use {w @ entropy} exceeds {rs}")
+    if abs(w @ scores - d) > MIXTURE_TOL:
+        found.append(f"mixture scores {w @ scores}, not D = {d}")
+    return found
+
+
+class TestLpMixtures:
+    @pytest.mark.parametrize("rs, d, active", golden_lp_rows())
+    def test_recorded_mixture_is_feasible_at_d(self, rs, d, active):
+        assert mixture_violations(float(rs), d, active) == []
+
+    @pytest.mark.parametrize("rs", sorted(EARLIER_PLATEAU_MIXTURES))
+    def test_plateau_vertex_is_not_unique(self, rs):
+        recorded = {row[0]: row for row in golden_lp_rows()}
+        _, d, active = recorded[rs]
+        earlier = EARLIER_PLATEAU_MIXTURES[rs]
+        assert earlier != active
+        assert mixture_violations(float(rs), d, earlier) == []
+
+    def test_a_broken_mixture_is_caught(self):
+        rs, d, active = golden_lp_rows()[1]
+        label, weight = active.split(";")[0].split(":")
+        shifted = f"{label}:{float(weight) + 1e-6};" + active.split(";", 1)[1]
+        assert mixture_violations(float(rs), d, shifted)
+        # The rs = 0.25 optimum uses all of its key.
+        assert mixture_violations(float(rs) - 0.01, d, active)
+        assert mixture_violations(float(rs), d + 1e-6, active)

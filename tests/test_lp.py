@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from secgauss import (
     STANDARD_SOURCE,
+    CandidateSet,
     GaussianSource,
+    GreedyQuantizedScheme,
+    PosteriorCandidate,
     QuantizedPmf,
     QuantizerSpec,
     RatePair,
@@ -17,7 +21,9 @@ from secgauss import (
     enumerate_subset_candidates,
     lp_payoff,
     solve_secrecy_lp,
+    step_size_for_entropy,
 )
+from secgauss import lp as lp_module
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +177,11 @@ class TestEnumerateCandidates:
         with pytest.raises(ValueError):
             enumerate_subset_candidates(small_pmf, k_cap=4)
 
+    def test_support_cap_bounded(self, small_pmf):
+        assert len(enumerate_subset_candidates(small_pmf, k_cap=lp_module._MAX_SUPPORT)) == 31
+        with pytest.raises(ValueError, match="largest supported"):
+            enumerate_subset_candidates(small_pmf, k_cap=lp_module._MAX_SUPPORT + 1)
+
     def test_posteriors_match_renormalization(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
         # Subset {1, 3} has bitmask 0b01010 = 10; candidates are in
@@ -185,6 +196,65 @@ class TestEnumerateCandidates:
         assert cand.entropy_bits == pytest.approx(
             -float(np.sum(p * np.log2(p))), abs=1e-12
         )
+
+
+class TestCandidateSet:
+    def test_items_are_the_rows(self, small_pmf):
+        cands = enumerate_subset_candidates(small_pmf)
+        assert isinstance(cands, CandidateSet)
+        assert cands.posteriors.shape == (31, 5)
+        np.testing.assert_array_equal(cands.masks, np.arange(1, 32))
+        for i in (0, 9, -1, np.int64(17)):
+            cand = cands[i]
+            assert isinstance(cand, PosteriorCandidate)
+            np.testing.assert_array_equal(cand.posterior, cands.posteriors[i])
+            assert cand.entropy_bits == cands.entropy_bits[i]
+            assert cand.score == cands.scores[i]
+        assert cands[-1].label == "0+1+2+3+4"
+        with pytest.raises(IndexError):
+            cands[31]
+
+    def test_slice_and_reversed(self, small_pmf):
+        cands = enumerate_subset_candidates(small_pmf)
+        part = cands[3:9:2]
+        assert isinstance(part, CandidateSet)
+        assert [c.label for c in part] == [cands[i].label for i in (3, 5, 7)]
+        assert [c.label for c in reversed(cands)] == [c.label for c in cands][::-1]
+
+    def test_columns_read_only(self, small_pmf):
+        cands = enumerate_subset_candidates(small_pmf)
+        for column in (cands.masks, cands.posteriors, cands.entropy_bits, cands.scores):
+            with pytest.raises(ValueError):
+                column[0] = 0
+
+    @pytest.mark.parametrize(
+        "row, entropy, score",
+        [([0.5, 0.6], 1.0, 0.1), ([1.5, -0.5], 0.0, 0.0), ([0.5, 0.5], -0.1, 0.1),
+         ([0.5, 0.5], 1.0, -0.1)],
+    )
+    def test_rejects_what_a_candidate_rejects(self, row, entropy, score):
+        with pytest.raises(ValueError):
+            PosteriorCandidate(np.array(row), entropy, score)
+        good = [0.5, 0.5]
+        with pytest.raises(ValueError):
+            CandidateSet([1, 2], np.array([good, row]), [1.0, entropy], [0.2, score])
+
+    def test_rejects_ragged_columns(self):
+        with pytest.raises(ValueError, match="one entry per"):
+            CandidateSet([1, 2], np.array([[1.0, 0.0]]), [0.0], [0.0])
+
+    def test_same_solution_as_a_plain_list(self, small_pmf):
+        cands = enumerate_subset_candidates(small_pmf)
+        a = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=cands)
+        b = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=list(cands))
+        assert a.value == b.value
+        np.testing.assert_array_equal(a.weights, b.weights)
+
+    def test_mismatched_support_rejected(self, small_pmf, unit_pmf):
+        cands = enumerate_subset_candidates(small_pmf)
+        for given in (cands, list(cands)):
+            with pytest.raises(ValueError, match="does not match"):
+                solve_secrecy_lp(unit_pmf, RatePair(5.0, 0.6), candidates=given)
 
 
 class TestSolveEndpoints:
@@ -290,3 +360,75 @@ class TestLpPayoff:
         sol = solve_secrecy_lp(small_pmf, RatePair(0.5, 0.5))
         with pytest.raises(ValueError):
             lp_payoff(sol, STANDARD_SOURCE)
+
+
+@pytest.fixture(scope="module")
+def support15():
+    """R = 2.7 pmf folded to 15 points, its candidates, and LP values on a key-rate grid."""
+    step = step_size_for_entropy(STANDARD_SOURCE, 2.7)
+    pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=step), max_support=15)
+    cands = enumerate_subset_candidates(pmf)
+    h = pmf.entropy_bits()
+    grid = np.append(np.linspace(0.0, h, 10), h + 0.5)
+    values = np.array(
+        [solve_secrecy_lp(pmf, RatePair(2.7, float(rs)), cands).value for rs in grid]
+    )
+    return pmf, cands, grid, values
+
+
+class TestValueCurveSupport15:
+    def test_full_support_and_candidates(self, support15):
+        pmf, cands, _, _ = support15
+        assert pmf.points.size == 15
+        assert len(cands) == 2**15 - 1
+
+    def test_zero_without_key(self, support15):
+        _, _, _, values = support15
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_nondecreasing_and_concave(self, support15):
+        _, _, grid, values = support15
+        slopes = np.diff(values) / np.diff(grid)
+        assert (slopes >= -1e-9).all()
+        assert (np.diff(slopes) <= 1e-7).all()
+
+    def test_variance_once_key_covers_entropy(self, support15):
+        pmf, _, grid, values = support15
+        assert grid[-2] == pytest.approx(pmf.entropy_bits(), abs=1e-12)
+        np.testing.assert_allclose(values[-2:], pmf.variance(), atol=1e-9)
+
+    def test_matches_highs_on_the_equilibrated_lp(self, support15, monkeypatch):
+        # Capture the scaled program the solver is handed and give it to
+        # HiGHS too.  HiGHS stops within its own tolerances, which leave
+        # its value a few 1e-9 off the exact optimum.
+        pmf, cands, _, _ = support15
+        original = lp_module.linear_program_max
+        seen = []
+
+        def spy(c, a, b, **kwargs):
+            x, value = original(c, a, b, **kwargs)
+            seen.append((c, a, b, value))
+            return x, value
+
+        monkeypatch.setattr(lp_module, "linear_program_max", spy)
+        solve_secrecy_lp(pmf, RatePair(2.7, 0.25), cands)
+        (c, a, b, value), = seen
+        ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.success
+        assert value == pytest.approx(-ref.fun, abs=1e-7)
+
+
+class TestDominatesGreedy:
+    @pytest.mark.parametrize("rate", [1.5, 2.0])
+    def test_lp_at_least_greedy_at_equal_step(self, rate):
+        # Greedy disclosure of the index mod n is one feasible subset
+        # mixture, and Bob's lattice decoding is no better than the
+        # centroid the LP assumes, so the LP can only do better.
+        plan = GreedyQuantizedScheme(rate)
+        pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=plan.step))
+        cands = enumerate_subset_candidates(pmf)
+        for rs in (0.0, 0.25, 0.5, 1.0):
+            point = plan.evaluate(rs)
+            assert point.meta["feasible"] and point.meta["t"] == plan.step
+            lp = solve_secrecy_lp(pmf, RatePair(rate, rs), cands)
+            assert float(lp_payoff(lp, STANDARD_SOURCE)) >= point.payoff.value - 1e-9

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from secgauss import simplex
 from secgauss.errors import SolverError
-from secgauss.simplex import linear_program_max
+from secgauss.simplex import _canonical, _iterate, linear_program_max
 
 
 def random_feasible_instance(rng, m, n):
@@ -98,7 +99,7 @@ def test_dimension_checks():
 
 
 def test_degenerate_rhs_zeros():
-    # A zero right-hand side forces degenerate pivots; Bland must not
+    # A zero right-hand side forces degenerate pivots; pricing must not
     # cycle and the vertex must stay feasible.
     c = np.array([1.0, 2.0, 0.0, 0.0])
     a = np.array(
@@ -135,3 +136,44 @@ def test_tiny_rhs_rows_stay_feasible():
     ref = linprog(-c, A_eq=cols, b_eq=masses, bounds=(0, None), method="highs")
     assert ref.success
     assert value == pytest.approx(-ref.fun, abs=1e-8)
+
+
+# Beale's (1955) example: maximize c @ x from the slack basis [0, 1, 2].
+# Most-negative pricing with smallest-index leaving rows cycles through
+# six degenerate bases here and never leaves the origin.
+BEALE_A = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+        [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+    ]
+)
+BEALE_B = np.array([0.0, 0.0, 1.0])
+BEALE_C = np.array([0.0, 0.0, 0.0, 0.75, -20.0, 0.5, -6.0])
+
+
+def iterate_beale():
+    """Run _iterate on Beale's tableau; return (value, basis)."""
+    basis = [0, 1, 2]
+    tableau = _canonical(BEALE_A, BEALE_B, -BEALE_C, [0, 1, 2], basis)
+    _iterate(tableau, basis, tol=1e-9, max_iter=200)
+    # The cost row's rhs is -(cost @ x) = c @ x.
+    return float(tableau[-1, -1]), basis
+
+
+class TestBealeCycling:
+    def test_fallback_terminates_at_the_optimum(self):
+        value, basis = iterate_beale()
+        assert value == pytest.approx(1.25, abs=1e-12)
+        assert sorted(basis) == [0, 3, 5]
+
+    def test_pure_dantzig_cycles(self, monkeypatch):
+        # Without the fallback the same pivots repeat until the limit.
+        monkeypatch.setattr(simplex, "_STALL", 10**9)
+        with pytest.raises(SolverError, match="pivot limit"):
+            iterate_beale()
+
+    def test_solver_end_to_end(self):
+        x, value = linear_program_max(BEALE_C, BEALE_A, BEALE_B)
+        assert value == pytest.approx(1.25, abs=1e-12)
+        np.testing.assert_allclose(x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
