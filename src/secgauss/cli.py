@@ -12,7 +12,7 @@ import math
 import sys
 
 from .errors import InfeasibleError, SolverError
-from .lp import build_quantized_pmf, enumerate_subset_candidates, solve_secrecy_lp
+from .lp import build_quantized_pmf, covers_entropy, enumerate_subset_candidates, solve_secrecy_lp
 from .model import GaussianSource, RatePair
 from .quantizer import (
     QuantizerSpec,
@@ -188,9 +188,7 @@ def _curve_rows(scheme: str, r: float, rs_grid, source, args) -> list[str]:
     rows = []
     if scheme == "quantized_greedy":
         try:
-            from .schemes import GreedySearch
-
-            plan = GreedyQuantizedScheme(r, GreedySearch(n_max=args.n_max), source)
+            plan = GreedyQuantizedScheme(r, source, n_max=args.n_max)
         except InfeasibleError as exc:
             return [
                 _csv_row(scheme, r, rs, math.nan, None, None, False, str(exc))
@@ -300,18 +298,18 @@ def cmd_sim(args) -> int:
 def _lp_rows(source, r, step, rs_grid, max_support, mode, mixtures: bool) -> list[str]:
     """Subset-LP rows at one step; `mixtures` adds D and the active mixture to notes."""
     pmf = build_quantized_pmf(source, QuantizerSpec(step=step), max_support=max_support)
+    # The message-rate gate is the same at every key rate: settle it
+    # before paying for up to 2**max_support candidates.
+    if not covers_entropy(pmf, r):
+        return [_csv_row("lp_quantized", r, rs, math.nan, step, None, False,
+                         "rate below quantized entropy") for rs in rs_grid]
     candidates = enumerate_subset_candidates(pmf, max_support, mode)
     rows = []
     for rs in rs_grid:
         sol = solve_secrecy_lp(pmf, RatePair(r, rs), candidates)
-        if not sol.feasible:
-            rows.append(_csv_row("lp_quantized", r, rs, math.nan, step, None, False,
-                                 "rate below quantized entropy"))
-            continue
         note = f"support={pmf.points.size}"
         if mixtures:
-            # Labels are built only for the active columns.
-            active = [f"{candidates[j].label}:{sol.weights[j]:.12g}"
+            active = [f"{candidates.label(j)}:{sol.weights[j]:.12g}"
                       for j in (sol.weights > 1e-9).nonzero()[0]]
             note = f"D={sol.value:.12g};{note};active=" + ";".join(active)
         rows.append(_csv_row("lp_quantized", r, rs, sol.value / source.variance, step, None,

@@ -4,16 +4,14 @@ The quantized source is a finite pmf over bin centroids.  A disclosure
 strategy mixes posterior candidates whose barycenter is that pmf and
 whose average entropy fits the key rate; the best achievable
 eavesdropper error is then a linear program over the mixture weights.
-Candidates here are the subset restrictions of the pmf, held column by
-column in a `CandidateSet`; the solver also accepts externally supplied
-sequences of `PosteriorCandidate`.
+Candidates are the subset restrictions of the pmf, held column by
+column in one `CandidateSet` (subset masks, posterior rows, entropies
+and scores); the solver fills its constraint matrix from those columns.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,7 +25,6 @@ from .simplex import linear_program_max
 
 __all__ = [
     "QuantizedPmf",
-    "PosteriorCandidate",
     "CandidateSet",
     "LpSolution",
     "build_quantized_pmf",
@@ -85,30 +82,12 @@ class QuantizedPmf:
 
 
 @dataclass(frozen=True, eq=False)
-class PosteriorCandidate:
-    """One admissible posterior: its pmf, entropy, and eavesdropper error."""
-
-    posterior: np.ndarray
-    entropy_bits: float
-    score: float
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        q = np.asarray(self.posterior, dtype=float)
-        if q.ndim != 1:
-            raise ValueError("posterior must be a nonnegative 1-d pmf")
-        object.__setattr__(self, "posterior", _checked(q, self.entropy_bits, self.score))
-
-
-@dataclass(frozen=True, eq=False)
-class CandidateSet(Sequence):
+class CandidateSet:
     """Subset candidates as read-only columns; entry i of each is candidate i.
 
     `posteriors` holds the pmf renormalized on subset `masks[i]` in row
-    i, with its `entropy_bits` and `scores`; all rows are checked once,
-    as `PosteriorCandidate` checks one.  An integer index builds that
-    candidate, labelled by its subset ("1+3" for mask 0b1010); a slice
-    gives a smaller set.
+    i, with its `entropy_bits` and `scores`.  Every row must be a
+    nonnegative pmf, and entropies and scores must be nonnegative.
     """
 
     masks: np.ndarray
@@ -122,37 +101,24 @@ class CandidateSet(Sequence):
         ent, scores = np.array(self.entropy_bits, dtype=float), np.array(self.scores, dtype=float)
         if q.ndim != 2 or not masks.shape == ent.shape == scores.shape == q.shape[:1]:
             raise ValueError("candidate arrays must hold one entry per posterior row")
+        if q.shape[1] == 0 or (q < -1e-12).any():
+            raise ValueError("posteriors must be nonnegative pmfs")
+        if (np.abs(q.sum(axis=1) - 1.0) > 1e-9).any():
+            raise ValueError("posteriors must sum to 1")
+        if (ent < -1e-12).any() or (scores < -1e-12).any():
+            raise ValueError("entropy and score must be nonnegative")
         for name, column in zip(("masks", "posteriors", "entropy_bits", "scores"),
-                                (masks, _checked(q, ent, scores), ent, scores)):
+                                (masks, np.clip(q, 0.0, None), ent, scores)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return self.masks.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return CandidateSet(self.masks[index], self.posteriors[index],
-                                self.entropy_bits[index], self.scores[index])
-        i = operator.index(index)
+    def label(self, i: int) -> str:
+        """Support points of candidate i's subset: "1+3" for mask 0b1010."""
         mask = int(self.masks[i])
-        label = "+".join(str(j) for j in range(self.posteriors.shape[1]) if mask >> j & 1)
-        return PosteriorCandidate(
-            self.posteriors[i], float(self.entropy_bits[i]), float(self.scores[i]), label
-        )
-
-
-def _checked(q: np.ndarray, entropy, score) -> np.ndarray:
-    """Clipped read-only posterior row(s), after the checks every candidate passes."""
-    if q.shape[-1] == 0 or (q < -1e-12).any():
-        raise ValueError("posterior must be a nonnegative 1-d pmf")
-    if (np.abs(q.sum(axis=-1) - 1.0) > 1e-9).any():
-        raise ValueError("posterior must sum to 1")
-    if (np.asarray(entropy) < -1e-12).any() or (np.asarray(score) < -1e-12).any():
-        raise ValueError("entropy and score must be nonnegative")
-    q = np.clip(q, 0.0, None)
-    q.setflags(write=False)
-    return q
+        return "+".join(str(j) for j in range(self.posteriors.shape[1]) if mask >> j & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,10 +215,15 @@ def enumerate_subset_candidates(
     return CandidateSet(masks, q, np.maximum(ent, 0.0), _scores(pmf.points, q, mode))
 
 
+def covers_entropy(pmf: QuantizedPmf, rate: float) -> bool:
+    """Whether a message rate can describe the pmf outright."""
+    return rate >= pmf.entropy_bits() - 1e-9
+
+
 def solve_secrecy_lp(
     pmf: QuantizedPmf,
     rates: RatePair,
-    candidates: Optional[Sequence] = None,
+    candidates: Optional[CandidateSet] = None,
     mode: str = "continuous",
 ) -> LpSolution:
     """Best eavesdropper error over key-feasible mixtures of candidates.
@@ -262,24 +233,17 @@ def solve_secrecy_lp(
     message rate must cover the pmf entropy outright; otherwise the
     instance is reported infeasible without solving.  When `candidates`
     is omitted the subset family is enumerated with the given mode;
-    supplied candidates are trusted as scored.  A `CandidateSet` fills
-    the constraint matrix straight from its arrays; any other sequence
-    of `PosteriorCandidate` is stacked into the same arrays first.
+    supplied candidates are trusted as scored.
     """
-    if rates.rate < pmf.entropy_bits() - 1e-9:
+    if not covers_entropy(pmf, rates.rate):
         return LpSolution(value=math.nan, weights=np.zeros(0), feasible=False, slack_rs=math.nan)
     if candidates is None:
         candidates = enumerate_subset_candidates(pmf, mode=mode)
     if not candidates:
-        raise ValueError("candidate list is empty")
+        raise ValueError("candidate set is empty")
     k = pmf.points.size
     n = len(candidates)
-    if isinstance(candidates, CandidateSet):
-        post, ent, score = candidates.posteriors, candidates.entropy_bits, candidates.scores
-    else:  # ragged posteriors make np.array raise ValueError too
-        post = np.array([cand.posterior for cand in candidates])
-        ent = np.array([cand.entropy_bits for cand in candidates])
-        score = np.array([cand.score for cand in candidates])
+    post, ent, score = candidates.posteriors, candidates.entropy_bits, candidates.scores
     if post.shape[1] != k:
         raise ValueError("candidate posterior length does not match the pmf support")
 

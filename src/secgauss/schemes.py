@@ -42,7 +42,6 @@ __all__ = [
     "FiniteJoint",
     "FiniteStrategyReport",
     "GeneralAwarenessReport",
-    "GreedySearch",
     "GreedyQuantizedScheme",
     "weak_eavesdropper_payoff",
     "jointly_gaussian_payoff",
@@ -148,18 +147,6 @@ class GeneralAwarenessReport:
     i_xyv_given_u: float
     markov_ok: bool
     degenerate: bool
-
-
-@dataclass(frozen=True)
-class GreedySearch:
-    """Optional knobs for the greedy quantized scheme search."""
-
-    t_bracket: Optional[tuple] = None
-    n_max: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.n_max is not None and (int(self.n_max) != self.n_max or self.n_max < 1):
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
 
 
 def weak_eavesdropper_payoff(rates: RatePair) -> PayoffValue:
@@ -345,26 +332,29 @@ class GreedyQuantizedScheme:
     then, per key budget, discloses the bin index modulo the divisor
     that maximizes payoff subject to the residual entropy fitting the
     key rate.  Reusable across key rates: the table and the per-divisor
-    sweep are computed once.
+    sweep are computed once.  `n_max` bounds the divisors tried (default:
+    every divisor up to the table width).
     """
 
     def __init__(
         self,
         rate_bits: float,
-        search: Optional[GreedySearch] = None,
         source: GaussianSource = STANDARD_SOURCE,
+        *,
+        n_max: Optional[int] = None,
     ) -> None:
+        if n_max is not None and (int(n_max) != n_max or n_max < 1):
+            raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
         if not math.isfinite(rate_bits) or rate_bits <= 0.0:
             raise InfeasibleError(f"message rate must be positive, got {rate_bits}")
-        search = search or GreedySearch()
         self.rate_bits = float(rate_bits)
         self.source = source
-        self.step = step_size_for_entropy(source, rate_bits, bracket=search.t_bracket)
+        self.step = step_size_for_entropy(source, rate_bits)
         self.table = build_bin_table(source, QuantizerSpec(step=self.step))
         self.entropy_bits = output_entropy(self.table)
         self.bob_mse = bob_distortion(self.table, "lattice")
         full = 2 * self.table.max_index + 1
-        self.n_max = min(search.n_max, full) if search.n_max is not None else full
+        self.n_max = min(int(n_max), full) if n_max is not None else full
         self._cond_entropy = np.array(
             [entropy_given_residue(self.table, n) for n in range(1, self.n_max + 1)]
         )
@@ -405,11 +395,12 @@ class GreedyQuantizedScheme:
 
 def greedy_quantized_scheme(
     rates: RatePair,
-    search: Optional[GreedySearch] = None,
     source: GaussianSource = STANDARD_SOURCE,
+    *,
+    n_max: Optional[int] = None,
 ) -> PayoffPoint:
     """One-shot evaluation of the greedy quantized scheme at a rate pair."""
-    return GreedyQuantizedScheme(rates.rate, search, source).evaluate(rates.key_rate)
+    return GreedyQuantizedScheme(rates.rate, source, n_max=n_max).evaluate(rates.key_rate)
 
 
 def evaluate_finite_strategy(joint: FiniteJoint, source: GaussianSource) -> FiniteStrategyReport:

@@ -79,16 +79,12 @@ def linear_program_max(
 
     # Phase 2 on the original columns, from a freshly canonical tableau.
     cost2 = np.concatenate([-c, np.zeros(m)])
-    _solve_phase(ext, b, cost2, rows, basis, tol, max_iter, forbid=n)
+    tableau = _solve_phase(ext, b, cost2, rows, basis, tol, max_iter, forbid=n)
 
-    # The running rhs drifts as well, so recover the vertex from the
-    # original data: the basis names the active columns and the basis
-    # system pins their values.
+    # The running rhs drifts as well; the final tableau was rebuilt from
+    # the original data at the optimal basis, so its rhs is the vertex.
     x = np.zeros(n)
-    square = ext[np.ix_(rows, basis)]
-    solved = np.linalg.solve(square, b[rows])
-    for i, bi in enumerate(basis):
-        x[bi] = max(float(solved[i]), 0.0)
+    x[basis] = tableau[:-1, -1]
     return x, float(c @ x)
 
 

@@ -139,9 +139,7 @@ def test_criterion_4_entropy_limit(criterion_report):
 def _brute_force_lp(pmf, rs, candidates):
     """Dense vertex enumeration; complete for small supports."""
     k = pmf.points.size
-    post = np.array([c.posterior for c in candidates])
-    ent = np.array([c.entropy_bits for c in candidates])
-    score = np.array([c.score for c in candidates])
+    post, ent, score = candidates.posteriors, candidates.entropy_bits, candidates.scores
     best = -1.0
     for size in range(1, k + 2):
         for idx in itertools.combinations(range(len(candidates)), size):

@@ -16,6 +16,7 @@ from secgauss import (
     SimResult,
     bob_distortion,
     build_bin_table,
+    enumerate_subset_candidates,
     eve_mmse_given_magnitude,
     output_entropy,
     weak_eavesdropper_payoff,
@@ -191,6 +192,34 @@ class TestLp:
         rows = parse_csv(capsys.readouterr().out)
         assert rows[0]["feasible"] == "false"
         assert math.isnan(float(rows[0]["payoff"]))
+
+    def test_rate_gate_builds_no_candidates(self, capsys, monkeypatch):
+        # Below the pmf entropy every key rate is infeasible, so the
+        # 2**19 - 1 candidates of support 19 must never be built.
+        calls = []
+
+        def spy(pmf, k_cap, mode):
+            calls.append(k_cap)
+            if k_cap > 9:
+                raise AssertionError("candidates enumerated for an infeasible message rate")
+            return enumerate_subset_candidates(pmf, k_cap, mode)
+
+        monkeypatch.setattr(secgauss.cli, "enumerate_subset_candidates", spy)
+        code = run_cli(["lp", "--t", "0.3", "--r", "1", "--rs-range", "0:1:0.5",
+                        "--max-support", "19"])
+        assert code == 0 and calls == []
+        assert capsys.readouterr().out == "".join(
+            f"{line}\n" for line in [
+                CSV_HEADER,
+                "lp_quantized,1,0,nan,0.3,,false,rate below quantized entropy",
+                "lp_quantized,1,0.5,nan,0.3,,false,rate below quantized entropy",
+                "lp_quantized,1,1,nan,0.3,,false,rate below quantized entropy",
+            ]
+        )
+        # The spy sits where the command looks the enumeration up.
+        assert run_cli(["lp", "--t", "0.8", "--r", "5", "--rs-range", "0:1:0.5",
+                        "--max-support", "9"]) == 0
+        assert calls == [9]
 
     def test_even_support_rejected(self):
         code = run_cli(["lp", "--t", "0.8", "--r", "5.0", "--rs", "0.5",

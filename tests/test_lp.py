@@ -12,7 +12,6 @@ from secgauss import (
     CandidateSet,
     GaussianSource,
     GreedyQuantizedScheme,
-    PosteriorCandidate,
     QuantizedPmf,
     QuantizerSpec,
     RatePair,
@@ -48,9 +47,7 @@ def brute_force_value(pmf, rs, candidates):
     that size is a complete oracle for small K.
     """
     k = pmf.points.size
-    post = np.array([c.posterior for c in candidates])
-    ent = np.array([c.entropy_bits for c in candidates])
-    score = np.array([c.score for c in candidates])
+    post, ent, score = candidates.posteriors, candidates.entropy_bits, candidates.scores
     best = -1.0
     for size in range(1, k + 2):
         for idx in itertools.combinations(range(len(candidates)), size):
@@ -143,9 +140,9 @@ class TestCandidateScore:
     def test_restricted_no_worse_than_continuous(self, small_pmf):
         pts = small_pmf.points
         cands = enumerate_subset_candidates(small_pmf)
-        for cand in cands[:10]:
-            c = candidate_score(pts, cand.posterior, "continuous")
-            r = candidate_score(pts, cand.posterior, "alphabet_restricted")
+        for q in cands.posteriors[:10]:
+            c = candidate_score(pts, q, "continuous")
+            r = candidate_score(pts, q, "alphabet_restricted")
             assert r >= c - 1e-15
 
     def test_singleton_scores_zero(self):
@@ -164,10 +161,10 @@ class TestEnumerateCandidates:
     def test_two_point_family(self):
         pmf = QuantizedPmf(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         cands = enumerate_subset_candidates(pmf)
-        assert [c.label for c in cands] == ["0", "1", "0+1"]
-        assert [c.entropy_bits for c in cands] == [0.0, 0.0, 1.0]
-        assert cands[2].score == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(cands[2].posterior, [0.5, 0.5])
+        assert [cands.label(i) for i in range(len(cands))] == ["0", "1", "0+1"]
+        assert cands.entropy_bits.tolist() == [0.0, 0.0, 1.0]
+        assert cands.scores[2] == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(cands.posteriors[2], [0.5, 0.5])
 
     def test_count(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
@@ -186,14 +183,14 @@ class TestEnumerateCandidates:
         cands = enumerate_subset_candidates(small_pmf)
         # Subset {1, 3} has bitmask 0b01010 = 10; candidates are in
         # ascending mask order starting at 1.
-        cand = cands[10 - 1]
-        assert cand.label == "1+3"
+        i = 10 - 1
+        assert cands.label(i) == "1+3"
         expect = np.zeros(5)
         expect[[1, 3]] = small_pmf.probs[[1, 3]]
         expect /= expect.sum()
-        np.testing.assert_allclose(cand.posterior, expect, atol=1e-15)
+        np.testing.assert_allclose(cands.posteriors[i], expect, atol=1e-15)
         p = expect[expect > 0]
-        assert cand.entropy_bits == pytest.approx(
+        assert cands.entropy_bits[i] == pytest.approx(
             -float(np.sum(p * np.log2(p))), abs=1e-12
         )
 
@@ -202,24 +199,15 @@ class TestCandidateSet:
     def test_items_are_the_rows(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
         assert isinstance(cands, CandidateSet)
+        assert len(cands) == 31
         assert cands.posteriors.shape == (31, 5)
+        assert cands.entropy_bits.shape == cands.scores.shape == (31,)
         np.testing.assert_array_equal(cands.masks, np.arange(1, 32))
-        for i in (0, 9, -1, np.int64(17)):
-            cand = cands[i]
-            assert isinstance(cand, PosteriorCandidate)
-            np.testing.assert_array_equal(cand.posterior, cands.posteriors[i])
-            assert cand.entropy_bits == cands.entropy_bits[i]
-            assert cand.score == cands.scores[i]
-        assert cands[-1].label == "0+1+2+3+4"
+        assert cands.label(0) == "0"
+        assert cands.label(np.int64(17)) == "1+4"  # mask 18
+        assert cands.label(-1) == "0+1+2+3+4"
         with pytest.raises(IndexError):
-            cands[31]
-
-    def test_slice_and_reversed(self, small_pmf):
-        cands = enumerate_subset_candidates(small_pmf)
-        part = cands[3:9:2]
-        assert isinstance(part, CandidateSet)
-        assert [c.label for c in part] == [cands[i].label for i in (3, 5, 7)]
-        assert [c.label for c in reversed(cands)] == [c.label for c in cands][::-1]
+            cands.label(31)
 
     def test_columns_read_only(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
@@ -233,8 +221,6 @@ class TestCandidateSet:
          ([0.5, 0.5], 1.0, -0.1)],
     )
     def test_rejects_what_a_candidate_rejects(self, row, entropy, score):
-        with pytest.raises(ValueError):
-            PosteriorCandidate(np.array(row), entropy, score)
         good = [0.5, 0.5]
         with pytest.raises(ValueError):
             CandidateSet([1, 2], np.array([good, row]), [1.0, entropy], [0.2, score])
@@ -243,18 +229,10 @@ class TestCandidateSet:
         with pytest.raises(ValueError, match="one entry per"):
             CandidateSet([1, 2], np.array([[1.0, 0.0]]), [0.0], [0.0])
 
-    def test_same_solution_as_a_plain_list(self, small_pmf):
-        cands = enumerate_subset_candidates(small_pmf)
-        a = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=cands)
-        b = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=list(cands))
-        assert a.value == b.value
-        np.testing.assert_array_equal(a.weights, b.weights)
-
     def test_mismatched_support_rejected(self, small_pmf, unit_pmf):
         cands = enumerate_subset_candidates(small_pmf)
-        for given in (cands, list(cands)):
-            with pytest.raises(ValueError, match="does not match"):
-                solve_secrecy_lp(unit_pmf, RatePair(5.0, 0.6), candidates=given)
+        with pytest.raises(ValueError, match="does not match"):
+            solve_secrecy_lp(unit_pmf, RatePair(5.0, 0.6), candidates=cands)
 
 
 class TestSolveEndpoints:
@@ -322,9 +300,9 @@ class TestInvariances:
     def test_candidate_order_irrelevant(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
         sol1 = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=cands)
-        sol2 = solve_secrecy_lp(
-            small_pmf, RatePair(5.0, 0.6), candidates=list(reversed(cands))
-        )
+        flipped = CandidateSet(cands.masks[::-1], cands.posteriors[::-1],
+                               cands.entropy_bits[::-1], cands.scores[::-1])
+        sol2 = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=flipped)
         assert sol1.value == pytest.approx(sol2.value, abs=1e-9)
 
     def test_mirror_symmetry(self):

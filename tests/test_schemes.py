@@ -15,7 +15,6 @@ from secgauss import (
     CorrelationTriple,
     FiniteJoint,
     GreedyQuantizedScheme,
-    GreedySearch,
     InfeasibleError,
     PayoffPoint,
     PayoffValue,
@@ -206,10 +205,14 @@ class TestGreedyScheme:
         )
 
     def test_restricted_search_flags_infeasible(self):
-        plan = GreedyQuantizedScheme(2.7, search=GreedySearch(n_max=3))
+        plan = GreedyQuantizedScheme(2.7, n_max=3)
         point = plan.evaluate(0.0)
         assert not point.meta["feasible"]
         assert point.meta["slack_bits"] < 0.0
+        for bad in (0, 2.5):
+            with pytest.raises(ValueError, match="n_max"):
+                GreedyQuantizedScheme(2.7, n_max=bad)
+        assert GreedyQuantizedScheme(2.7, n_max=3.0).evaluate(0.0) == point
 
     def test_zero_rate_rejected(self):
         with pytest.raises(InfeasibleError):
