@@ -243,15 +243,10 @@ def cmd_sim(args) -> int:
         step = source.std  # placeholder; run_sim derives the real step
     else:
         step = args.t if args.t is not None else source.std
-        table = build_bin_table(source, QuantizerSpec(step=step))
-        if args.scheme == "sign_pad":
-            magnitude_bits = output_entropy(table) - entropy_given_magnitude(table)
-            default_r = magnitude_bits + 1.0
-            rs = args.rs if args.rs is not None else 1.0
-        else:
-            default_r = output_entropy(table)
-            rs = args.rs if args.rs is not None else 0.0
-        r = args.r if args.r is not None else default_r
+        # Without --r the budget is the rate the scheme's table needs:
+        # run_sim builds that table, so run uncapped and report its rate.
+        r = args.r if args.r is not None else sys.float_info.max
+        rs = args.rs if args.rs is not None else (1.0 if args.scheme == "sign_pad" else 0.0)
 
     # Under no_key Eve decodes the message exactly, so Bob's best play
     # is the same centroid estimate and the payoff is exactly zero.
@@ -265,6 +260,8 @@ def cmd_sim(args) -> int:
         seed=args.seed,
     )
     result = run_sim(config, source)
+    if args.r is None:
+        r = result.model_rate_bits
 
     header = (
         "scheme,scenario,R_bits,Rs_bits,n,seed,empirical_payoff,std_error,"

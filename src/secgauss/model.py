@@ -1,4 +1,4 @@
-"""Gaussian source model, payoff function, and shared scalar numerics.
+"""Gaussian source model, payoff function, and shared Gaussian numerics.
 
 Everything downstream (quantizer tables, closed-form payoff curves, the
 secrecy LP, the game simulator) is built on the exact Gaussian
@@ -101,7 +101,10 @@ class PayoffValue:
 
 @dataclass(frozen=True)
 class TruncatedMoments:
-    """Mass, conditional mean, and conditional second moment on an interval."""
+    """Mass, conditional mean, and conditional second moment on an interval.
+
+    Floats for one interval; arrays of one entry per interval for many.
+    """
 
     mass: float
     mean: float
@@ -148,8 +151,11 @@ def differential_entropy_bits(source: GaussianSource) -> float:
 
 
 def normal_pdf(x):
-    """Standard normal density; accepts scalars or arrays."""
-    x = np.asarray(x, dtype=float)
+    """Standard normal density; accepts scalars or arrays.
+
+    Zero beyond 40 standard deviations, where it underflows anyway.
+    """
+    x = np.minimum(np.abs(np.asarray(x, dtype=float)), 40.0)
     out = _INV_SQRT_2PI * np.exp(-0.5 * np.square(x))
     return float(out) if out.ndim == 0 else out
 
@@ -165,70 +171,60 @@ def std_normal(x: float) -> tuple[float, float]:
     """Density and distribution function of N(0, 1) at a scalar point."""
     if math.isnan(x):
         raise ValueError("x is NaN")
-    if abs(x) > 40.0:
-        pdf = 0.0
-    else:
-        pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    return pdf, 0.5 * math.erfc(-x / _SQRT2)
+    return normal_pdf(x), normal_cdf(x)
 
 
-def _upper_tail(x: float) -> float:
-    """P(xi > x) for standard normal xi, accurate deep into the tail."""
-    return 0.5 * math.erfc(x / _SQRT2)
+def _interval_mass(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """P(alpha < xi <= beta) per entry, branch-selected to avoid cancellation.
+
+    Upper-tail difference for alpha >= 0, lower-tail difference for
+    beta <= 0; an interval straddling zero adds two positive erf terms.
+    """
+    upper = np.maximum(normal_cdf(-alpha) - normal_cdf(-beta), 0.0)
+    lower = np.maximum(normal_cdf(beta) - normal_cdf(alpha), 0.0)
+    middle = 0.5 * (special.erf(beta / _SQRT2) + special.erf(-alpha / _SQRT2))
+    return np.where(alpha >= 0.0, upper, np.where(beta <= 0.0, lower, middle))
 
 
-def _interval_mass(alpha: float, beta: float) -> float:
-    """P(alpha < xi <= beta), branch-selected to avoid cancellation."""
-    if alpha >= 0.0:
-        return max(0.0, _upper_tail(alpha) - _upper_tail(beta))
-    if beta <= 0.0:
-        return max(0.0, _upper_tail(-beta) - _upper_tail(-alpha))
-    # Straddles zero: erf terms are both positive, no cancellation.
-    return 0.5 * (math.erf(beta / _SQRT2) + math.erf(-alpha / _SQRT2))
-
-
-def _pdf_scalar(x: float) -> float:
-    if not math.isfinite(x) or abs(x) > 40.0:
-        return 0.0
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-def truncated_moments(a: float, b: float, source: GaussianSource) -> TruncatedMoments:
+def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
     """Moments of the source conditioned on the interval (a, b].
 
-    Endpoints may be infinite.  When the interval mass underflows to
-    zero the conditional mean is pinned to the endpoint nearest the
-    source mean, which keeps downstream tables finite.
+    Takes scalars or arrays of endpoints (broadcast against each other)
+    and returns floats or arrays to match.  Endpoints may be infinite.
+    Where the interval mass underflows to zero the conditional mean is
+    pinned to the endpoint nearest the source mean, which keeps
+    downstream tables finite.
     """
-    if math.isnan(a) or math.isnan(b):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.isnan(a).any() or np.isnan(b).any():
         raise ValueError("interval endpoints must not be NaN")
-    if not a < b:
-        raise ValueError(f"interval must satisfy a < b, got [{a}, {b}]")
+    bad = a >= b
+    if bad.any():
+        i = np.argmax(bad)
+        raise ValueError(f"interval must satisfy a < b, got [{a.flat[i]}, {b.flat[i]}]")
     mu, sigma = source.mean, source.std
-    alpha = (a - mu) / sigma if math.isfinite(a) else -math.inf
-    beta = (b - mu) / sigma if math.isfinite(b) else math.inf
+    alpha, beta = (a - mu) / sigma, (b - mu) / sigma
 
     mass = _interval_mass(alpha, beta)
-    if mass < 1e-300:
-        edge = a if alpha > 0.0 else b
-        if not math.isfinite(edge):
-            # Both endpoints infinite would have mass 1; only one can be.
-            edge = b if math.isfinite(b) else a
-        return TruncatedMoments(0.0, edge, edge * edge)
-
-    pdf_a, pdf_b = _pdf_scalar(alpha), _pdf_scalar(beta)
-    first = (pdf_a - pdf_b) / mass
-    excess = 0.0
-    if math.isfinite(alpha):
-        excess += alpha * pdf_a
-    if math.isfinite(beta):
-        excess -= beta * pdf_b
-    second_std = 1.0 + excess / mass
-    var_std = max(second_std - first * first, 0.0)
-
+    empty = mass < 1e-300
+    # Empty entries divide by 1 here and are replaced at the end.
+    divisor = np.where(empty, 1.0, mass)
+    pdf_a, pdf_b = normal_pdf(alpha), normal_pdf(beta)
+    first = (pdf_a - pdf_b) / divisor
+    # x * pdf(x) vanishes at an infinite endpoint; drop it there, not inf * 0.
+    excess = (np.where(np.isfinite(alpha), alpha, 0.0) * pdf_a
+              - np.where(np.isfinite(beta), beta, 0.0) * pdf_b)
+    var_std = np.maximum(1.0 + excess / divisor - first * first, 0.0)
     mean = mu + sigma * first
     second = mean * mean + source.variance * var_std
-    return TruncatedMoments(mass, mean, second)
+
+    # The endpoint nearest the mean; finite wherever the interval is empty.
+    edge = np.where(alpha > 0.0, a, b)
+    moments = (np.where(empty, 0.0, mass), np.where(empty, edge, mean),
+               np.where(empty, edge * edge, second))
+    if mass.ndim == 0:
+        return TruncatedMoments(*map(float, moments))
+    return TruncatedMoments(*moments)
 
 
 def entropy_bits(probs) -> float:

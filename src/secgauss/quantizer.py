@@ -136,24 +136,23 @@ def build_bin_table(source: GaussianSource, spec: QuantizerSpec) -> BinTable:
             f"step {t} needs {2 * k_max + 1} bins, more than the {_MAX_BINS} supported"
         )
 
-    prob = np.zeros(2 * k_max + 1)
-    centroid = np.zeros(2 * k_max + 1)
-    second = np.zeros(2 * k_max + 1)
-    for k in range(k_max + 1):
-        lo = mu + (k - 0.5) * t
-        hi = mu + (k + 0.5) * t if k < k_max else math.inf
-        m = truncated_moments(lo, hi, source)
-        prob[k_max + k] = m.mass
-        centroid[k_max + k] = m.mean
-        second[k_max + k] = m.second_moment
-        if k > 0:
-            # Mirror image of bin k; exact by symmetry of the source.
-            prob[k_max - k] = m.mass
-            centroid[k_max - k] = 2.0 * mu - m.mean
-            second[k_max - k] = 4.0 * mu * mu - 4.0 * mu * m.mean + m.second_moment
+    k = np.arange(k_max + 1)
+    hi = np.where(k < k_max, mu + (k + 0.5) * t, math.inf)
+    m = truncated_moments(mu + (k - 0.5) * t, hi, source)
+    return _mirrored(m.mass, m.mean, m.second_moment, source, t)
 
-    indices = np.arange(-k_max, k_max + 1, dtype=np.int64)
-    return BinTable(indices, prob, centroid, second, source, t)
+
+def _mirrored(p, c, s, source: GaussianSource, step: float) -> BinTable:
+    """Table over -k..k from bins 0..k; bins -k..-1 are their mirror images.
+
+    The mirror is taken about the source mean, exact by its symmetry.
+    """
+    mu = source.mean
+    prob = np.concatenate([p[:0:-1], p])
+    centroid = np.concatenate([(2.0 * mu - c)[:0:-1], c])
+    second = np.concatenate([(4.0 * mu * mu - 4.0 * mu * c + s)[:0:-1], s])
+    indices = np.arange(-(len(p) - 1), len(p), dtype=np.int64)
+    return BinTable(indices, prob, centroid, second, source, step)
 
 
 def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
@@ -172,13 +171,7 @@ def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
     # A class without mass keeps the moments of its innermost bin.
     c = np.divide(pc, p, out=table.centroid[half][: k + 1].copy(), where=p > 0.0)
     s = np.divide(ps, p, out=table.second_moment[half][: k + 1].copy(), where=p > 0.0)
-    mu = table.source.mean
-    prob = np.concatenate([p[:0:-1], p])
-    centroid = np.concatenate([(2.0 * mu - c)[:0:-1], c])
-    second = np.concatenate([(4.0 * mu * mu - 4.0 * mu * c + s)[:0:-1], s])
-
-    indices = np.arange(-k, k + 1, dtype=np.int64)
-    return BinTable(indices, prob, centroid, second, table.source, table.step)
+    return _mirrored(p, c, s, table.source, table.step)
 
 
 def _class_moments(table: BinTable, labels: np.ndarray, rows: slice = slice(None)):

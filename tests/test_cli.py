@@ -172,6 +172,30 @@ class TestSim:
         assert rows[0]["eve_mse"] == rows[1]["eve_mse"]
         assert rows[0]["empirical_payoff"] == rows[1]["empirical_payoff"]
 
+    @pytest.mark.parametrize("scheme", ["sign_pad", "no_key"])
+    def test_one_bin_table_per_run(self, scheme, capsys, monkeypatch):
+        # The default --r is the rate of the table the run builds; the
+        # command must not build that table a second time to find it.
+        calls = []
+
+        def spy(source, spec):
+            calls.append(spec.step)
+            return build_bin_table(source, spec)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("secgauss")
+                    and getattr(module, "build_bin_table", None) is build_bin_table):
+                monkeypatch.setattr(module, "build_bin_table", spy)
+        argv = ["sim", "--scheme", scheme, "--t", "0.5", "--seed", "7", "--n", "1000"]
+        assert run_cli(argv) == 0
+        assert calls == [0.5]
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert row["R_bits"] == row["model_rate_bits"]
+        # An explicit --r is reported as given.
+        assert run_cli(argv + ["--r", "4"]) == 0
+        assert calls == [0.5, 0.5]
+        assert parse_csv(capsys.readouterr().out)[0]["R_bits"] == "4"
+
 
 class TestLp:
     def test_zero_key_zero_payoff(self, capsys):

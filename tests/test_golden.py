@@ -109,22 +109,46 @@ class TestComparisonRule:
 
 
 # On the key-slack plateau (rs >= 0.75 in lp.txt) the optimal vertex is
-# not unique.  These are the mixtures an earlier pivot rule (Bland's
-# smallest index) returned there; they are kept to show that they, like
-# the recorded ones, meet every constraint at the same value D.
+# not unique.  Each list holds the mixtures returned there before, oldest
+# first: by Bland's smallest-index rule, then by Dantzig pricing on bin
+# tables built one bin at a time (before they were built in one array
+# pass, which moved the tables in their last bits).  They are kept to show
+# that they, like the recorded ones, meet every constraint at the same D.
 EARLIER_PLATEAU_MIXTURES = {
-    "0.75": "4:0.323597230361;3+5:0.408556680901;3+4+5:0.134231686201;2+6:0.121195071886;"
-            "1+7:0.0119540724935;0+8:0.000465258158071",
-    "1": "4:0.212016025252;3+5:0.267680175996;3+4+5:0.386689396214;2+6:0.121195071886;"
-         "1+7:0.0119540724935;0+8:0.000465258158071",
-    "1.25": "4:0.100434820143;3+5:0.126803671091;3+4+5:0.639147106228;2+6:0.121195071886;"
-            "1+7:0.0119540724935;0+8:0.000465258158071",
-    "1.5": "3+4+5:0.825596434226;2+6:0.115489245768;2+3+4+5+6:0.0464949893543;"
-           "1+7:0.0119540724935;0+8:0.000465258158071",
-    "1.75": "3+4+5:0.417275350446;2+6:0.0583709104142;2+3+4+5+6:0.511934408489;"
-            "1+7:0.0119540724935;0+8:0.000465258158071",
-    "2": "3+4+5:0.00895426666518;2+6:0.00125257506052;2+3+4+5+6:0.977373827623;"
-         "1+7:0.0119540724935;0+8:0.000465258158071",
+    "0.75": [
+        "4:0.323597230361;3+5:0.408556680901;3+4+5:0.134231686201;2+6:0.121195071886;"
+        "1+7:0.0119540724935;0+8:0.000465258158071",
+        "4:0.382924922548;3+5:0.483460674914;1+2+6+7:0.0665745721898;"
+        "0+2+6+8:0.0608301650221;0+1+7+8:0.00620966532578",
+    ],
+    "1": [
+        "4:0.212016025252;3+5:0.267680175996;3+4+5:0.386689396214;2+6:0.121195071886;"
+        "1+7:0.0119540724935;0+8:0.000465258158071",
+        "4:0.191462461274;3+5:0.483460674914;1+2+6+7:0.0665745721898;"
+        "0+2+4+6+8:0.252292626296;0+1+7+8:0.00620966532578",
+    ],
+    "1.25": [
+        "4:0.100434820143;3+5:0.126803671091;3+4+5:0.639147106228;2+6:0.121195071886;"
+        "1+7:0.0119540724935;0+8:0.000465258158071",
+    ],
+    "1.5": [
+        "3+4+5:0.825596434226;2+6:0.115489245768;2+3+4+5+6:0.0464949893543;"
+        "1+7:0.0119540724935;0+8:0.000465258158071",
+        "3+5:0.32230711661;1+2+4+6+7:0.172024688976;0+2+4+6+8:0.168195084197;"
+        "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
+    ],
+    "1.75": [
+        "3+4+5:0.417275350446;2+6:0.0583709104142;2+3+4+5+6:0.511934408489;"
+        "1+7:0.0119540724935;0+8:0.000465258158071",
+        "2+3+5+6:0.1511639367;1+2+4+6+7:0.129018516732;0+2+4+6+8:0.126146313148;"
+        "0+1+3+4+5+7+8:0.439402464057;0+1+2+3+5+6+7+8:0.154268769363",
+    ],
+    "2": [
+        "3+4+5:0.00895426666518;2+6:0.00125257506052;2+3+4+5+6:0.977373827623;"
+        "1+7:0.0119540724935;0+8:0.000465258158071",
+        "2+3+5+6:0.1511639367;1+2+4+6+7:0.129018516732;0+2+4+6+8:0.126146313148;"
+        "0+1+3+4+5+7+8:0.439402464057;0+1+2+3+5+6+7+8:0.154268769363",
+    ],
 }
 # Weights and D are printed to 12 significant digits.
 MIXTURE_TOL = 1e-10
@@ -179,11 +203,14 @@ class TestLpMixtures:
     def test_recorded_mixture_is_feasible_at_d(self, rs, d, active):
         assert mixture_violations(float(rs), d, active) == []
 
-    @pytest.mark.parametrize("rs", sorted(EARLIER_PLATEAU_MIXTURES))
-    def test_plateau_vertex_is_not_unique(self, rs):
+    @pytest.mark.parametrize("rs, earlier", [
+        pytest.param(rs, mixture, id=rs if i == 0 else f"{rs}-{i}")
+        for rs, mixtures in sorted(EARLIER_PLATEAU_MIXTURES.items())
+        for i, mixture in enumerate(mixtures)
+    ])
+    def test_plateau_vertex_is_not_unique(self, rs, earlier):
         recorded = {row[0]: row for row in golden_lp_rows()}
         _, d, active = recorded[rs]
-        earlier = EARLIER_PLATEAU_MIXTURES[rs]
         assert earlier != active
         assert mixture_violations(float(rs), d, earlier) == []
 

@@ -378,8 +378,9 @@ class TestValueCurveSupport15:
     def test_matches_highs_on_the_equilibrated_lp(self, support15, monkeypatch):
         # Capture the scaled program the solver is handed and give it to
         # HiGHS too.  HiGHS stops within its own tolerances, which leave
-        # its value a few 1e-9 off the exact optimum.
-        pmf, cands, _, _ = support15
+        # its value a few 1e-9 off the exact optimum.  Key rate 0.25 and
+        # grid points 3, 6 and 10; the last lies above H(pmf).
+        pmf, cands, grid, _ = support15
         original = lp_module.linear_program_max
         seen = []
 
@@ -389,11 +390,13 @@ class TestValueCurveSupport15:
             return x, value
 
         monkeypatch.setattr(lp_module, "linear_program_max", spy)
-        solve_secrecy_lp(pmf, RatePair(2.7, 0.25), cands)
-        (c, a, b, value), = seen
-        ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
-        assert ref.success
-        assert value == pytest.approx(-ref.fun, abs=1e-7)
+        for rs in (0.25, float(grid[3]), float(grid[6]), float(grid[10])):
+            seen.clear()
+            solve_secrecy_lp(pmf, RatePair(2.7, rs), cands)
+            (c, a, b, value), = seen
+            ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+            assert ref.success, rs
+            assert value == pytest.approx(-ref.fun, abs=1e-7), rs
 
 
 class TestDominatesGreedy:

@@ -227,6 +227,40 @@ class TestTruncatedMoments:
         with pytest.raises(ValueError):
             truncated_moments(2.0, 1.0, STANDARD_SOURCE)
 
+    def test_array_entries_match_scalar_calls(self):
+        # Infinite endpoints inside an array, every branch of the mass.
+        src = GaussianSource(0.3, 2.0)
+        a = np.array([-math.inf, -2.0, -0.5, 0.3, 1.0, -math.inf])
+        b = np.array([-2.0, -0.5, 0.3, 1.0, math.inf, math.inf])
+        m = truncated_moments(a, b, src)
+        for i in range(a.size):
+            one = truncated_moments(float(a[i]), float(b[i]), src)
+            assert (m.mass[i], m.mean[i], m.second_moment[i]) == (
+                one.mass, one.mean, one.second_moment
+            )
+        assert m.mass[:5].sum() == pytest.approx(1.0, abs=1e-15)
+        assert m.mass[5] == pytest.approx(1.0, abs=1e-15)
+
+    def test_underflowed_entries_pinned_per_entry(self):
+        m = truncated_moments(
+            np.array([50.0, -0.5, -math.inf]), np.array([51.0, 0.5, -50.0]), STANDARD_SOURCE
+        )
+        assert m.mass[0] == 0.0 and m.mean[0] == 50.0 and m.second_moment[0] == 2500.0
+        assert m.mass[2] == 0.0 and m.mean[2] == -50.0 and m.second_moment[2] == 2500.0
+        assert m.mass[1] == pytest.approx(truncated_moments(-0.5, 0.5, STANDARD_SOURCE).mass)
+        assert m.mean[1] == pytest.approx(0.0, abs=1e-15)
+
+    def test_any_bad_entry_rejected(self):
+        for a, b in (([0.0, 1.0], [1.0, 1.0]), ([0.0, 2.0], [1.0, 1.0]),
+                     ([0.0, math.nan], [1.0, 2.0]), ([0.0, 1.0], [1.0, math.nan])):
+            with pytest.raises(ValueError):
+                truncated_moments(np.array(a), np.array(b), STANDARD_SOURCE)
+
+    def test_zero_dim_input_returns_floats(self):
+        m = truncated_moments(np.float64(-1.0), np.array(0.5), STANDARD_SOURCE)
+        assert all(type(v) is float for v in (m.mass, m.mean, m.second_moment))
+        assert m == truncated_moments(-1.0, 0.5, STANDARD_SOURCE)
+
 
 class TestEntropyHelpers:
     def test_uniform(self):
