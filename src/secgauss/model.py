@@ -24,12 +24,10 @@ __all__ = [
     "sequence_payoff",
     "distortion_rate",
     "differential_entropy_bits",
-    "std_normal",
     "normal_pdf",
     "normal_cdf",
     "truncated_moments",
     "entropy_bits",
-    "binary_entropy",
 ]
 
 _LOG2 = math.log(2.0)
@@ -39,6 +37,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 # Slack applied when validating "payoff <= 1": exact schemes satisfy the
 # bound with equality in the limit and floating point must not trip it.
 _PAYOFF_SLACK = 1e-9
+
+# Intervals narrower than this (in standard deviations) get their variance
+# from Gauss-Legendre nodes about the midpoint, where the closed form
+# 1 + excess/mass - first**2 cancels O(1) terms down to O(width**2).  On
+# either side of the bound the variance is within about 2e-11 relative of
+# a 50-digit evaluation for midpoints within 8 standard deviations.
+_NARROW_WIDTH = 0.5
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_MOMENTS = _GL_WEIGHTS * _GL_NODES ** np.arange(3)[:, None]  # row j: weights of u**j
 
 
 @dataclass(frozen=True)
@@ -101,14 +108,14 @@ class PayoffValue:
 
 @dataclass(frozen=True)
 class TruncatedMoments:
-    """Mass, conditional mean, and conditional second moment on an interval.
+    """Mass, conditional mean, and conditional variance on an interval.
 
     Floats for one interval; arrays of one entry per interval for many.
     """
 
     mass: float
     mean: float
-    second_moment: float
+    variance: float
 
 
 def payoff(x: float, y: float, z: float, source: GaussianSource) -> float:
@@ -167,13 +174,6 @@ def normal_cdf(x):
     return float(out) if out.ndim == 0 else out
 
 
-def std_normal(x: float) -> tuple[float, float]:
-    """Density and distribution function of N(0, 1) at a scalar point."""
-    if math.isnan(x):
-        raise ValueError("x is NaN")
-    return normal_pdf(x), normal_cdf(x)
-
-
 def _interval_mass(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """P(alpha < xi <= beta) per entry, branch-selected to avoid cancellation.
 
@@ -186,14 +186,30 @@ def _interval_mass(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.where(alpha >= 0.0, upper, np.where(beta <= 0.0, lower, middle))
 
 
+def _narrow_variance(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Variance of N(0, 1) on (mid - half, mid + half], from nodes about the midpoint.
+
+    There the density is proportional to exp(-mid*u - u*u/2) in the
+    offset u, so no term of size mid**2 enters the sums.
+    """
+    u = np.multiply.outer(half, _GL_NODES)
+    density = (-0.5 * u - mid[..., None]) * u
+    np.exp(density, out=density)
+    # einsum rather than a matrix product, so one interval gives the same
+    # bits alone as inside an array.
+    sums = np.einsum("...k,jk->...j", density, _GL_MOMENTS)
+    shift = sums[..., 1] / sums[..., 0]
+    return half * half * (sums[..., 2] / sums[..., 0] - shift * shift)
+
+
 def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
-    """Moments of the source conditioned on the interval (a, b].
+    """Mass, mean and variance of the source conditioned on the interval (a, b].
 
     Takes scalars or arrays of endpoints (broadcast against each other)
     and returns floats or arrays to match.  Endpoints may be infinite.
     Where the interval mass underflows to zero the conditional mean is
-    pinned to the endpoint nearest the source mean, which keeps
-    downstream tables finite.
+    pinned to the endpoint nearest the source mean and the variance is
+    zero, which keeps downstream tables finite.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.isnan(a).any() or np.isnan(b).any():
@@ -215,13 +231,17 @@ def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
     excess = (np.where(np.isfinite(alpha), alpha, 0.0) * pdf_a
               - np.where(np.isfinite(beta), beta, 0.0) * pdf_b)
     var_std = np.maximum(1.0 + excess / divisor - first * first, 0.0)
-    mean = mu + sigma * first
-    second = mean * mean + source.variance * var_std
+    narrow = (beta - alpha < _NARROW_WIDTH) & ~empty
+    if narrow.any():
+        # Wide and empty entries take the nodes at (0, 0) and are not kept.
+        half = np.where(narrow, 0.5 * (beta - alpha), 0.0)
+        mid = np.where(narrow, alpha + half, 0.0)
+        var_std = np.where(narrow, _narrow_variance(mid, half), var_std)
 
     # The endpoint nearest the mean; finite wherever the interval is empty.
     edge = np.where(alpha > 0.0, a, b)
-    moments = (np.where(empty, 0.0, mass), np.where(empty, edge, mean),
-               np.where(empty, edge * edge, second))
+    moments = (np.where(empty, 0.0, mass), np.where(empty, edge, mu + sigma * first),
+               np.where(empty, 0.0, source.variance * var_std))
     if mass.ndim == 0:
         return TruncatedMoments(*map(float, moments))
     return TruncatedMoments(*moments)
@@ -232,13 +252,5 @@ def entropy_bits(probs) -> float:
     p = np.asarray(probs, dtype=float)
     if p.size and (p < -1e-12).any():
         raise ValueError("probabilities must be nonnegative")
-    return float(-np.sum(special.xlogy(p, np.clip(p, 0.0, None))) / _LOG2)
-
-
-def binary_entropy(p: float) -> float:
-    """Entropy in bits of a Bernoulli(p) variable."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    # 0.0 - x rather than -x, so a point mass never prints as -0.
+    return 0.0 - float(np.sum(special.xlogy(p, np.clip(p, 0.0, None)))) / _LOG2

@@ -2,12 +2,12 @@
 
 Bins are indexed by the nearest-integer multiple of the step about the
 source mean, tails are folded into the outermost kept bins, and every
-bin carries its exact probability, centroid, and second moment.  All
-entropy and distortion summaries of a quantized source are computed
-from these tables.  Statistics of bins grouped by a function of the
-index (residue mod n, magnitude, or the outer bins merged by a fold)
-all come from one routine, `_class_moments`, which sums the mass and
-moments of each group in one vectorized pass.
+bin carries its exact probability, centroid, and within-bin variance.
+All entropy and distortion summaries of a quantized source are computed
+from these tables.  Bins grouped by a function of the index (residue
+mod n, magnitude, or the outer bins merged by a fold) are merged by one
+routine, `_class_moments`, which gives each group's mass, mean and
+variance by the law of total variance in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .model import GaussianSource, entropy_bits, truncated_moments
 __all__ = [
     "QuantizerSpec",
     "BinTable",
-    "quantize_index",
     "build_bin_table",
     "fold_bin_table",
     "output_entropy",
@@ -46,6 +45,9 @@ _MAX_BINS = 1_000_000
 _TAIL_STDS = math.sqrt(2.0) * float(special.erfcinv(1e-12))
 
 _SYMMETRY_TOL = 1e-12
+
+# The step search stops within this many bits below its target entropy.
+_ENTROPY_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -71,24 +73,25 @@ class BinTable:
 
     Rows run over indices -max_index..max_index.  `prob` sums to one
     because tail mass is folded into the outermost bins; `centroid` and
-    `second_moment` are conditional on the bin (fold included).
+    `within_var` are the source's mean and variance conditional on the
+    bin (fold included).
     """
 
     indices: np.ndarray
     prob: np.ndarray
     centroid: np.ndarray
-    second_moment: np.ndarray
+    within_var: np.ndarray
     source: GaussianSource
     step: float
 
     def __post_init__(self) -> None:
-        for name in ("indices", "prob", "centroid", "second_moment"):
+        for name in ("indices", "prob", "centroid", "within_var"):
             arr = getattr(self, name)
             object.__setattr__(self, name, _frozen(arr))
         n = len(self.indices)
         if n % 2 != 1 or n < 3:
             raise ValueError("table must cover -k..k for some k >= 1")
-        if not (len(self.prob) == len(self.centroid) == len(self.second_moment) == n):
+        if not (len(self.prob) == len(self.centroid) == len(self.within_var) == n):
             raise ValueError("table columns must have equal length")
         total = float(self.prob.sum())
         if abs(total - 1.0) > 1e-10:
@@ -112,15 +115,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def quantize_index(x: float, step: float, source: GaussianSource) -> int:
-    """Bin index of a sample: nearest integer (ties to even) of (x - mean)/step."""
-    if not math.isfinite(x):
-        raise ValueError(f"sample must be finite, got {x}")
-    if not math.isfinite(step) or step <= 0.0:
-        raise ValueError(f"step must be finite and positive, got {step}")
-    return round((x - source.mean) / step)
-
-
 def build_bin_table(source: GaussianSource, spec: QuantizerSpec) -> BinTable:
     """Exact bin table for a symmetric uniform quantizer.
 
@@ -139,20 +133,19 @@ def build_bin_table(source: GaussianSource, spec: QuantizerSpec) -> BinTable:
     k = np.arange(k_max + 1)
     hi = np.where(k < k_max, mu + (k + 0.5) * t, math.inf)
     m = truncated_moments(mu + (k - 0.5) * t, hi, source)
-    return _mirrored(m.mass, m.mean, m.second_moment, source, t)
+    return _mirrored(m.mass, m.mean, m.variance, source, t)
 
 
-def _mirrored(p, c, s, source: GaussianSource, step: float) -> BinTable:
+def _mirrored(p, c, v, source: GaussianSource, step: float) -> BinTable:
     """Table over -k..k from bins 0..k; bins -k..-1 are their mirror images.
 
-    The mirror is taken about the source mean, exact by its symmetry.
+    The mirror is taken about the source mean, exact by its symmetry;
+    mass and variance carry over unchanged.
     """
-    mu = source.mean
-    prob = np.concatenate([p[:0:-1], p])
-    centroid = np.concatenate([(2.0 * mu - c)[:0:-1], c])
-    second = np.concatenate([(4.0 * mu * mu - 4.0 * mu * c + s)[:0:-1], s])
     indices = np.arange(-(len(p) - 1), len(p), dtype=np.int64)
-    return BinTable(indices, prob, centroid, second, source, step)
+    centroid = np.concatenate([(2.0 * source.mean - c)[:0:-1], c])
+    return BinTable(indices, np.concatenate([p[:0:-1], p]), centroid,
+                    np.concatenate([v[:0:-1], v]), source, step)
 
 
 def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
@@ -167,22 +160,28 @@ def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
     # Fold the nonnegative half, then mirror it so the result is exactly symmetric.
     k = int(max_index)
     half = slice(k_old, None)
-    p, pc, ps = _class_moments(table, np.minimum(table.indices[half], k), half)
-    # A class without mass keeps the moments of its innermost bin.
-    c = np.divide(pc, p, out=table.centroid[half][: k + 1].copy(), where=p > 0.0)
-    s = np.divide(ps, p, out=table.second_moment[half][: k + 1].copy(), where=p > 0.0)
-    return _mirrored(p, c, s, table.source, table.step)
+    merged = _class_moments(table, np.minimum(table.indices[half], k), half)
+    return _mirrored(*merged, table.source, table.step)
 
 
 def _class_moments(table: BinTable, labels: np.ndarray, rows: slice = slice(None)):
-    """Sums of prob, prob * centroid and prob * second_moment per class of bins.
+    """Mass, mean and variance of each class of bins.
 
     `labels` gives the nonnegative integer class of each table row in
-    `rows`; entry u of each array sums over the rows labelled u, in row order.
+    `rows`; entry u of each array is over the rows labelled u, summed in
+    row order.  The variance is the law of total variance,
+    (sum p*v + sum p*(c - class mean)**2) / class mass, so no square of
+    a mean is ever subtracted.  A class without mass gets the source
+    mean and zero variance.
     """
-    p = table.prob[rows]
-    centroid, second = table.centroid[rows], table.second_moment[rows]
-    return tuple(np.bincount(labels, weights=w) for w in (p, p * centroid, p * second))
+    p, c = table.prob[rows], table.centroid[rows]
+    mass = np.bincount(labels, weights=p)
+    has_mass = mass > 0.0
+    mean = np.divide(np.bincount(labels, weights=p * c), mass,
+                     out=np.full(mass.size, table.source.mean), where=has_mass)
+    spread = np.bincount(labels, weights=p * (table.within_var[rows] + (c - mean[labels]) ** 2))
+    var = np.divide(spread, mass, out=np.zeros(mass.size), where=has_mass)
+    return mass, mean, var
 
 
 def _conditional_entropy(table: BinTable, labels: np.ndarray) -> float:
@@ -192,7 +191,7 @@ def _conditional_entropy(table: BinTable, labels: np.ndarray) -> float:
     catastrophically when the remainder is tiny.
     """
     p = table.prob
-    class_mass = _class_moments(table, labels)[0][labels]
+    class_mass = np.bincount(labels, weights=p)[labels]
     ratio = np.divide(p, class_mass, out=np.ones_like(p), where=p > 0.0)
     # 0.0 - x rather than -x, so an exact zero never prints as -0.
     return 0.0 - float(np.sum(special.xlogy(p, ratio))) / math.log(2.0)
@@ -200,10 +199,8 @@ def _conditional_entropy(table: BinTable, labels: np.ndarray) -> float:
 
 def _eve_mmse(table: BinTable, labels: np.ndarray) -> float:
     """Least mean squared error of an estimator that sees only the class."""
-    mass, first, _ = _class_moments(table, labels)
-    mean = np.divide(first, mass, out=np.zeros_like(first), where=mass > 0.0)
-    second = float(np.dot(table.prob, table.second_moment))
-    return max(second - float(np.dot(mass * mean, mean)), 0.0)
+    mass, _, var = _class_moments(table, labels)
+    return float(np.dot(mass, var))
 
 
 def _residues(table: BinTable, modulus: int) -> np.ndarray:
@@ -256,12 +253,11 @@ def bob_distortion(table: BinTable, reconstruction: str) -> float:
     `lattice` reconstructs bin k as mean + k*step; `centroid` uses the
     conditional mean and is never worse.
     """
-    var = np.clip(table.second_moment - table.centroid**2, 0.0, None)
     if reconstruction == "centroid":
-        return float(np.dot(table.prob, var))
+        return float(np.dot(table.prob, table.within_var))
     if reconstruction == "lattice":
         points = table.source.mean + table.indices * table.step
-        return float(np.dot(table.prob, var + (table.centroid - points) ** 2))
+        return float(np.dot(table.prob, table.within_var + (table.centroid - points) ** 2))
     raise ValueError(f"unknown reconstruction rule {reconstruction!r}")
 
 
@@ -287,70 +283,45 @@ def eve_mmse_given_magnitude(table: BinTable) -> float:
     return mmse
 
 
-def step_size_for_entropy(
-    source: GaussianSource,
-    target_bits: float,
-    bracket: tuple[float, float] | None = None,
-    tol_bits: float = 1e-4,
-) -> float:
-    """Smallest step (to tolerance) whose output entropy does not exceed target.
+def step_size_for_entropy(source: GaussianSource, target_bits: float) -> float:
+    """Smallest step (to within _ENTROPY_TOL bits) whose output entropy does not exceed target.
 
-    Output entropy decreases as the step grows, so the answer is the
-    boundary step where the entropy crosses the target from above.  The
-    returned step is always on the feasible side.  Monotonicity is
-    spot-checked on the bracket; if it fails, a dense log-spaced scan
-    picks the smallest feasible step instead.
+    The output entropy depends on step/std alone and decreases as the
+    step grows: the step is bracketed by doubling and halving, then
+    bisected, and each step's table is built once.  The returned step is
+    always on the feasible side.
     """
     if not math.isfinite(target_bits) or target_bits < 0.0:
         raise ValueError(f"target entropy must be finite and >= 0, got {target_bits}")
-    if not math.isfinite(tol_bits) or tol_bits <= 0.0:
-        raise ValueError(f"tol_bits must be positive, got {tol_bits}")
 
     def entropy_at(t: float) -> float:
         return output_entropy(build_bin_table(source, QuantizerSpec(step=t)))
 
-    if bracket is not None:
-        lo, hi = float(bracket[0]), float(bracket[1])
-        if not (0.0 < lo < hi and math.isfinite(hi)):
-            raise ValueError(f"bracket must satisfy 0 < lo < hi, got {bracket}")
-        if entropy_at(hi) > target_bits:
-            raise ValueError("bracket upper end is infeasible for the target entropy")
-        if entropy_at(lo) <= target_bits:
-            return lo
-    else:
-        hi = 8.0 * source.std * 2.0 ** (-target_bits)
-        for _ in range(200):
-            if entropy_at(hi) <= target_bits:
-                break
-            hi *= 2.0
-        else:
-            raise SolverError("could not find a feasible step for the target entropy")
-        lo = hi / 2.0
-        for _ in range(60):
-            if entropy_at(lo) > target_bits:
-                break
-            hi = lo
-            lo /= 2.0
-        else:
-            raise SolverError("could not bracket the target entropy from above")
-
-    probes = np.exp(np.linspace(math.log(lo), math.log(hi), 9))
-    values = [entropy_at(float(t)) for t in probes]
-    if any(values[i + 1] > values[i] + 1e-9 for i in range(len(values) - 1)):
-        # Monotonicity looks broken on this bracket; fall back to a scan.
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), 512))
-        for t in grid:
-            if entropy_at(float(t)) <= target_bits:
-                return float(t)
-        return hi
-
+    hi = 8.0 * source.std * 2.0 ** (-target_bits)
     for _ in range(200):
         h_hi = entropy_at(hi)
-        if h_hi >= target_bits - tol_bits or hi - lo <= 1e-13 * hi:
+        if h_hi <= target_bits:
+            break
+        hi *= 2.0
+    else:
+        raise SolverError("could not find a feasible step for the target entropy")
+    lo = hi / 2.0
+    for _ in range(60):
+        h_lo = entropy_at(lo)
+        if h_lo > target_bits:
+            break
+        hi, h_hi = lo, h_lo
+        lo /= 2.0
+    else:
+        raise SolverError("could not bracket the target entropy from above")
+
+    for _ in range(200):
+        if h_hi >= target_bits - _ENTROPY_TOL or hi - lo <= 1e-13 * hi:
             return hi
         mid = 0.5 * (lo + hi)
-        if entropy_at(mid) <= target_bits:
-            hi = mid
+        h_mid = entropy_at(mid)
+        if h_mid <= target_bits:
+            hi, h_hi = mid, h_mid
         else:
             lo = mid
     return hi

@@ -41,7 +41,6 @@ __all__ = [
     "CorrelationTriple",
     "FiniteJoint",
     "FiniteStrategyReport",
-    "GeneralAwarenessReport",
     "GreedyQuantizedScheme",
     "weak_eavesdropper_payoff",
     "jointly_gaussian_payoff",
@@ -49,7 +48,6 @@ __all__ = [
     "asymptotic_quantization_bound",
     "verify_jointly_gaussian_grid",
     "sign_split_key_requirement",
-    "verify_general_awareness_construction",
     "greedy_quantized_scheme",
     "evaluate_finite_strategy",
 ]
@@ -138,15 +136,6 @@ class FiniteStrategyReport:
     i_xy_given_u: float
     i_x_uy: float
     payoff: PayoffValue
-
-
-@dataclass(frozen=True)
-class GeneralAwarenessReport:
-    """Checks of the sign-disclosure construction under a fully aware eavesdropper."""
-
-    i_xyv_given_u: float
-    markov_ok: bool
-    degenerate: bool
 
 
 def weak_eavesdropper_payoff(rates: RatePair) -> PayoffValue:
@@ -287,42 +276,6 @@ def sign_split_key_requirement(rate_bits: float) -> float:
     part2, _ = integrate.quad(outer, y_split, 8.0, epsabs=2.5e-5, limit=200)
     value = 1.0 - 2.0 * (part1 + part2)
     return min(max(value, 0.0), math.nextafter(1.0, 0.0))
-
-
-def verify_general_awareness_construction(rate_bits: float) -> GeneralAwarenessReport:
-    """Check the sign-disclosure construction against a fully aware eavesdropper.
-
-    Confirms that the reconstruction is recovered exactly from magnitude
-    and sign, and that the sign is an unbiased coin given the magnitude,
-    which pins its conditional information content at exactly one bit.
-    """
-    if not math.isfinite(rate_bits) or rate_bits < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate_bits}")
-    d = 2.0 ** (-2.0 * rate_bits)
-    var_y = 1.0 - d
-    if var_y <= 0.0:
-        # Zero rate: the reconstruction collapses to a point mass.
-        return GeneralAwarenessReport(i_xyv_given_u=0.0, markov_ok=True, degenerate=True)
-
-    sigma_y = math.sqrt(var_y)
-    ys = np.linspace(-8.0 * sigma_y, 8.0 * sigma_y, 4001)
-    mags = np.abs(ys)
-    signs = np.sign(ys)
-    markov_ok = bool(np.array_equal(mags * signs, ys))
-
-    # Sign balance given the magnitude: density ratio must be exactly 1/2.
-    scaled = mags[mags > 0.0] / sigma_y
-    num = normal_pdf(scaled)
-    cond = num / (num + normal_pdf(-scaled))
-    markov_ok = markov_ok and bool(np.all(np.abs(cond - 0.5) <= 1e-12))
-
-    # The conditional sign entropy is the constant 1 bit, so its
-    # expectation needs no quadrature.
-    return GeneralAwarenessReport(
-        i_xyv_given_u=1.0 if markov_ok else math.nan,
-        markov_ok=markov_ok,
-        degenerate=False,
-    )
 
 
 class GreedyQuantizedScheme:

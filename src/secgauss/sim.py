@@ -131,9 +131,7 @@ def _magnitude_means(table: BinTable) -> tuple[np.ndarray, np.ndarray]:
 
     A pair without mass gets the source mean.
     """
-    mass, first, _ = _class_moments(table, np.abs(table.indices))
-    mean = np.full(mass.size, table.source.mean)
-    return mass, np.divide(first, mass, out=mean, where=mass > 0.0)
+    return _class_moments(table, np.abs(table.indices))[:2]
 
 
 def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:

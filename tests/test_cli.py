@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import secgauss
 from secgauss import (
@@ -270,6 +272,30 @@ class TestQuantizerStats:
     def test_bad_step(self):
         assert run_cli(["quantizer-stats", "--t", "-1.0"]) == 2
 
+    def test_point_mass_entropy_is_zero_not_negative(self, capsys):
+        # Every bin but the centre lies 150 sigma out: a point mass.
+        assert run_cli(["quantizer-stats", "--t", "3", "--sigma2", "1e-4"]) == 0
+        got = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert got["entropy_bits"] == "0"
+        assert got["entropy_given_magnitude_bits"] == "0"
+
+    def test_large_mean_matches_zero_mean_twin(self, capsys):
+        # mean^2 = 1e12 next to a variance of 1e-4: nothing may be
+        # computed as a second moment minus a squared mean.
+        assert run_cli(["quantizer-stats", "--t", "3", "--mu", "1e6", "--sigma2", "1e-4"]) == 0
+        far = capsys.readouterr().out
+        assert run_cli(["quantizer-stats", "--t", "3", "--sigma2", "1e-4"]) == 0
+        assert far == capsys.readouterr().out
+
+    def test_finest_step_centroid_mse(self, capsys):
+        # Near the bin cap the within-bin variance is step^2/12 up to the
+        # folded tails: about 1e-12 of mass at variance 0.02, which is
+        # 9.4e-4 of step^2/12 here.
+        t = 1.5e-5
+        assert run_cli(["quantizer-stats", "--t", str(t)]) == 0
+        got = {r["quantity"]: float(r["value"]) for r in parse_csv(capsys.readouterr().out)}
+        assert got["bob_mse_centroid"] / (t * t / 12.0) - 1.0 == pytest.approx(9.4e-4, abs=5e-5)
+
 
 class TestVerify:
     def test_fast_suite_passes(self, capsys):
@@ -351,3 +377,78 @@ class TestInputBounds:
         assert run_cli(base + [str(_MAX_SYMBOLS)]) == 0
         assert seen == [_MAX_SYMBOLS]
         capsys.readouterr()
+
+
+# Flag values for the argv fuzz: valid ones that run in milliseconds and
+# invalid ones of each kind the parser and the library can meet.  Sizes
+# are bounded (support at most 5, at most 1000 symbols, steps no finer
+# than 0.05) or far past a cap that is checked before allocating.
+_RATE = ["0", "0.5", "2.7", "4", "-1", "nan", "inf", "x"]
+_GRID = ["0:1:0.5", "1:0:0.5", "0:1:0", "0:1e9:1e-9", "0:1", "a:b:c"]
+_STEP = ["0.5", "0.05", "3", "0", "-1", "nan", "inf", "1e-9"]
+_COMMON = {
+    "--sigma2": ["1", "4", "1e-4", "0", "-1", "nan", "1e300", "1e-300"],
+    "--mu": ["0", "-3", "1e6", "nan", "inf"],
+}
+_FLAGS = {
+    "curve": {
+        "--schemes": ["weak", "jointly_gaussian,optimal_high_key", "quantized_greedy",
+                      "lp_quantized", "weak,bogus", ","],
+        "--r": _RATE, "--r-range": _GRID, "--rs": _RATE, "--rs-range": _GRID,
+        "--n-max": ["1", "3", "0", "-2", "1.5"],
+        "--lp-mode": ["continuous", "alphabet_restricted", "bogus"],
+    },
+    "sim": {
+        "--scheme": ["sign_pad", "full_encryption", "no_key", "bogus"],
+        "--scenario": ["weak", "causal_source", "causal_general", "bogus"],
+        "--r": _RATE, "--rs": _RATE, "--t": _STEP,
+        "--seed": ["0", "7", "-1", "x"],
+    },
+    "lp": {
+        "--t": _STEP, "--r": _RATE, "--rs": _RATE, "--rs-range": _GRID,
+        "--mode": ["continuous", "alphabet_restricted", "bogus"],
+    },
+    "quantizer-stats": {"--t": _STEP, "--n-mod": ["1", "3", "0", "-1", str(10**15), "x"]},
+    "verify": {"--suite": ["entropy_limit", "quantizer_bound", "sign_split", "bogus"]},
+}
+# Flags whose defaults would run long: always passed, from small values.
+_ALWAYS = {
+    "curve": ("--lp-max-support", ["3", "5", "2", "-1", "21"]),
+    "sim": ("--n", ["1", "1000", "0", "-5", str(10**8), "x"]),
+    "lp": ("--max-support", ["3", "5", "2", "41"]),
+}
+
+# The two commands that once failed numerically: a mean of 1e6 sigma,
+# and a step at the bin cap.
+FOUND_COMMANDS = (
+    ("quantizer-stats", "--t", "3", "--mu", "1e6", "--sigma2", "1e-4"),
+    ("quantizer-stats", "--t", "1.5e-5"),
+)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    flags = dict(_FLAGS[command], **_COMMON)
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=6, unique=True)):
+        argv += [flag, draw(st.sampled_from(flags[flag]))]
+    if command in _ALWAYS:
+        flag, values = _ALWAYS[command]
+        argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.integers(0, 4)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "--t", "extra"])))
+    return tuple(argv)
+
+
+class TestArgvFuzz:
+    @settings(max_examples=80, deadline=None)
+    @given(argvs())
+    @example(FOUND_COMMANDS[0])
+    @example(FOUND_COMMANDS[1])
+    def test_every_run_ends_in_a_documented_exit_code(self, argv):
+        # Any exception escaping main would be a traceback at the shell.
+        code = run_cli(list(argv))
+        assert code in (0, 2, 3, 4), argv
+        if argv in FOUND_COMMANDS:
+            assert code == 0

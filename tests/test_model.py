@@ -16,7 +16,6 @@ from secgauss import (
     GaussianSource,
     PayoffValue,
     RatePair,
-    binary_entropy,
     differential_entropy_bits,
     distortion_rate,
     entropy_bits,
@@ -24,7 +23,6 @@ from secgauss import (
     normal_pdf,
     payoff,
     sequence_payoff,
-    std_normal,
     truncated_moments,
 )
 
@@ -135,35 +133,26 @@ class TestGaussianHelpers:
         assert differential_entropy_bits(src) == pytest.approx(expect, abs=1e-12)
 
     def test_std_normal_frozen_points(self):
-        pdf0, cdf0 = std_normal(0.0)
-        assert pdf0 == pytest.approx(PDF_AT_ZERO, abs=1e-15)
-        assert cdf0 == pytest.approx(0.5, abs=1e-15)
-        _, cdf1 = std_normal(1.0)
-        assert cdf1 == pytest.approx(PHI_AT_ONE, abs=1e-14)
+        assert normal_pdf(0.0) == pytest.approx(PDF_AT_ZERO, abs=1e-15)
+        assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert normal_cdf(1.0) == pytest.approx(PHI_AT_ONE, abs=1e-14)
 
     @given(st.floats(-8.0, 8.0))
     def test_cdf_symmetry(self, x):
-        _, up = std_normal(x)
-        _, down = std_normal(-x)
-        assert up + down == pytest.approx(1.0, abs=1e-14)
+        assert normal_cdf(x) + normal_cdf(-x) == pytest.approx(1.0, abs=1e-14)
 
     def test_far_tail_pdf_flushes(self):
-        pdf, cdf = std_normal(50.0)
-        assert pdf == 0.0
-        assert cdf == 1.0
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            std_normal(math.nan)
+        assert normal_pdf(50.0) == 0.0
+        assert normal_cdf(50.0) == 1.0
 
     def test_array_forms_match_scalar(self):
         xs = np.linspace(-5.0, 5.0, 41)
         pdfs = normal_pdf(xs)
         cdfs = normal_cdf(xs)
         for i, x in enumerate(xs):
-            p, c = std_normal(float(x))
-            assert pdfs[i] == pytest.approx(p, abs=1e-15)
-            assert cdfs[i] == pytest.approx(c, abs=1e-15)
+            assert type(normal_pdf(float(x))) is float
+            assert pdfs[i] == pytest.approx(normal_pdf(float(x)), abs=1e-15)
+            assert cdfs[i] == pytest.approx(normal_cdf(float(x)), abs=1e-15)
 
     def test_cdf_pdf_consistency_by_difference(self):
         # cdf increments match the density to first order.
@@ -179,14 +168,15 @@ class TestTruncatedMoments:
         m = truncated_moments(-math.inf, 0.0, STANDARD_SOURCE)
         assert m.mass == pytest.approx(0.5, abs=1e-15)
         assert m.mean == pytest.approx(NEG_HALF_NORMAL_MEAN, abs=1e-13)
-        assert m.second_moment == pytest.approx(1.0, abs=1e-12)
+        # E[X^2] = 1 on the half line, so the variance is 1 - mean^2.
+        assert m.variance == pytest.approx(1.0 - NEG_HALF_NORMAL_MEAN**2, abs=1e-12)
 
     def test_full_line(self):
         src = GaussianSource(1.5, 4.0)
         m = truncated_moments(-math.inf, math.inf, src)
         assert m.mass == pytest.approx(1.0, abs=1e-14)
         assert m.mean == pytest.approx(1.5, abs=1e-13)
-        assert m.second_moment == pytest.approx(4.0 + 1.5**2, abs=1e-12)
+        assert m.variance == pytest.approx(4.0, abs=1e-12)
 
     def test_deep_tail_degenerates_to_edge(self):
         m = truncated_moments(50.0, 51.0, STANDARD_SOURCE)
@@ -208,9 +198,10 @@ class TestTruncatedMoments:
         assert left.mass * left.mean + right.mass * right.mean == pytest.approx(
             whole.mass * whole.mean, abs=1e-14
         )
-        assert (
-            left.mass * left.second_moment + right.mass * right.second_moment
-        ) == pytest.approx(whole.mass * whole.second_moment, abs=1e-13)
+        # Law of total variance: within-part spread plus spread of the part means.
+        spread = sum(part.mass * (part.variance + (part.mean - whole.mean) ** 2)
+                     for part in (left, right))
+        assert spread == pytest.approx(whole.mass * whole.variance, abs=1e-13)
 
     @given(st.floats(-3.0, 3.0), st.floats(0.1, 3.0))
     @settings(max_examples=60)
@@ -235,8 +226,8 @@ class TestTruncatedMoments:
         m = truncated_moments(a, b, src)
         for i in range(a.size):
             one = truncated_moments(float(a[i]), float(b[i]), src)
-            assert (m.mass[i], m.mean[i], m.second_moment[i]) == (
-                one.mass, one.mean, one.second_moment
+            assert (m.mass[i], m.mean[i], m.variance[i]) == (
+                one.mass, one.mean, one.variance
             )
         assert m.mass[:5].sum() == pytest.approx(1.0, abs=1e-15)
         assert m.mass[5] == pytest.approx(1.0, abs=1e-15)
@@ -245,8 +236,8 @@ class TestTruncatedMoments:
         m = truncated_moments(
             np.array([50.0, -0.5, -math.inf]), np.array([51.0, 0.5, -50.0]), STANDARD_SOURCE
         )
-        assert m.mass[0] == 0.0 and m.mean[0] == 50.0 and m.second_moment[0] == 2500.0
-        assert m.mass[2] == 0.0 and m.mean[2] == -50.0 and m.second_moment[2] == 2500.0
+        assert m.mass[0] == 0.0 and m.mean[0] == 50.0 and m.variance[0] == 0.0
+        assert m.mass[2] == 0.0 and m.mean[2] == -50.0 and m.variance[2] == 0.0
         assert m.mass[1] == pytest.approx(truncated_moments(-0.5, 0.5, STANDARD_SOURCE).mass)
         assert m.mean[1] == pytest.approx(0.0, abs=1e-15)
 
@@ -258,7 +249,7 @@ class TestTruncatedMoments:
 
     def test_zero_dim_input_returns_floats(self):
         m = truncated_moments(np.float64(-1.0), np.array(0.5), STANDARD_SOURCE)
-        assert all(type(v) is float for v in (m.mass, m.mean, m.second_moment))
+        assert all(type(v) is float for v in (m.mass, m.mean, m.variance))
         assert m == truncated_moments(-1.0, 0.5, STANDARD_SOURCE)
 
 
@@ -274,14 +265,15 @@ class TestEntropyHelpers:
             entropy_bits([0.5, -0.5])
 
     def test_binary_entropy_points(self):
-        assert binary_entropy(0.5) == 1.0
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        assert binary_entropy(0.11) == pytest.approx(0.49992, abs=5e-6)
+        assert entropy_bits([0.5, 0.5]) == 1.0
+        assert entropy_bits([0.11, 0.89]) == pytest.approx(0.49992, abs=5e-6)
+        # A point mass has entropy +0, never -0.
+        for point_mass in ([0.0, 1.0], [1.0, 0.0], [1.0]):
+            assert math.copysign(1.0, entropy_bits(point_mass)) == 1.0
 
     @given(st.floats(0.0, 1.0))
     def test_binary_entropy_symmetry(self, p):
-        assert binary_entropy(p) == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
+        assert entropy_bits([p, 1.0 - p]) == pytest.approx(entropy_bits([1.0 - p, p]), abs=1e-12)
 
 
 class TestGaussianSource:

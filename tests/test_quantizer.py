@@ -1,24 +1,26 @@
 """Quantizer tables, conditional entropies, and the entropy-step inverse.
 
 Oracle values at step = sigma were computed with mpmath (40 digits)
-from the exact truncated-Gaussian bin law and frozen here.
+from the exact truncated-Gaussian bin law and frozen here; within-bin
+variances are checked against mpmath at 50 digits as the tests run.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from secgauss import quantizer
 from secgauss import (
     STANDARD_SOURCE,
     BinTable,
     GaussianSource,
     QuantizerSpec,
     SolverError,
-    binary_entropy,
     bob_distortion,
     build_bin_table,
     entropy_given_magnitude,
@@ -28,8 +30,8 @@ from secgauss import (
     fold_bin_table,
     output_entropy,
     entropy_bits,
-    quantize_index,
     step_size_for_entropy,
+    truncated_moments,
 )
 
 # mpmath oracles at step = sigma = 1, mu = 0
@@ -47,23 +49,6 @@ HALF_LOG2_2PIE = 2.0470955851806411027
 @pytest.fixture(scope="module")
 def unit_table():
     return build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=1.0, max_index=12))
-
-
-class TestQuantizeIndex:
-    def test_round_half_to_even(self):
-        assert quantize_index(0.5, 1.0, STANDARD_SOURCE) == 0
-        assert quantize_index(1.5, 1.0, STANDARD_SOURCE) == 2
-        assert quantize_index(-0.5, 1.0, STANDARD_SOURCE) == 0
-        assert quantize_index(-1.5, 1.0, STANDARD_SOURCE) == -2
-
-    def test_centered_on_source_mean(self):
-        src = GaussianSource(2.0, 1.0)
-        assert quantize_index(2.0, 0.5, src) == 0
-        assert quantize_index(2.6, 0.5, src) == 1
-
-    def test_plain_values(self):
-        assert quantize_index(0.74, 0.5, STANDARD_SOURCE) == 1
-        assert quantize_index(-1.6, 0.5, STANDARD_SOURCE) == -3
 
 
 class TestBinTable:
@@ -86,10 +71,9 @@ class TestBinTable:
             ]
 
     def test_total_second_moment_is_source_power(self, unit_table):
-        # Tails are folded, never dropped, so the law of total
-        # expectation holds to machine precision.
-        power = float(unit_table.prob @ unit_table.second_moment)
-        assert power == pytest.approx(1.0, abs=1e-12)
+        # Tails are folded, never dropped, so the law of total variance
+        # gives the source variance to machine precision.
+        assert total_variance(unit_table) == pytest.approx(1.0, abs=1e-12)
 
     def test_total_mean_is_source_mean(self, unit_table):
         mean = float(unit_table.prob @ unit_table.centroid)
@@ -235,9 +219,8 @@ class TestFolding:
         assert folded.max_index == 3
         assert float(folded.prob.sum()) == pytest.approx(1.0, abs=1e-12)
         mean = float(folded.prob @ folded.centroid)
-        power = float(folded.prob @ folded.second_moment)
         assert mean == pytest.approx(0.0, abs=1e-13)
-        assert power == pytest.approx(1.0, abs=1e-12)
+        assert total_variance(folded) == pytest.approx(1.0, abs=1e-12)
 
     def test_fold_reduces_entropy(self, unit_table):
         folded = fold_bin_table(unit_table, 3)
@@ -290,14 +273,39 @@ class TestStepSizeForEntropy:
         t2 = step_size_for_entropy(GaussianSource(0.0, 4.0), 2.0)
         assert t2 == pytest.approx(2.0 * t1, rel=1e-6)
 
-    def test_explicit_bracket(self):
-        t = step_size_for_entropy(STANDARD_SOURCE, 2.7, bracket=(0.1, 2.0))
-        h = output_entropy(build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=t)))
-        assert h == pytest.approx(2.7, abs=5e-4)
+    def test_entropy_nonincreasing_in_step(self):
+        # The search bisects without checking this; it holds exactly on
+        # a fine log grid, tables of up to 14263 bins included.
+        steps = np.geomspace(1e-3, 16.0, 400)
+        h = [output_entropy(build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=float(t))))
+             for t in steps]
+        assert (np.diff(h) <= 0.0).all()
+
+    # The searches behind the golden files' T columns; their steps stay exact.
+    @pytest.mark.parametrize("target, step", [
+        (0.5, 3.456295133333952), (2.7, 0.6470195905216309),
+        (6.0, 0.06458663940429688), (7.0, 0.03228950500488281),
+    ])
+    def test_builds_each_step_once(self, monkeypatch, target, step):
+        built = []
+
+        def spy(source, spec):
+            built.append(spec.step)
+            return build_bin_table(source, spec)
+
+        monkeypatch.setattr(quantizer, "build_bin_table", spy)
+        assert step_size_for_entropy(STANDARD_SOURCE, target) == step
+        assert len(built) == len(set(built)) <= 16
 
     def test_unreachable_target_rejected(self):
         with pytest.raises((ValueError, SolverError)):
             step_size_for_entropy(STANDARD_SOURCE, -1.0)
+
+
+def total_variance(table):
+    """Source variance from a table: within-bin spread plus spread of the centroids."""
+    mean = float(table.prob @ table.centroid)
+    return float(table.prob @ (table.within_var + (table.centroid - mean) ** 2))
 
 
 # Reference implementations: the per-class loops that the vectorized
@@ -311,7 +319,7 @@ def ref_fold_bin_table(table, max_index):
     k = int(max_index)
     prob = np.zeros(2 * k + 1)
     centroid = np.zeros(2 * k + 1)
-    second = np.zeros(2 * k + 1)
+    within_var = np.zeros(2 * k + 1)
     mu = table.source.mean
     for j in range(k + 1):
         if j < k:
@@ -319,21 +327,30 @@ def ref_fold_bin_table(table, max_index):
         else:
             rows = [table.row(i) for i in range(k, k_old + 1)]
         p = float(sum(table.prob[r] for r in rows))
+        # Centered sums: within-bin variance plus the spread of the
+        # centroids about the merged mean.  A class without mass gets
+        # the source mean and no spread.
+        c, v = mu, 0.0
         if p > 0.0:
             c = float(sum(table.prob[r] * table.centroid[r] for r in rows)) / p
-            s = float(sum(table.prob[r] * table.second_moment[r] for r in rows)) / p
-        else:
-            c = table.centroid[rows[0]]
-            s = table.second_moment[rows[0]]
+            v = float(sum(table.prob[r] * (table.within_var[r] + (table.centroid[r] - c) ** 2)
+                          for r in rows)) / p
         prob[k + j] = p
         centroid[k + j] = c
-        second[k + j] = s
+        within_var[k + j] = v
         if j > 0:
             prob[k - j] = p
             centroid[k - j] = 2.0 * mu - c
-            second[k - j] = 4.0 * mu * mu - 4.0 * mu * c + s
+            within_var[k - j] = v
     indices = np.arange(-k, k + 1, dtype=np.int64)
-    return BinTable(indices, prob, centroid, second, table.source, table.step)
+    return BinTable(indices, prob, centroid, within_var, table.source, table.step)
+
+
+def binary_entropy(p):
+    """Entropy in bits of a Bernoulli(p) variable."""
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
 def ref_entropy_given_magnitude(table):
@@ -360,8 +377,13 @@ def ref_entropy_given_residue(table, modulus):
     return acc
 
 
+def second_moment(table):
+    """E[X^2] from a table, the raw form the centered tables replaced."""
+    return float(np.dot(table.prob, table.within_var + table.centroid**2))
+
+
 def ref_eve_mmse_given_residue(table, modulus):
-    second = float(np.dot(table.prob, table.second_moment))
+    second = second_moment(table)
     residues = np.mod(table.indices, modulus)
     acc = 0.0
     for u in range(int(modulus)):
@@ -375,7 +397,7 @@ def ref_eve_mmse_given_residue(table, modulus):
 
 
 def ref_eve_mmse_given_magnitude(table):
-    second = float(np.dot(table.prob, table.second_moment))
+    second = second_moment(table)
     acc = 0.0
     for u in range(table.max_index + 1):
         if u == 0:
@@ -408,10 +430,10 @@ def symmetric_tables(draw):
     half = w / (w[0] + 2.0 * w[1:].sum())
     prob = np.concatenate([half[:0:-1], half])
     centroid = mu + np.concatenate([-offset[:0:-1], offset])
-    second = centroid**2 + np.concatenate([spread[:0:-1], spread])
-    variance = float(prob @ second) - mu * mu
+    within_var = np.concatenate([spread[:0:-1], spread])
+    variance = float(prob @ (within_var + (centroid - mu) ** 2))
     indices = np.arange(-k, k + 1, dtype=np.int64)
-    return BinTable(indices, prob, centroid, second, GaussianSource(mu, variance), 1.0)
+    return BinTable(indices, prob, centroid, within_var, GaussianSource(mu, variance), 1.0)
 
 
 class TestClassStatisticsMatchReference:
@@ -432,8 +454,7 @@ class TestClassStatisticsMatchReference:
     @settings(max_examples=150, deadline=None)
     @given(symmetric_tables())
     def test_eve_mmse(self, table):
-        power = float(table.prob @ table.second_moment)
-        tol = 1e-12 * max(1.0, power)
+        tol = 1e-12 * max(1.0, second_moment(table))
         assert eve_mmse_given_magnitude(table) == pytest.approx(
             ref_eve_mmse_given_magnitude(table), abs=tol
         )
@@ -451,7 +472,7 @@ class TestClassStatisticsMatchReference:
             assert np.array_equal(got.indices, ref.indices)
             assert np.array_equal(got.prob, ref.prob)
             assert np.array_equal(got.centroid, ref.centroid)
-            assert np.array_equal(got.second_moment, ref.second_moment)
+            assert np.array_equal(got.within_var, ref.within_var)
 
     def test_huge_modulus_needs_no_allocation(self, unit_table):
         # Every modulus past the table width discloses the index exactly.
@@ -488,6 +509,7 @@ def ref_pdf(x):
 
 
 def ref_truncated_moments(a, b, source):
+    """Mass and conditional mean of the source on (a, b]."""
     mu, sigma = source.mean, source.std
     alpha = (a - mu) / sigma if math.isfinite(a) else -math.inf
     beta = (b - mu) / sigma if math.isfinite(b) else math.inf
@@ -496,45 +518,55 @@ def ref_truncated_moments(a, b, source):
         edge = a if alpha > 0.0 else b
         if not math.isfinite(edge):
             edge = b if math.isfinite(b) else a
-        return 0.0, edge, edge * edge
-    pdf_a, pdf_b = ref_pdf(alpha), ref_pdf(beta)
-    first = (pdf_a - pdf_b) / mass
-    excess = (alpha * pdf_a if math.isfinite(alpha) else 0.0) - (
-        beta * pdf_b if math.isfinite(beta) else 0.0
-    )
-    var_std = max(1.0 + excess / mass - first * first, 0.0)
-    mean = mu + sigma * first
-    return mass, mean, mean * mean + source.variance * var_std
+        return 0.0, edge
+    return mass, mu + sigma * (ref_pdf(alpha) - ref_pdf(beta)) / mass
+
+
+def bin_edges(source, step, k, k_max):
+    """Endpoints of bin k >= 0 as build_bin_table forms them."""
+    hi = source.mean + (k + 0.5) * step if k < k_max else math.inf
+    return source.mean + (k - 0.5) * step, hi
 
 
 def ref_build_bin_table(source, spec):
-    mu, t = source.mean, spec.step
+    """Indices, masses and centroids of the table, one bin at a time."""
+    t = spec.step
     need = _SQRT2 * float(special.erfcinv(1e-12)) * source.std / t - 0.5
     k_max = max(int(spec.max_index), int(math.ceil(need)), 1)
     prob = np.zeros(2 * k_max + 1)
     centroid = np.zeros(2 * k_max + 1)
-    second = np.zeros(2 * k_max + 1)
     for k in range(k_max + 1):
-        lo = mu + (k - 0.5) * t
-        hi = mu + (k + 0.5) * t if k < k_max else math.inf
-        p, c, s = ref_truncated_moments(lo, hi, source)
-        prob[k_max + k], centroid[k_max + k], second[k_max + k] = p, c, s
+        p, c = ref_truncated_moments(*bin_edges(source, t, k, k_max), source)
+        prob[k_max + k], centroid[k_max + k] = p, c
         if k > 0:
             prob[k_max - k] = p
-            centroid[k_max - k] = 2.0 * mu - c
-            second[k_max - k] = 4.0 * mu * mu - 4.0 * mu * c + s
-    indices = np.arange(-k_max, k_max + 1, dtype=np.int64)
-    return BinTable(indices, prob, centroid, second, source, t)
+            centroid[k_max - k] = 2.0 * source.mean - c
+    return np.arange(-k_max, k_max + 1, dtype=np.int64), prob, centroid
+
+
+def mp_within_var(a, b, source):
+    """Variance of the source on the float interval (a, b], at 50 digits."""
+    with mpmath.workdps(50):
+        mu, sigma = mpmath.mpf(source.mean), mpmath.sqrt(source.variance)
+        alpha = (mpmath.mpf(a) - mu) / sigma
+        beta = (mpmath.mpf(b) - mu) / sigma if math.isfinite(b) else mpmath.inf
+        if alpha >= 0:
+            mass = mpmath.ncdf(-alpha) - mpmath.ncdf(-beta)
+        else:
+            mass = mpmath.ncdf(beta) - mpmath.ncdf(alpha)
+        pdf_a, pdf_b = mpmath.npdf(alpha), mpmath.npdf(beta)
+        first = (pdf_a - pdf_b) / mass
+        excess = alpha * pdf_a - (beta * pdf_b if math.isfinite(b) else 0)
+        return float(sigma**2 * (1 + excess / mass - first**2))
 
 
 class TestBinTableMatchesReference:
     # scipy's erfc and exp may differ from math's in the last ulp.  A
     # narrow bin's mass is a difference of two tail masses, which scales
     # that ulp by up to about sigma/step (some 3000 here); the centroid
-    # and second moment divide by the mass and reach 7 sigma in the
-    # tails.  Worst gaps seen over 1500 random tables: 1.6e-12 relative
-    # on mass, 6.4e-12 sigma on centroids and 1.4e-12 (mu^2 + c^2 +
-    # sigma^2) on second moments.  The bounds sit at 6 to 14 times those.
+    # divides by the mass and reaches 7 sigma in the tails.  Worst gaps
+    # seen over 1500 random tables: 1.6e-12 relative on mass and 6.4e-12
+    # sigma on centroids.  The bounds sit at 6 to 8 times those.
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(1e-3, 3.0),
@@ -545,11 +577,53 @@ class TestBinTableMatchesReference:
     def test_array_table_matches_per_bin_loop(self, step, mu, variance, max_index):
         source = GaussianSource(mu, variance)
         spec = QuantizerSpec(step=step, max_index=max_index)
-        got, ref = build_bin_table(source, spec), ref_build_bin_table(source, spec)
-        assert np.array_equal(got.indices, ref.indices)
-        np.testing.assert_allclose(got.prob, ref.prob, rtol=1e-11, atol=0.0)
-        assert np.array_equal(got.prob == 0.0, ref.prob == 0.0)
-        np.testing.assert_allclose(got.centroid, ref.centroid, rtol=0.0,
+        got = build_bin_table(source, spec)
+        indices, prob, centroid = ref_build_bin_table(source, spec)
+        assert np.array_equal(got.indices, indices)
+        np.testing.assert_allclose(got.prob, prob, rtol=1e-11, atol=0.0)
+        assert np.array_equal(got.prob == 0.0, prob == 0.0)
+        np.testing.assert_allclose(got.centroid, centroid, rtol=0.0,
                                    atol=5e-11 * source.std)
-        scale = mu * mu + ref.centroid**2 + variance
-        assert (np.abs(got.second_moment - ref.second_moment) <= 2e-11 * scale).all()
+
+    # The rounding of alpha = (a - mu)/sigma alone moves a bin's width by
+    # up to 2 * 8 * 1.1e-16 / step relative, 1.8e-10 at step 1e-5 sigma,
+    # so the variance can be no closer to the exact one than about 4e-10.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-5.0, math.log10(3.0)).map(lambda e: 10.0**e),
+        st.floats(-7.2, 7.2),
+        st.floats(-1e6, 1e6),
+        st.floats(0.25, 4.0),
+    )
+    def test_within_var_matches_mpmath(self, step, center, mean_stds, variance):
+        # A bin as build_bin_table forms it: steps down to 1e-5 sigma,
+        # centers out to the folded tails, means up to 1e6 sigma.
+        source = GaussianSource(mean_stds * math.sqrt(variance), variance)
+        t = step * source.std
+        k = round(center / step)
+        a, b = bin_edges(source, t, k, k + 1)
+        got = truncated_moments(a, b, source).variance
+        assert got == pytest.approx(mp_within_var(a, b, source), rel=1e-9, abs=0.0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(1e-3, 3.0), st.floats(-5.0, 5.0), st.floats(0.1, 4.0), st.floats(0.0, 1.0))
+    def test_table_rows_match_mpmath(self, step, mu, variance, where):
+        # The centre bin, one inner bin, the last finite bin and the folded tail.
+        source = GaussianSource(mu, variance)
+        table = build_bin_table(source, QuantizerSpec(step=step))
+        k_max = table.max_index
+        for k in {0, round(where * k_max), k_max - 1, k_max}:
+            a, b = bin_edges(source, step, k, k_max)
+            want = mp_within_var(a, b, source)
+            for row in (table.row(k), table.row(-k)):
+                assert table.within_var[row] == pytest.approx(want, rel=1e-9, abs=0.0), k
+
+    def test_fine_steps_keep_the_uniform_variance(self):
+        # Inside the tails a bin's variance is step^2/12 up to a relative
+        # -(3 m^2 + 2) step^2 / 60 at m standard deviations, under 1e-9 here.
+        t = 3e-5
+        table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=t))
+        inner = slice(1, -1)
+        mse = float(table.prob[inner] @ table.within_var[inner])
+        assert mse / (float(table.prob[inner].sum()) * t * t / 12.0) == pytest.approx(
+            1.0, rel=1e-9, abs=0.0)

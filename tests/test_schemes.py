@@ -25,7 +25,6 @@ from secgauss import (
     jointly_gaussian_payoff,
     optimal_high_key_payoff,
     sign_split_key_requirement,
-    verify_general_awareness_construction,
     verify_jointly_gaussian_grid,
     weak_eavesdropper_payoff,
 )
@@ -145,19 +144,6 @@ class TestSignSplit:
     def test_rejects_negative_rate(self):
         with pytest.raises(ValueError):
             sign_split_key_requirement(-0.1)
-
-
-class TestGeneralAwareness:
-    def test_unit_rate_construction(self):
-        report = verify_general_awareness_construction(1.0)
-        assert report.i_xyv_given_u == pytest.approx(1.0, abs=1e-9)
-        assert report.markov_ok
-        assert not report.degenerate
-
-    def test_zero_rate_degenerates(self):
-        report = verify_general_awareness_construction(0.0)
-        assert report.degenerate
-        assert report.i_xyv_given_u == 0.0
 
 
 @pytest.fixture(scope="module")
