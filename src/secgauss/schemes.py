@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
 
-from .errors import InfeasibleError, SolverError
+from .errors import InfeasibleError
 from .model import (
     STANDARD_SOURCE,
     GaussianSource,
@@ -55,6 +54,8 @@ __all__ = [
 SCHEME_IDS = ("weak", "jointly_gaussian", "optimal_high_key", "quantized_greedy", "lp_quantized")
 
 _LN2 = math.log(2.0)
+# At this step or coarser the grid certificate scans four rho_xy points per column.
+_SCAN_MIN_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,29 @@ def verify_jointly_gaussian_grid(
     triples meeting both rate constraints.  The returned maximum must
     land within 2*step of the closed form, and the reported maximizer
     is the lexicographically smallest grid triple attaining it.
+
+    Method.  Write (a, b, c) = (rho_xy, rho_xu, rho_yu).  For fixed
+    (b, c) both rate constraints bound det from below, det >= D =
+    max((1-b^2)(1-c^2) 2^(-2 Rs), (1-c^2) 2^(-2 R), 1e-15), and
+    det = (1-b^2)(1-c^2) - (a-bc)^2 is concave in a, so the feasible
+    a form an interval ending at a+ = bc + sqrt((1-b^2)(1-c^2) - D).
+    Where that root is complex, as on the rows b = 1 and |c| = 1 where
+    det <= 0 for every a, a+ is taken as bc.  The feasibility test
+    (det > 1e-15 and both needs within 1e-12 bits) is tried at the four
+    grid points from floor(a+/step) + 1 down, and the largest that
+    passes is kept for each (b, c).
+
+    Ties.  g grows with a, so every maximizer is the largest feasible
+    grid a of its (b, c).  The least (a, b, c) index among these
+    per-(b, c) maxima is therefore the least maximizer overall.
+
+    Exactness.  The 1e-12 slacks and the rounding of det and of the
+    logarithms move the test's threshold on det by under 2e-12, and
+    so its roots in a by under sqrt(2e-12) < 2e-6.  Rounding in a+ and in
+    a+/step moves the window by at most one grid point.  For step >= 1e-4,
+    then, no grid point above the window passes, and an interval reaching
+    below the window would hold its lower points, which would pass.  Finer
+    steps scan whole columns instead.
     """
     if not 0.0 < step <= 0.05:
         raise ValueError(f"grid step must lie in (0, 0.05], got {step}")
@@ -195,26 +219,31 @@ def verify_jointly_gaussian_grid(
     xu, yu = np.meshgrid(axis_pos, axis_full, indexing="ij")
     xu2, yu2 = xu * xu, yu * yu
 
-    best_g = -math.inf
-    best = None
-    for a in axis_pos:
+    peak = (1.0 - xu2) * (1.0 - yu2)
+    d_need = np.maximum(peak * 2.0 ** (-2.0 * rs), (1.0 - yu2) * 2.0 ** (-2.0 * r)).clip(1e-15)
+    a_plus = xu * yu + np.sqrt(np.maximum(peak - d_need, 0.0))
+    n = axis_pos.size
+    if step < _SCAN_MIN_STEP:
+        top, width = n - 1, n
+    else:
+        top, width = np.minimum(np.floor(a_plus / step).astype(int) + 1, n - 1), 4
+    best = np.full(xu.shape, -1)
+    for k in top - np.arange(width)[:, None, None]:
+        a = axis_pos[np.maximum(k, 0)]
         det = 1.0 - a * a - xu2 - yu2 + 2.0 * a * xu * yu
-        valid = det > 1e-15
         with np.errstate(divide="ignore", invalid="ignore"):
-            rs_need = 0.5 * np.log2((1.0 - xu2) * (1.0 - yu2) / det)
+            rs_need = 0.5 * np.log2(peak / det)
             r_need = 0.5 * np.log2((1.0 - yu2) / det)
-        feasible = valid & (rs_need <= rs + 1e-12) & (r_need <= r + 1e-12)
-        if not feasible.any():
-            continue
-        g = np.where(feasible, a * a - xu2, -math.inf)
-        flat = int(np.argmax(g))
-        if g.flat[flat] > best_g:
-            best_g = float(g.flat[flat])
-            i, j = np.unravel_index(flat, g.shape)
-            best = CorrelationTriple(float(a), float(axis_pos[i]), float(axis_full[j]))
-    if best is None:
-        raise SolverError("grid search found no realizable correlation triple")
-    return best_g, best
+        feasible = (det > 1e-15) & (rs_need <= rs + 1e-12) & (r_need <= r + 1e-12)
+        best = np.where((best < 0) & (k >= 0) & feasible, k, best)
+
+    # Never empty: (a, b) = (0, 0) with |c| < 1 gives det = 1 - c^2 and both needs 0.
+    a = axis_pos[np.maximum(best, 0)]
+    g = np.where(best >= 0, a * a - xu2, -math.inf)
+    ties = g == g.max()
+    i, j = np.unravel_index(int(np.argmax(ties & (best == best[ties].min()))), g.shape)
+    triple = CorrelationTriple(float(a[i, j]), float(axis_pos[i]), float(axis_full[j]))
+    return float(g[i, j]), triple
 
 
 def _binary_entropy_of_logit(z: float) -> float:
@@ -233,6 +262,8 @@ def sign_split_key_requirement(rate_bits: float) -> float:
     reconstruction.  Strictly below 1 bit for finite rates; the one-bit
     key therefore always covers the sign.  Absolute error <= 1e-4.
     """
+    # Imported here: scipy.integrate also loads scipy.optimize and scipy.sparse.
+    from scipy import integrate
     if not math.isfinite(rate_bits) or rate_bits < 0.0:
         raise ValueError(f"rate must be finite and >= 0, got {rate_bits}")
     if rate_bits == 0.0:

@@ -309,6 +309,18 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "everything"]) == 2
 
 
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # scipy.integrate loads scipy.optimize and scipy.sparse with it; only the
+    # sign-split integral needs it, so importing the CLI must not pay for it.
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+    code = f"import sys, secgauss.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def run_cli_capped(argv):
     """Run the CLI in a child process that cannot map more than 1 GiB.
 

@@ -25,6 +25,7 @@ from secgauss import (
     sequence_payoff,
     truncated_moments,
 )
+from secgauss import model
 
 # mpmath, 30 digits
 HALF_LOG2_2PIE = 2.0470955851806411027
@@ -246,6 +247,19 @@ class TestTruncatedMoments:
                      ([0.0, math.nan], [1.0, 2.0]), ([0.0, 1.0], [1.0, math.nan])):
             with pytest.raises(ValueError):
                 truncated_moments(np.array(a), np.array(b), STANDARD_SOURCE)
+
+    def test_narrow_blocks_match_one_shot(self):
+        # Narrow and wide intervals mixed, with narrow ones filling more than one block.
+        rng = np.random.default_rng(5)
+        n = 3 * model._NARROW_BLOCK + 17
+        alpha = rng.uniform(-6.0, 6.0, n)
+        beta = alpha + rng.uniform(1e-5, 1.0, n)
+        narrow = beta - alpha < model._NARROW_WIDTH
+        assert model._NARROW_BLOCK < narrow.sum() < n
+        half = 0.5 * (beta - alpha)[narrow]
+        one_shot = model._narrow_variance(alpha[narrow] + half, half)
+        m = truncated_moments(alpha, beta, STANDARD_SOURCE)
+        assert np.array_equal(m.variance[narrow], one_shot)
 
     def test_zero_dim_input_returns_floats(self):
         m = truncated_moments(np.float64(-1.0), np.array(0.5), STANDARD_SOURCE)

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from secgauss import (
     STANDARD_SOURCE,
@@ -28,6 +30,7 @@ from secgauss import (
     verify_jointly_gaussian_grid,
     weak_eavesdropper_payoff,
 )
+from secgauss import schemes
 
 WEAK_AT_2P7 = 0.97631692864827502996  # 1 - 2^-5.4, mpmath
 PI_E_HALF = 4.2698671113367835327
@@ -101,7 +104,91 @@ class TestCorrelationTriple:
             CorrelationTriple(1.1, 0.0, 0.0)
 
 
+def reference_grid_certificate(rates, step):
+    """The grid certificate as one Python step per rho_xy value.
+
+    The loop that `verify_jointly_gaussian_grid` replaced with its
+    one-pass search, kept as the reference it must match bit for bit.
+    """
+    r, rs = rates.rate, rates.key_rate
+    axis_pos = np.arange(0.0, 1.0 + 0.5 * step, step)
+    axis_full = np.arange(-1.0, 1.0 + 0.5 * step, step)
+    xu, yu = np.meshgrid(axis_pos, axis_full, indexing="ij")
+    xu2, yu2 = xu * xu, yu * yu
+
+    best_g = -math.inf
+    best = None
+    for a in axis_pos:
+        det = 1.0 - a * a - xu2 - yu2 + 2.0 * a * xu * yu
+        valid = det > 1e-15
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rs_need = 0.5 * np.log2((1.0 - xu2) * (1.0 - yu2) / det)
+            r_need = 0.5 * np.log2((1.0 - yu2) / det)
+        feasible = valid & (rs_need <= rs + 1e-12) & (r_need <= r + 1e-12)
+        if not feasible.any():
+            continue
+        g = np.where(feasible, a * a - xu2, -math.inf)
+        flat = int(np.argmax(g))
+        if g.flat[flat] > best_g:
+            best_g = float(g.flat[flat])
+            i, j = np.unravel_index(flat, g.shape)
+            best = CorrelationTriple(float(a), float(axis_pos[i]), float(axis_full[j]))
+    return best_g, best
+
+
+# (r, rs) -> (g_max, rho_xy, rho_xu, rho_yu) at step 0.005, the twelve
+# pairs of `verify --suite thm2_grid`, recorded from the reference loop.
+THM2_GRID_RESULTS = {
+    (0.5, 0.25): (0.2916, 0.54, 0.0, -0.06499999999999917),
+    (0.5, 0.5): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
+    (0.5, 1.0): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
+    (0.5, 2.0): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
+    (1.0, 0.25): (0.2916, 0.54, 0.0, -0.06499999999999917),
+    (1.0, 0.5): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
+    (1.0, 1.0): (0.748225, 0.865, 0.0, -0.04499999999999915),
+    (1.0, 2.0): (0.748225, 0.865, 0.0, -0.04499999999999915),
+    (2.0, 0.25): (0.2916, 0.54, 0.0, -0.06499999999999917),
+    (2.0, 0.5): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
+    (2.0, 1.0): (0.748225, 0.865, 0.0, -0.04499999999999915),
+    (2.0, 2.0): (0.931225, 0.965, 0.0, -0.07999999999999918),
+}
+
+rates_0_3 = st.floats(0.0, 3.0)
+grid_steps = st.sampled_from([0.05, 0.02, 0.01])
+
+
 class TestGridCertificate:
+    @settings(max_examples=40, deadline=None)
+    @given(rates_0_3, rates_0_3, grid_steps)
+    @example(0.0, 1.3, 0.05)
+    @example(1.3, 0.0, 0.05)
+    @example(0.0, 0.0, 0.05)
+    @example(3.0, 3.0, 0.05)
+    def test_matches_reference_loop(self, r, rs, step):
+        rates = RatePair(r, rs)
+        assert verify_jointly_gaussian_grid(rates, step) == reference_grid_certificate(rates, step)
+
+    @pytest.mark.parametrize("r, rs", [(0.0, 0.0), (1.0, 0.25), (2.7, 1.3)])
+    def test_column_scan_matches_reference_loop(self, monkeypatch, r, rs):
+        # Steps below _SCAN_MIN_STEP scan whole columns.  A grid that fine has
+        # over 2e8 points, so a coarse grid is sent down that path instead.
+        monkeypatch.setattr(schemes, "_SCAN_MIN_STEP", 1.0)
+        rates = RatePair(r, rs)
+        assert verify_jointly_gaussian_grid(rates, 0.05) == reference_grid_certificate(rates, 0.05)
+
+    @pytest.mark.parametrize("r, rs", sorted(THM2_GRID_RESULTS))
+    def test_thm2_grid_pairs_match_recorded_reference(self, r, rs):
+        g, triple = verify_jointly_gaussian_grid(RatePair(r, rs), step=0.005)
+        assert (g, triple.rho_xy, triple.rho_xu, triple.rho_yu) == THM2_GRID_RESULTS[r, rs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(rates_0_3, rates_0_3, grid_steps)
+    @example(0.0, 0.0, 0.05)
+    def test_always_finds_a_realizable_triple(self, r, rs, step):
+        g, triple = verify_jointly_gaussian_grid(RatePair(r, rs), step)
+        assert g >= 0.0
+        assert triple.validity() >= -1e-12
+
     def test_known_point(self):
         g, triple = verify_jointly_gaussian_grid(RatePair(1.0, 1.0), step=0.01)
         assert g == pytest.approx(0.75, abs=0.02)
