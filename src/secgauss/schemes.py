@@ -54,8 +54,6 @@ __all__ = [
 SCHEME_IDS = ("weak", "jointly_gaussian", "optimal_high_key", "quantized_greedy", "lp_quantized")
 
 _LN2 = math.log(2.0)
-# At this step or coarser the grid certificate scans four rho_xy points per column.
-_SCAN_MIN_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -185,28 +183,19 @@ def verify_jointly_gaussian_grid(
     land within 2*step of the closed form, and the reported maximizer
     is the lexicographically smallest grid triple attaining it.
 
-    Method.  Write (a, b, c) = (rho_xy, rho_xu, rho_yu).  For fixed
-    (b, c) both rate constraints bound det from below, det >= D =
-    max((1-b^2)(1-c^2) 2^(-2 Rs), (1-c^2) 2^(-2 R), 1e-15), and
-    det = (1-b^2)(1-c^2) - (a-bc)^2 is concave in a, so the feasible
-    a form an interval ending at a+ = bc + sqrt((1-b^2)(1-c^2) - D).
-    Where that root is complex, as on the rows b = 1 and |c| = 1 where
-    det <= 0 for every a, a+ is taken as bc.  The feasibility test
-    (det > 1e-15 and both needs within 1e-12 bits) is tried at the four
-    grid points from floor(a+/step) + 1 down, and the largest that
-    passes is kept for each (b, c).
+    Method.  With (a, b, c) = (rho_xy, rho_xu, rho_yu), the rate
+    constraints read det = (1-b^2)(1-c^2) - (a-bc)^2 >= D = max((1-b^2)
+    (1-c^2) 2^(-2 Rs), (1-c^2) 2^(-2 R), 1e-15), so for fixed (b, c) the
+    feasible a form an interval up to a+ = bc + sqrt((1-b^2)(1-c^2) - D),
+    or bc where that is complex (as when b = 1 or |c| = 1).  The
+    feasibility test is tried at the three grid points from
+    floor(a+/step) + 1 down; g grows with a, so the least (a, b, c) index
+    among these per-(b, c) maxima is the least maximizer.
 
-    Ties.  g grows with a, so every maximizer is the largest feasible
-    grid a of its (b, c).  The least (a, b, c) index among these
-    per-(b, c) maxima is therefore the least maximizer overall.
-
-    Exactness.  The 1e-12 slacks and the rounding of det and of the
-    logarithms move the test's threshold on det by under 2e-12, and
-    so its roots in a by under sqrt(2e-12) < 2e-6.  Rounding in a+ and in
-    a+/step moves the window by at most one grid point.  For step >= 1e-4,
-    then, no grid point above the window passes, and an interval reaching
-    below the window would hold its lower points, which would pass.  Finer
-    steps scan whole columns instead.
+    Exactness.  The 1e-12 slacks and rounding move the test's roots in a,
+    and the computed a+, by under sqrt(2e-12) < 2e-6 each, so for step >
+    4e-6 the largest passing index is within one of floor(a+/step).
+    Finer grids (over 1e11 points) cannot be allocated.
     """
     if not 0.0 < step <= 0.05:
         raise ValueError(f"grid step must lie in (0, 0.05], got {step}")
@@ -222,13 +211,9 @@ def verify_jointly_gaussian_grid(
     peak = (1.0 - xu2) * (1.0 - yu2)
     d_need = np.maximum(peak * 2.0 ** (-2.0 * rs), (1.0 - yu2) * 2.0 ** (-2.0 * r)).clip(1e-15)
     a_plus = xu * yu + np.sqrt(np.maximum(peak - d_need, 0.0))
-    n = axis_pos.size
-    if step < _SCAN_MIN_STEP:
-        top, width = n - 1, n
-    else:
-        top, width = np.minimum(np.floor(a_plus / step).astype(int) + 1, n - 1), 4
+    top = np.minimum(np.floor(a_plus / step).astype(int) + 1, axis_pos.size - 1)
     best = np.full(xu.shape, -1)
-    for k in top - np.arange(width)[:, None, None]:
+    for k in (top, top - 1, top - 2):
         a = axis_pos[np.maximum(k, 0)]
         det = 1.0 - a * a - xu2 - yu2 + 2.0 * a * xu * yu
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -47,8 +47,14 @@ def gaussian_grid_suite(step: float = 0.005) -> list[Check]:
             target = 1.0 - 2.0 ** (-2.0 * min(r, rs))
             g_max, _ = verify_jointly_gaussian_grid(RatePair(r, rs), step)
             ok = abs(g_max - target) <= 2.0 * step
-            checks.append(Check(name=f"grid_payoff r={r:g} rs={rs:g}", measured=g_max,
-                                expected=f"{target:.9g} within {2.0 * step:g}", passed=ok))
+            checks.append(
+                Check(
+                    name=f"grid_payoff r={r:g} rs={rs:g}",
+                    measured=g_max,
+                    expected=f"{target:.9g} within {2.0 * step:g}",
+                    passed=ok,
+                )
+            )
     return checks
 
 
@@ -63,11 +69,23 @@ def entropy_limit_suite() -> list[Check]:
         gaps.append((denom, abs(h + math.log2(t / source.std) - target)))
     checks = []
     for (d1, g1), (d2, g2) in zip(gaps, gaps[1:]):
-        checks.append(Check(name=f"entropy_gap shrinks std/{d1} -> std/{d2}", measured=g2,
-                            expected=f"< {g1:.9g}", passed=g2 < g1))
+        checks.append(
+            Check(
+                name=f"entropy_gap shrinks std/{d1} -> std/{d2}",
+                measured=g2,
+                expected=f"< {g1:.9g}",
+                passed=g2 < g1,
+            )
+        )
     final = gaps[-1][1]
-    checks.append(Check(name="entropy_gap at std/64", measured=final,
-                        expected="<= 0.01", passed=final <= 0.01))
+    checks.append(
+        Check(
+            name="entropy_gap at std/64",
+            measured=final,
+            expected="<= 0.01",
+            passed=final <= 0.01,
+        )
+    )
     return checks
 
 
@@ -81,10 +99,22 @@ def quantizer_bound_suite() -> list[Check]:
         h = output_entropy(table)
         d = bob_distortion(table, "lattice")
         bound = 0.5 * math.pi * math.e * source.variance * 2.0 ** (-2 * r)
-        checks.append(Check(name=f"entropy fits rate R={r}", measured=h,
-                            expected=f"<= {r + 0.01}", passed=h <= r + 0.01))
-        checks.append(Check(name=f"lattice distortion bound R={r}", measured=d,
-                            expected=f"<= {bound:.9g}", passed=d <= bound))
+        checks.append(
+            Check(
+                name=f"entropy fits rate R={r}",
+                measured=h,
+                expected=f"<= {r + 0.01}",
+                passed=h <= r + 0.01,
+            )
+        )
+        checks.append(
+            Check(
+                name=f"lattice distortion bound R={r}",
+                measured=d,
+                expected=f"<= {bound:.9g}",
+                passed=d <= bound,
+            )
+        )
     return checks
 
 
@@ -94,15 +124,32 @@ def sign_split_suite() -> list[Check]:
     values = [sign_split_key_requirement(r) for r in grid]
     checks = []
     for r, v in zip(grid, values):
-        checks.append(Check(name=f"sign_info in range r={r:g}", measured=v,
-                            expected="in [0, 1)", passed=0.0 <= v < 1.0))
+        checks.append(
+            Check(
+                name=f"sign_info in range r={r:g}",
+                measured=v,
+                expected="in [0, 1)",
+                passed=0.0 <= v < 1.0,
+            )
+        )
     mono = all(b >= a - 1e-4 for a, b in zip(values, values[1:]))
-    checks.append(Check(name="sign_info nondecreasing",
-                        measured=min(b - a for a, b in zip(values, values[1:])),
-                        expected=">= -1e-4 smallest increment", passed=mono))
+    checks.append(
+        Check(
+            name="sign_info nondecreasing",
+            measured=min(b - a for a, b in zip(values, values[1:])),
+            expected=">= -1e-4 smallest increment",
+            passed=mono,
+        )
+    )
     high = sign_split_key_requirement(10.0)
-    checks.append(Check(name="sign_info saturates at r=10", measured=high,
-                        expected=">= 0.99", passed=high >= 0.99))
+    checks.append(
+        Check(
+            name="sign_info saturates at r=10",
+            measured=high,
+            expected=">= 0.99",
+            passed=high >= 0.99,
+        )
+    )
     return checks
 
 

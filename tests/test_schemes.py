@@ -30,7 +30,6 @@ from secgauss import (
     verify_jointly_gaussian_grid,
     weak_eavesdropper_payoff,
 )
-from secgauss import schemes
 
 WEAK_AT_2P7 = 0.97631692864827502996  # 1 - 2^-5.4, mpmath
 PI_E_HALF = 4.2698671113367835327
@@ -166,28 +165,25 @@ class TestGridCertificate:
     @example(3.0, 3.0, 0.05)
     def test_matches_reference_loop(self, r, rs, step):
         rates = RatePair(r, rs)
-        assert verify_jointly_gaussian_grid(rates, step) == reference_grid_certificate(rates, step)
+        g, triple = verify_jointly_gaussian_grid(rates, step)
+        assert (g, triple) == reference_grid_certificate(rates, step)
+        assert g >= 0.0 and triple.validity() >= -1e-12
 
-    @pytest.mark.parametrize("r, rs", [(0.0, 0.0), (1.0, 0.25), (2.7, 1.3)])
-    def test_column_scan_matches_reference_loop(self, monkeypatch, r, rs):
-        # Steps below _SCAN_MIN_STEP scan whole columns.  A grid that fine has
-        # over 2e8 points, so a coarse grid is sent down that path instead.
-        monkeypatch.setattr(schemes, "_SCAN_MIN_STEP", 1.0)
-        rates = RatePair(r, rs)
-        assert verify_jointly_gaussian_grid(rates, 0.05) == reference_grid_certificate(rates, 0.05)
+    @pytest.mark.parametrize("k", [10, 18, 19])
+    def test_root_just_below_a_grid_point(self, k):
+        # In the column (rho_xu, rho_yu) = (0, 0) the root a+ lies 1e-14 below
+        # the grid point k*step, so floor(a+/step) = k - 1, yet the 1e-12 slacks
+        # let rho_xy = k*step pass: the window must start one point above floor.
+        a_k = np.arange(0.0, 1.0 + 0.025, 0.05)[k]
+        m = -0.5 * math.log2(1.0 - (a_k - 1e-14) ** 2)
+        g, triple = verify_jointly_gaussian_grid(RatePair(m, m), 0.05)
+        assert (g, triple) == reference_grid_certificate(RatePair(m, m), 0.05)
+        assert triple.rho_xy == a_k
 
     @pytest.mark.parametrize("r, rs", sorted(THM2_GRID_RESULTS))
     def test_thm2_grid_pairs_match_recorded_reference(self, r, rs):
         g, triple = verify_jointly_gaussian_grid(RatePair(r, rs), step=0.005)
         assert (g, triple.rho_xy, triple.rho_xu, triple.rho_yu) == THM2_GRID_RESULTS[r, rs]
-
-    @settings(max_examples=40, deadline=None)
-    @given(rates_0_3, rates_0_3, grid_steps)
-    @example(0.0, 0.0, 0.05)
-    def test_always_finds_a_realizable_triple(self, r, rs, step):
-        g, triple = verify_jointly_gaussian_grid(RatePair(r, rs), step)
-        assert g >= 0.0
-        assert triple.validity() >= -1e-12
 
     def test_known_point(self):
         g, triple = verify_jointly_gaussian_grid(RatePair(1.0, 1.0), step=0.01)
