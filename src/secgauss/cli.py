@@ -12,7 +12,7 @@ import math
 import sys
 
 from .errors import InfeasibleError, SolverError
-from .lp import build_quantized_pmf, covers_entropy, enumerate_subset_candidates, solve_secrecy_lp
+from .lp import build_quantized_pmf, covers_entropy, enumerate_subset_candidates, sweep_secrecy_lp
 from .model import GaussianSource, RatePair
 from .quantizer import (
     QuantizerSpec,
@@ -302,8 +302,7 @@ def _lp_rows(source, r, step, rs_grid, max_support, mode, mixtures: bool) -> lis
                          "rate below quantized entropy") for rs in rs_grid]
     candidates = enumerate_subset_candidates(pmf, max_support, mode)
     rows = []
-    for rs in rs_grid:
-        sol = solve_secrecy_lp(pmf, RatePair(r, rs), candidates)
+    for rs, sol in zip(rs_grid, sweep_secrecy_lp(pmf, r, rs_grid, candidates)):
         note = f"support={pmf.points.size}"
         if mixtures:
             active = [f"{candidates.label(j)}:{sol.weights[j]:.12g}"

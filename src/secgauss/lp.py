@@ -21,7 +21,7 @@ from scipy import special
 from .errors import SolverError
 from .model import GaussianSource, PayoffValue, RatePair, entropy_bits
 from .quantizer import QuantizerSpec, build_bin_table, fold_bin_table
-from .simplex import linear_program_max
+from .simplex import linear_program_sweep
 
 __all__ = [
     "QuantizedPmf",
@@ -31,6 +31,7 @@ __all__ = [
     "candidate_score",
     "enumerate_subset_candidates",
     "solve_secrecy_lp",
+    "sweep_secrecy_lp",
     "lp_payoff",
 ]
 
@@ -220,23 +221,29 @@ def covers_entropy(pmf: QuantizedPmf, rate: float) -> bool:
     return rate >= pmf.entropy_bits() - 1e-9
 
 
-def solve_secrecy_lp(
-    pmf: QuantizedPmf,
-    rates: RatePair,
-    candidates: Optional[CandidateSet] = None,
-    mode: str = "continuous",
-) -> LpSolution:
-    """Best eavesdropper error over key-feasible mixtures of candidates.
+def solve_secrecy_lp(pmf: QuantizedPmf, rates: RatePair, candidates: Optional[CandidateSet] = None,
+                     mode: str = "continuous") -> LpSolution:
+    """Best eavesdropper error over key-feasible mixtures: one rate of `sweep_secrecy_lp`."""
+    return sweep_secrecy_lp(pmf, rates.rate, [rates.key_rate], candidates, mode)[0]
+
+
+def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
+                     candidates: Optional[CandidateSet] = None,
+                     mode: str = "continuous") -> list[LpSolution]:
+    """Best eavesdropper error over key-feasible mixtures at each key rate, in order.
 
     Maximizes the weighted score subject to the mixture reproducing the
     pmf and the average candidate entropy fitting the key rate.  The
-    message rate must cover the pmf entropy outright; otherwise the
+    message rate must cover the pmf entropy outright; otherwise every
     instance is reported infeasible without solving.  When `candidates`
     is omitted the subset family is enumerated with the given mode;
-    supplied candidates are trusted as scored.
+    supplied candidates are trusted as scored.  The program is built
+    once and only the key rate changes, so each solve starts from the
+    optimal basis of the one before.
     """
-    if not covers_entropy(pmf, rates.rate):
-        return LpSolution(value=math.nan, weights=np.zeros(0), feasible=False, slack_rs=math.nan)
+    pairs = [RatePair(rate, float(rs)) for rs in key_rates]
+    if not covers_entropy(pmf, rate):
+        return [LpSolution(math.nan, np.zeros(0), False, math.nan) for _ in pairs]
     if candidates is None:
         candidates = enumerate_subset_candidates(pmf, mode=mode)
     if not candidates:
@@ -247,45 +254,43 @@ def solve_secrecy_lp(
     if post.shape[1] != k:
         raise ValueError("candidate posterior length does not match the pmf support")
 
-    # Columns: candidate weights plus one slack for the entropy row.
+    # Columns: candidate weights plus one slack for the entropy row, whose
+    # right-hand side (the key rate) the sweep sets.
     a = np.zeros((k + 1, n + 1))
     a[:k, :n] = post.T
     a[k, :n] = ent
     a[k, n] = 1.0
-    b = np.concatenate([pmf.probs, [rates.key_rate]])
+    b = np.append(pmf.probs, 0.0)
     cost = np.append(score, 0.0)
 
     # Equilibrate before solving: outer bins carry probabilities many
-    # orders below 1, and a raw tableau loses feasibility in the noise.
+    # orders below 1, and a raw basis loses feasibility in the noise.
     # Unit-rhs rows then unit-max columns turn subset candidates into a
-    # 0/1 incidence system.
+    # 0/1 incidence system.  The key row keeps scale 1.
     row_scale = np.ones(k + 1)
     row_scale[:k] = np.where(pmf.probs > 0.0, pmf.probs, 1.0)
     a_scaled = a / row_scale[:, None]
-    b_scaled = b / row_scale
     col_scale = np.abs(a_scaled).max(axis=0)
     col_scale[col_scale <= 0.0] = 1.0
     a_scaled /= col_scale[None, :]
 
-    x_scaled, _ = linear_program_max(cost / col_scale, a_scaled, b_scaled, tol=1e-10)
-    x = x_scaled / col_scale
-    value = float(cost @ x)
-    weights = x[:n]
-    recon = a[:k, :n] @ weights
-    if np.max(np.abs(recon - pmf.probs)) > 1e-8:
-        raise SolverError("LP solution violates the barycenter constraint")
-    total = float(weights.sum())
-    if abs(total - 1.0) > 1e-8:
-        raise SolverError(f"LP weights sum to {total}, expected 1")
-    used = float(np.dot(weights, ent))
-    if used > rates.key_rate + 1e-8:
-        raise SolverError("LP solution violates the key-rate constraint")
-    return LpSolution(
-        value=float(max(value, 0.0)),
-        weights=weights,
-        feasible=True,
-        slack_rs=float(rates.key_rate - used),
-    )
+    solved = linear_program_sweep(cost / col_scale, a_scaled, b / row_scale, k,
+                                  [p.key_rate for p in pairs], tol=1e-10)
+    out = []
+    for pair, (x_scaled, _) in zip(pairs, solved):
+        x = x_scaled / col_scale
+        weights = x[:n]
+        recon = a[:k, :n] @ weights
+        if np.max(np.abs(recon - pmf.probs)) > 1e-8:
+            raise SolverError("LP solution violates the barycenter constraint")
+        total = float(weights.sum())
+        if abs(total - 1.0) > 1e-8:
+            raise SolverError(f"LP weights sum to {total}, expected 1")
+        used = float(np.dot(weights, ent))
+        if used > pair.key_rate + 1e-8:
+            raise SolverError("LP solution violates the key-rate constraint")
+        out.append(LpSolution(max(float(cost @ x), 0.0), weights, True, pair.key_rate - used))
+    return out
 
 
 def lp_payoff(solution: LpSolution, source: GaussianSource) -> PayoffValue:

@@ -179,9 +179,10 @@ def verify_jointly_gaussian_grid(
     """Exhaustive grid certificate for the jointly Gaussian payoff curve.
 
     Maximizes g = rho_xy**2 - rho_xu**2 over realizable correlation
-    triples meeting both rate constraints.  The returned maximum must
-    land within 2*step of the closed form, and the reported maximizer
-    is the lexicographically smallest grid triple attaining it.
+    triples meeting both rate constraints on the grid of multiples of
+    `step`, which must divide 1.  The returned maximum must land within
+    2*step of the closed form, and the reported maximizer is the
+    lexicographically smallest grid triple attaining it.
 
     Method.  With (a, b, c) = (rho_xy, rho_xu, rho_yu), the rate
     constraints read det = (1-b^2)(1-c^2) - (a-bc)^2 >= D = max((1-b^2)
@@ -199,12 +200,17 @@ def verify_jointly_gaussian_grid(
     """
     if not 0.0 < step <= 0.05:
         raise ValueError(f"grid step must lie in (0, 0.05], got {step}")
+    n = round(1.0 / step)
+    if abs(n * step - 1.0) > 1e-9:
+        raise ValueError(f"grid step must divide 1, got {step}")
     r, rs = rates.rate, rates.key_rate
 
     # Sign flips (a,b,c) -> (|a|,|b|,c*sign(ab)) preserve g, the
     # determinant, and both constraints, so nonnegative a, b suffice.
-    axis_pos = np.arange(0.0, 1.0 + 0.5 * step, step)
-    axis_full = np.arange(-1.0, 1.0 + 0.5 * step, step)
+    # Entry k of an axis is k*step, so the rho_yu axis is exactly
+    # symmetric with 0 in the middle; the clip keeps its ends at +-1.
+    axis_pos = np.minimum(np.arange(n + 1) * step, 1.0)
+    axis_full = np.clip(np.arange(-n, n + 1) * step, -1.0, 1.0)
     xu, yu = np.meshgrid(axis_pos, axis_full, indexing="ij")
     xu2, yu2 = xu * xu, yu * yu
 

@@ -1,7 +1,12 @@
-"""Dense two-phase primal simplex with Dantzig pricing and a Bland fallback.
+"""Revised two-phase simplex with Dantzig pricing, a Bland fallback and warm starts.
 
-The secrecy trade-off LP has a handful of equality rows and up to a few
-tens of thousands of columns.  A dense tableau handles that comfortably.
+The secrecy LP has at most 20 equality rows and up to tens of thousands
+of columns, so no tableau is kept.  Every change of basis inverts the
+small basis matrix afresh from the original data; every iteration prices
+all columns with one product ``y @ a`` and runs the ratio test on
+``B^-1 a_col``.  The pricing that ends a solve is therefore fresh, and it
+is the solve's optimality certificate.
+
 The entering column is the one with the most negative reduced cost
 (Dantzig), ties going to the smallest index.  Dantzig's rule alone can
 cycle, but a cycle consists only of degenerate pivots, so after
@@ -11,10 +16,12 @@ cannot cycle, so the solve terminates.  Both rules and the leaving-row
 rule break ties by index, so the pivot sequence, and therefore the
 returned vertex, is a deterministic function of the data.
 
-Long degenerate pivot runs let the running tableau drift away from the
-exact canonical form, so the solve is wrapped in reinversion rounds:
-after each termination the tableau is rebuilt from the original data at
-the current basis and optimality is certified with fresh reduced costs.
+`linear_program_sweep` re-solves as one right-hand side entry changes:
+reduced costs do not depend on b, so the last optimal basis stays dual
+feasible and dual simplex pivots (Lemke 1954) restore feasibility.  A
+warm solve that meets a singular or infeasible basis, finds no entering
+column, stalls, hits the pivot limit or ends off ``A @ x = b`` gives way
+to the cold solve, as does a carried basis holding an artificial column.
 """
 
 from __future__ import annotations
@@ -23,11 +30,28 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["linear_program_max"]
+__all__ = ["linear_program_max", "linear_program_sweep"]
 
-_MAX_REFRESH = 60
-# Consecutive degenerate pivots after which pricing falls back to Bland.
+# Consecutive degenerate pivots after which primal pricing falls back to
+# Bland, and after which a warm solve's dual pivots give up.
 _STALL = 50
+
+
+class _Basis:
+    """Basic columns `cols` of the rows `rows` kept from ``ext @ x = b``, inverted."""
+
+    def __init__(self, ext: np.ndarray, b: np.ndarray, rows, cols) -> None:
+        self.rows, self.cols = list(rows), list(cols)
+        whole = len(self.rows) == b.size
+        self.a, self.rhs = (ext, b) if whole else (ext[self.rows], b[self.rows])
+        self.invert()
+
+    def invert(self) -> None:
+        try:
+            self.inv = np.linalg.inv(self.a[:, self.cols])
+        except np.linalg.LinAlgError as exc:
+            raise SolverError("singular simplex basis") from exc
+        self.x = self.inv @ self.rhs
 
 
 def linear_program_max(
@@ -38,6 +62,34 @@ def linear_program_max(
     Returns (x, value) at an optimal vertex.  Raises SolverError when the
     program is infeasible, unbounded, or the pivot limit is hit.
     """
+    c, cost, ext, b = _checked(c, A, b)
+    return _solution(c, _cold(ext, b, cost, tol, max_iter))
+
+
+def linear_program_sweep(
+    c, A, b, row: int, values, tol: float = 1e-9, max_iter: int = 50_000
+) -> list[tuple[np.ndarray, float]]:
+    """`linear_program_max` with b[row] set to each of `values` in turn.
+
+    Each program after the first starts from the optimal basis of the one
+    before.  The values equal those of separate solves up to rounding; a
+    program with several optimal vertices may return another of them.
+    """
+    c, cost, ext, b = _checked(c, A, b)
+    values = np.array(values, dtype=float)
+    if not (0 <= row < b.size and values.ndim == 1 and np.isfinite(values).all()):
+        raise ValueError("a sweep needs a row of A and a 1-d array of finite values")
+    out, basis = [], None
+    for value in values:
+        b = b.copy()
+        b[row] = value
+        basis = _warm(ext, b, cost, basis, tol, max_iter) or _cold(ext, b, cost, tol, max_iter)
+        out.append(_solution(c, basis))
+    return out
+
+
+def _checked(c, A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """c, the phase-2 cost and [A | artificials] over all columns, and b."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
@@ -48,124 +100,104 @@ def linear_program_max(
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("LP data must be finite")
+    return c, np.concatenate([-c, np.zeros(m)]), np.concatenate([A, np.eye(m)], axis=1), b
 
-    neg = b < 0.0
-    A[neg] *= -1.0
-    b[neg] *= -1.0
+
+def _solution(c: np.ndarray, basis: _Basis) -> tuple[np.ndarray, float]:
+    # Degenerate basic values can come out at -1e-17-ish noise.
+    x = np.zeros(c.size)
+    x[basis.cols] = np.maximum(basis.x, 0.0)
+    return x, float(c @ x)
+
+
+def _cold(ext: np.ndarray, b: np.ndarray, cost: np.ndarray, tol: float, max_iter: int) -> _Basis:
+    """Two-phase solve of min cost @ x from the all-artificial basis."""
+    m = b.size
+    n = ext.shape[1] - m
+    # Artificial i carries the sign of b[i], so the start basis is feasible.
+    ext[:, n:] = np.diag(np.where(b < 0.0, -1.0, 1.0))
 
     # Phase 1: minimize the sum of artificial variables.
-    ext = np.concatenate([A, np.eye(m)], axis=1)
     cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    rows = list(range(m))
-    basis = list(range(n, n + m))
-    tableau = _solve_phase(ext, b, cost1, rows, basis, tol, max_iter)
-    residual = float(cost1[basis] @ tableau[:-1, -1])
+    basis = _Basis(ext, b, range(m), range(n, n + m))
+    _iterate(basis, cost1, tol, max_iter)
+    residual = float(cost1[basis.cols] @ np.maximum(basis.x, 0.0))
     if residual > tol * max(1.0, float(abs(b).sum())):
         raise SolverError(f"LP infeasible: artificial residual {residual}")
 
     # Drive leftover artificials out of the basis, dropping redundant rows.
     keep = []
-    for i in range(len(rows)):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        entries = tableau[i, :n]
-        nz = np.flatnonzero(np.abs(entries) > tol)
-        if nz.size:
-            _pivot(tableau, basis, i, int(nz[0]))
-            keep.append(i)
-    rows = [rows[i] for i in keep]
-    basis = [basis[i] for i in keep]
+    for i in range(m):
+        if basis.cols[i] >= n:
+            nz = np.flatnonzero(np.abs((basis.inv[i] @ ext)[:n]) > tol)
+            if not nz.size:
+                continue
+            _pivot(basis, i, int(nz[0]))
+        keep.append(i)
+    if len(keep) < m:
+        basis = _Basis(ext, b, keep, [basis.cols[i] for i in keep])
 
-    # Phase 2 on the original columns, from a freshly canonical tableau.
-    cost2 = np.concatenate([-c, np.zeros(m)])
-    tableau = _solve_phase(ext, b, cost2, rows, basis, tol, max_iter, forbid=n)
-
-    # The running rhs drifts as well; the final tableau was rebuilt from
-    # the original data at the optimal basis, so its rhs is the vertex.
-    x = np.zeros(n)
-    x[basis] = tableau[:-1, -1]
-    return x, float(c @ x)
+    # Phase 2 on the original columns.
+    _iterate(basis, cost, tol, max_iter, stop=n)
+    return basis
 
 
-def _canonical(
-    ext: np.ndarray, b: np.ndarray, cost: np.ndarray, rows: list[int], basis: list[int]
-) -> np.ndarray:
-    """Build the exact canonical tableau for the given basis."""
-    r = len(rows)
-    ncols = ext.shape[1]
-    square = ext[np.ix_(rows, basis)]
-    stacked = np.concatenate([ext[rows], b[rows][:, None]], axis=1)
+def _warm(ext, b, cost, carried: _Basis | None, tol: float, max_iter: int) -> _Basis | None:
+    """Re-solve from the carried optimal basis; None where the cold solve must run."""
+    n = ext.shape[1] - b.size
+    if carried is None or max(carried.cols) >= n:
+        return None
     try:
-        body = np.linalg.solve(square, stacked)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("singular simplex basis") from exc
-    work = np.empty((r + 1, ncols + 1))
-    work[:r, :ncols] = body[:, :ncols]
-    work[:r, -1] = np.maximum(body[:, -1], 0.0)
-    cb = cost[basis]
-    work[r, :ncols] = cost - cb @ body[:, :ncols]
-    work[r, -1] = -float(cb @ body[:, -1])
-    for i, bi in enumerate(basis):
-        work[:, bi] = 0.0
-        work[i, bi] = 1.0
-    return work
+        basis = _Basis(ext, b, carried.rows, carried.cols)
+        _iterate(basis, cost, tol, max_iter, stop=n)
+    except SolverError:
+        return None
+    # Every row, kept or dropped: a dropped row that the new b contradicts
+    # shows here, as does a basis too near singular to solve accurately.
+    residual = ext[:, basis.cols] @ np.maximum(basis.x, 0.0) - b
+    if np.abs(residual).max() > 10.0 * tol * max(1.0, float(np.abs(b).max())):
+        return None
+    return basis
 
 
-def _solve_phase(
-    ext: np.ndarray,
-    b: np.ndarray,
-    cost: np.ndarray,
-    rows: list[int],
-    basis: list[int],
-    tol: float,
-    max_iter: int,
-    forbid: int | None = None,
-) -> np.ndarray:
-    """Minimize cost @ x over the phase, certifying with fresh reduced costs.
+def _iterate(basis: _Basis, cost: np.ndarray, tol: float, max_iter: int, stop=None) -> None:
+    """Pivot to a basis minimizing cost @ x; columns from `stop` on never enter.
 
-    ``forbid`` marks the first column barred from entering (artificials
-    in phase 2).  Returns the final tableau.
+    From a primal feasible basis these are primal simplex pivots, and
+    the pricing that finds no improving column ends the solve.  While a
+    basic value is below -tol (a warm start after b changed) they are
+    dual simplex pivots: the most negative basic variable leaves and
+    `_dual_ratio_test` picks the entering column.
     """
-    certify = 10.0 * tol * max(1.0, float(np.abs(cost).max()))
-    for _ in range(_MAX_REFRESH):
-        work = _canonical(ext, b, cost, rows, basis)
-        _iterate(work, basis, tol, max_iter, forbid)
-        square = ext[np.ix_(rows, basis)]
-        try:
-            y = np.linalg.solve(square.T, cost[basis])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular simplex basis") from exc
-        reduced = cost - y @ ext[rows]
-        if forbid is not None:
-            reduced = reduced[:forbid]
-        if float(reduced.min()) >= -certify:
-            return _canonical(ext, b, cost, rows, basis)
-    raise SolverError("simplex failed to certify optimality")
-
-
-def _iterate(
-    tableau: np.ndarray,
-    basis: list[int],
-    tol: float,
-    max_iter: int,
-    forbid: int | None = None,
-) -> None:
-    m = tableau.shape[0] - 1
-    stalled = 0
+    stop = cost.size if stop is None else stop
+    dual_slack = 10.0 * tol * max(1.0, float(np.abs(cost).max()))
+    stalled = dual_stalled = 0
     for _ in range(max_iter):
-        red = tableau[m, :-1] if forbid is None else tableau[m, :forbid]
+        y = cost[basis.cols] @ basis.inv
+        row = int(np.argmin(basis.x))
+        if basis.x[row] < -tol:
+            prices = np.stack([y, basis.inv[row]]) @ basis.a
+            red = cost[:stop] - prices[0, :stop]
+            if red.min() < -dual_slack:
+                raise SolverError("simplex basis is neither primal nor dual feasible")
+            col, step = _dual_ratio_test(red, prices[1, :stop], tol)
+            dual_stalled = dual_stalled + 1 if step <= 0.0 else 0
+            if dual_stalled >= _STALL:
+                raise SolverError("dual simplex stalled on degenerate pivots")
+            _pivot(basis, row, col)
+            continue
+        red = cost[:stop] - (y @ basis.a)[:stop]
         if stalled < _STALL:  # Dantzig: most negative reduced cost
             col = int(np.argmin(red))
         else:  # Bland: smallest improving index (0 if there is none)
             col = int(np.argmax(red < -tol))
         if red[col] >= -tol:
             return
-        ratios = tableau[:m, col]
-        rows = np.flatnonzero(ratios > tol)
+        column = basis.inv @ basis.a[:, col]
+        rows = np.flatnonzero(column > tol)
         if rows.size == 0:
             raise SolverError("LP unbounded along an improving direction")
-        values = tableau[rows, -1] / ratios[rows]
+        values = np.maximum(basis.x[rows], 0.0) / column[rows]
         best = values.min()
         stalled = stalled + 1 if best <= 0.0 else 0
         # Among minimizing rows, Bland's leaving rule: smallest basic variable.
@@ -173,20 +205,30 @@ def _iterate(
         # and an absolute slack would admit non-ties, driving basic
         # variables negative.
         cand = rows[values <= best + 1e-9 * abs(best) + 1e-30]
-        row = int(min(cand, key=lambda i: basis[i]))
-        _pivot(tableau, basis, row, col)
+        row = int(min(cand, key=lambda i: basis.cols[i]))
+        _pivot(basis, row, col)
     raise SolverError(f"simplex hit the {max_iter}-pivot limit")
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    coeffs = tableau[:, col].copy()
-    coeffs[row] = 0.0
-    tableau -= np.outer(coeffs, tableau[row])
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
-    basis[row] = col
-    # Degenerate pivots can leave basic values at -1e-27-ish noise; the
-    # last row is the cost row and may be legitimately negative.
-    rhs = tableau[:-1, -1]
-    np.maximum(rhs, 0.0, out=rhs)
+def _dual_ratio_test(red: np.ndarray, alpha: np.ndarray, tol: float) -> tuple[int, float]:
+    """Entering column and step of a dual pivot on the row `alpha` of B^-1 a.
+
+    Harris's two passes (1973): the steps red_j / -alpha_j of the columns
+    with alpha_j < 0 are bounded by the least step that would take some
+    reduced cost below -tol, and within that bound the largest |alpha_j|
+    enters, ties to the smallest index, keeping the next basis further
+    from singular.
+    """
+    cols = np.flatnonzero(alpha < 0.0)
+    if cols.size:
+        slack, pivots = np.maximum(red[cols], 0.0), -alpha[cols]
+        near = np.flatnonzero(slack / pivots <= ((slack + tol) / pivots).min())
+        k = near[np.argmax(pivots[near])]
+        if pivots[k] > tol:
+            return int(cols[k]), float(slack[k] / pivots[k])
+    raise SolverError("dual ratio test found no entering column")
+
+
+def _pivot(basis: _Basis, row: int, col: int) -> None:
+    basis.cols[row] = col
+    basis.invert()

@@ -312,7 +312,8 @@ class TestVerify:
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # scipy.integrate loads scipy.optimize and scipy.sparse with it; only the
     # sign-split integral needs it, so importing the CLI must not pay for it.
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse")
+    # The simplex inverts its small bases with numpy, not scipy.linalg.
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
     code = f"import sys, secgauss.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -113,29 +113,39 @@ class TestComparisonRule:
 # not unique.  Each list holds the mixtures returned there before, oldest
 # first: by Bland's smallest-index rule, then by Dantzig pricing on bin
 # tables built one bin at a time (before they were built in one array
-# pass, which moved the tables in their last bits).  They are kept to show
-# that they, like the recorded ones, meet every constraint at the same D.
+# pass, which moved the tables in their last bits), then by a cold solve
+# at every key rate (before the sweep started each rate from the last
+# rate's optimal basis).  They are kept to show that they, like the
+# recorded ones, meet every constraint at the same D.
 EARLIER_PLATEAU_MIXTURES = {
     "0.75": [
         "4:0.323597230361;3+5:0.408556680901;3+4+5:0.134231686201;2+6:0.121195071886;"
         "1+7:0.0119540724935;0+8:0.000465258158071",
         "4:0.382924922548;3+5:0.483460674914;1+2+6+7:0.0665745721898;"
         "0+2+6+8:0.0608301650221;0+1+7+8:0.00620966532578",
+        "4:0.382924922548;3+5:0.241730337457;1+2+6+7:0.0665745721898;"
+        "0+2+6+8:0.0608301650221;0+1+3+5+7+8:0.247940002783",
     ],
     "1": [
         "4:0.212016025252;3+5:0.267680175996;3+4+5:0.386689396214;2+6:0.121195071886;"
         "1+7:0.0119540724935;0+8:0.000465258158071",
         "4:0.191462461274;3+5:0.483460674914;1+2+6+7:0.0665745721898;"
         "0+2+4+6+8:0.252292626296;0+1+7+8:0.00620966532578",
+        "4:0.0886814220691;3+5:0.483460674914;1+2+6+7:0.0154179772268;"
+        "0+2+6+8:0.0140876323822;0+1+7+8:0.00143809378611;0+1+2+4+6+7+8:0.396914199621",
     ],
     "1.25": [
         "4:0.100434820143;3+5:0.126803671091;3+4+5:0.639147106228;2+6:0.121195071886;"
         "1+7:0.0119540724935;0+8:0.000465258158071",
+        "2+3+5+6:0.3023278734;1+4+7:0.197439497521;0+4+8:0.191695090353;"
+        "0+1+2+3+5+6+7+8:0.308537538726",
     ],
     "1.5": [
         "3+4+5:0.825596434226;2+6:0.115489245768;2+3+4+5+6:0.0464949893543;"
         "1+7:0.0119540724935;0+8:0.000465258158071",
         "3+5:0.32230711661;1+2+4+6+7:0.172024688976;0+2+4+6+8:0.168195084197;"
+        "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
+        "3+4+5:0.288795199154;1+2+3+5+6+7:0.205536606431;0+2+4+6+8:0.168195084197;"
         "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
     ],
     "1.75": [
@@ -143,12 +153,16 @@ EARLIER_PLATEAU_MIXTURES = {
         "1+7:0.0119540724935;0+8:0.000465258158071",
         "2+3+5+6:0.1511639367;1+2+4+6+7:0.129018516732;0+2+4+6+8:0.126146313148;"
         "0+1+3+4+5+7+8:0.439402464057;0+1+2+3+5+6+7+8:0.154268769363",
+        "3+4+5:0.288795199154;1+2+3+5+6+7:0.205536606431;0+2+4+6+8:0.168195084197;"
+        "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
     ],
     "2": [
         "3+4+5:0.00895426666518;2+6:0.00125257506052;2+3+4+5+6:0.977373827623;"
         "1+7:0.0119540724935;0+8:0.000465258158071",
         "2+3+5+6:0.1511639367;1+2+4+6+7:0.129018516732;0+2+4+6+8:0.126146313148;"
         "0+1+3+4+5+7+8:0.439402464057;0+1+2+3+5+6+7+8:0.154268769363",
+        "3+4+5:0.288795199154;1+2+3+5+6+7:0.205536606431;0+2+4+6+8:0.168195084197;"
+        "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
     ],
 }
 # Weights and D are printed to 12 significant digits.

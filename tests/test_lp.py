@@ -21,8 +21,11 @@ from secgauss import (
     lp_payoff,
     solve_secrecy_lp,
     step_size_for_entropy,
+    sweep_secrecy_lp,
 )
 from secgauss import lp as lp_module
+from secgauss import simplex
+from secgauss.cli import main as cli_main
 
 
 @pytest.fixture(scope="module")
@@ -376,27 +379,118 @@ class TestValueCurveSupport15:
         np.testing.assert_allclose(values[-2:], pmf.variance(), atol=1e-9)
 
     def test_matches_highs_on_the_equilibrated_lp(self, support15, monkeypatch):
-        # Capture the scaled program the solver is handed and give it to
-        # HiGHS too.  HiGHS stops within its own tolerances, which leave
-        # its value a few 1e-9 off the exact optimum.  Key rate 0.25 and
-        # grid points 3, 6 and 10; the last lies above H(pmf).
+        # Capture the scaled program the sweep is handed and give it to
+        # HiGHS at each of its key rates.  HiGHS stops within its own
+        # tolerances, which leave its value a few 1e-9 off the exact
+        # optimum.  Key rate 0.25 and grid points 3, 6 and 10, solved as
+        # one warm sweep; the last lies above H(pmf).
         pmf, cands, grid, _ = support15
-        original = lp_module.linear_program_max
+        original = lp_module.linear_program_sweep
         seen = []
 
-        def spy(c, a, b, **kwargs):
-            x, value = original(c, a, b, **kwargs)
-            seen.append((c, a, b, value))
-            return x, value
+        def spy(c, a, b, row, values, **kwargs):
+            solved = original(c, a, b, row, values, **kwargs)
+            seen.append((c, a, b, row, values, solved))
+            return solved
 
-        monkeypatch.setattr(lp_module, "linear_program_max", spy)
-        for rs in (0.25, float(grid[3]), float(grid[6]), float(grid[10])):
-            seen.clear()
-            solve_secrecy_lp(pmf, RatePair(2.7, rs), cands)
-            (c, a, b, value), = seen
+        monkeypatch.setattr(lp_module, "linear_program_sweep", spy)
+        rates = (0.25, float(grid[3]), float(grid[6]), float(grid[10]))
+        sweep_secrecy_lp(pmf, 2.7, rates, cands)
+        (c, a, b, row, values, solved), = seen
+        assert list(values) == list(rates)
+        for rs, (_, value) in zip(rates, solved):
+            b = b.copy()
+            b[row] = rs
             ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
             assert ref.success, rs
             assert value == pytest.approx(-ref.fun, abs=1e-7), rs
+
+
+@pytest.fixture(scope="module")
+def lp_sweep_instance():
+    """The 17-rate `lp --t 0.6 --r 3 --max-support 11` instance and its cold values."""
+    pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=0.6), max_support=11)
+    cands = enumerate_subset_candidates(pmf, 11)
+    grid = [i * 0.0625 for i in range(17)]
+    cold = {rs: solve_secrecy_lp(pmf, RatePair(3.0, rs), cands).value for rs in grid}
+    return pmf, cands, grid, cold
+
+
+def sweep_orders(grid):
+    """Ascending, descending and repeated-rate orders of a key-rate grid."""
+    return {
+        "ascending": list(grid),
+        "descending": list(grid)[::-1],
+        "repeated": [grid[3], grid[3], grid[6], grid[6], grid[3], grid[-1], grid[-1], grid[0]],
+    }
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call is counted; return the counter."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestWarmSweep:
+    # Each `solve_secrecy_lp` call is a one-rate sweep, that is a cold
+    # solve; a sweep starts every later rate from the last optimal basis.
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
+    def test_support15_sweep_matches_cold_solves(self, support15, order):
+        pmf, cands, grid, values = support15
+        cold = dict(zip(grid.tolist(), values))
+        rates = sweep_orders(grid.tolist())[order]
+        swept = sweep_secrecy_lp(pmf, 2.7, rates, cands)
+        for rs, sol in zip(rates, swept):
+            assert sol.feasible and sol.value == pytest.approx(cold[rs], abs=1e-9), rs
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
+    def test_lp_sweep_instance_matches_cold_solves(self, lp_sweep_instance, order):
+        pmf, cands, grid, cold = lp_sweep_instance
+        rates = sweep_orders(grid)[order]
+        swept = sweep_secrecy_lp(pmf, 3.0, rates, cands)
+        assert len(swept) == len(rates)
+        for rs, sol in zip(rates, swept):
+            assert sol.value == pytest.approx(cold[rs], abs=1e-9), rs
+            assert sol.slack_rs >= -1e-8
+
+    def test_fallback_from_the_zero_key_rate_basis(self, monkeypatch):
+        # At rs = 0 the only feasible mixture is the singletons, and the
+        # optimal basis completes them with a near-singular column.  From
+        # it the dual pivots toward rs = 0.5 lose dual feasibility, so the
+        # sweep must solve that rate cold again and still return the cold
+        # answer at every rate.
+        pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=2.5), max_support=7)
+        cands = enumerate_subset_candidates(pmf)
+        rates = [0.0, 0.5, 1.0, 1.5, 2.0]
+        cold = [solve_secrecy_lp(pmf, RatePair(20.0, rs), cands).value for rs in rates]
+        colds = count_calls(monkeypatch, simplex, "_cold")
+        swept = sweep_secrecy_lp(pmf, 20.0, rates, cands)
+        assert len(colds) == 2
+        np.testing.assert_allclose([s.value for s in swept], cold, rtol=0.0, atol=1e-9)
+
+    def test_lp_sweep_command_pivots(self, monkeypatch, capsys):
+        # The cold solve at every rate took 860 pivots here.
+        pivots = count_calls(monkeypatch, simplex, "_pivot")
+        code = cli_main(["lp", "--t", "0.6", "--r", "3", "--rs-range", "0:1:0.0625",
+                         "--max-support", "11"])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 18
+        assert 0 < len(pivots) < 300
+
+    def test_message_rate_gate_covers_the_sweep(self, small_pmf):
+        swept = sweep_secrecy_lp(small_pmf, 1.0, [0.0, 0.5, 1.0])
+        assert [s.feasible for s in swept] == [False] * 3
+        assert sweep_secrecy_lp(small_pmf, 5.0, []) == []
+        with pytest.raises(ValueError):
+            sweep_secrecy_lp(small_pmf, 5.0, [0.5, -0.1])
 
 
 class TestDominatesGreedy:

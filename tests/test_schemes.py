@@ -110,8 +110,9 @@ def reference_grid_certificate(rates, step):
     one-pass search, kept as the reference it must match bit for bit.
     """
     r, rs = rates.rate, rates.key_rate
-    axis_pos = np.arange(0.0, 1.0 + 0.5 * step, step)
-    axis_full = np.arange(-1.0, 1.0 + 0.5 * step, step)
+    n = round(1.0 / step)
+    axis_pos = np.minimum(np.arange(n + 1) * step, 1.0)
+    axis_full = np.clip(np.arange(-n, n + 1) * step, -1.0, 1.0)
     xu, yu = np.meshgrid(axis_pos, axis_full, indexing="ij")
     xu2, yu2 = xu * xu, yu * yu
 
@@ -138,18 +139,18 @@ def reference_grid_certificate(rates, step):
 # (r, rs) -> (g_max, rho_xy, rho_xu, rho_yu) at step 0.005, the twelve
 # pairs of `verify --suite thm2_grid`, recorded from the reference loop.
 THM2_GRID_RESULTS = {
-    (0.5, 0.25): (0.2916, 0.54, 0.0, -0.06499999999999917),
-    (0.5, 0.5): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
-    (0.5, 1.0): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
-    (0.5, 2.0): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
-    (1.0, 0.25): (0.2916, 0.54, 0.0, -0.06499999999999917),
-    (1.0, 0.5): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
-    (1.0, 1.0): (0.748225, 0.865, 0.0, -0.04499999999999915),
-    (1.0, 2.0): (0.748225, 0.865, 0.0, -0.04499999999999915),
-    (2.0, 0.25): (0.2916, 0.54, 0.0, -0.06499999999999917),
-    (2.0, 0.5): (0.49702499999999994, 0.705, 0.0, -0.07499999999999918),
-    (2.0, 1.0): (0.748225, 0.865, 0.0, -0.04499999999999915),
-    (2.0, 2.0): (0.931225, 0.965, 0.0, -0.07999999999999918),
+    (0.5, 0.25): (0.2916, 0.54, 0.0, -0.065),
+    (0.5, 0.5): (0.49702499999999994, 0.705, 0.0, -0.075),
+    (0.5, 1.0): (0.49702499999999994, 0.705, 0.0, -0.075),
+    (0.5, 2.0): (0.49702499999999994, 0.705, 0.0, -0.075),
+    (1.0, 0.25): (0.2916, 0.54, 0.0, -0.065),
+    (1.0, 0.5): (0.49702499999999994, 0.705, 0.0, -0.075),
+    (1.0, 1.0): (0.748225, 0.865, 0.0, -0.045),
+    (1.0, 2.0): (0.748225, 0.865, 0.0, -0.045),
+    (2.0, 0.25): (0.2916, 0.54, 0.0, -0.065),
+    (2.0, 0.5): (0.49702499999999994, 0.705, 0.0, -0.075),
+    (2.0, 1.0): (0.748225, 0.865, 0.0, -0.045),
+    (2.0, 2.0): (0.931225, 0.965, 0.0, -0.08),
 }
 
 rates_0_3 = st.floats(0.0, 3.0)
@@ -204,6 +205,18 @@ class TestGridCertificate:
     def test_step_validation(self):
         with pytest.raises(ValueError):
             verify_jointly_gaussian_grid(RatePair(1.0, 1.0), step=0.2)
+        with pytest.raises(ValueError, match="divide 1"):
+            verify_jointly_gaussian_grid(RatePair(1.0, 1.0), step=0.03)
+
+    @pytest.mark.parametrize("step", [0.05, 0.02, 0.01, 0.005])
+    def test_axes_are_integer_multiples_of_the_step(self, step):
+        # The reported rho_yu is k*step for an integer k, with no drift from
+        # accumulating -1 + step + step + ..., and lies in [-1, 1].
+        rates = RatePair(1.0, 0.5)
+        _, triple = verify_jointly_gaussian_grid(rates, step)
+        k = round(triple.rho_yu / step)
+        assert triple.rho_yu == k * step and abs(triple.rho_yu) <= 1.0
+        assert triple.rho_xy == round(triple.rho_xy / step) * step
 
 
 class TestSignSplit:

@@ -1,4 +1,4 @@
-"""The dense equality-form simplex against scipy's HiGHS solver."""
+"""The revised equality-form simplex against scipy's HiGHS solver."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from secgauss import simplex
 from secgauss.errors import SolverError
-from secgauss.simplex import _canonical, _iterate, linear_program_max
+from secgauss.simplex import _Basis, _iterate, linear_program_max, linear_program_sweep
 
 
 def random_feasible_instance(rng, m, n):
@@ -153,12 +153,10 @@ BEALE_C = np.array([0.0, 0.0, 0.0, 0.75, -20.0, 0.5, -6.0])
 
 
 def iterate_beale():
-    """Run _iterate on Beale's tableau; return (value, basis)."""
-    basis = [0, 1, 2]
-    tableau = _canonical(BEALE_A, BEALE_B, -BEALE_C, [0, 1, 2], basis)
-    _iterate(tableau, basis, tol=1e-9, max_iter=200)
-    # The cost row's rhs is -(cost @ x) = c @ x.
-    return float(tableau[-1, -1]), basis
+    """Run _iterate on Beale's example from the slack basis; return (value, basis)."""
+    basis = _Basis(BEALE_A, BEALE_B, [0, 1, 2], [0, 1, 2])
+    _iterate(basis, -BEALE_C, tol=1e-9, max_iter=200)
+    return float(BEALE_C[basis.cols] @ basis.x), basis.cols
 
 
 class TestBealeCycling:
@@ -177,3 +175,50 @@ class TestBealeCycling:
         x, value = linear_program_max(BEALE_C, BEALE_A, BEALE_B)
         assert value == pytest.approx(1.25, abs=1e-12)
         np.testing.assert_allclose(x, [0.75, 0, 0, 1, 0, 1, 0], atol=1e-12)
+
+
+def budget_instance(seed):
+    """Random equality rows with an interior point, plus sum(x) + s = budget."""
+    rng = np.random.default_rng(seed)
+    c, a, b = random_feasible_instance(rng, 4, 12)
+    a = np.block([[a, np.zeros((4, 1))], [np.ones((1, 12)), np.ones((1, 1))]])
+    return np.append(c, 0.0), a, np.append(b, 0.0)
+
+
+class TestSweep:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_each_value_matches_its_cold_solve(self, seed):
+        c, a, b = budget_instance(seed)
+        # The interior point of random_feasible_instance sums to at most 13.2.
+        values = [20.0, 30.0, 14.0, 14.0, 50.0, 25.0]
+        swept = linear_program_sweep(c, a, b, 4, values)
+        assert len(swept) == len(values)
+        for v, (x, value) in zip(values, swept):
+            bv = b.copy()
+            bv[4] = v
+            _, cold = linear_program_max(c, a, bv)
+            assert value == pytest.approx(cold, abs=1e-9)
+            assert (x >= 0.0).all() and np.abs(a @ x - bv).max() < 1e-8
+
+    def test_infeasible_value_raises(self):
+        c, a, b = budget_instance(0)
+        with pytest.raises(SolverError, match="infeasible"):
+            linear_program_sweep(c, a, b, 4, [20.0, -1.0])
+
+    def test_dropped_row_is_checked_at_every_value(self):
+        # Row 1 repeats row 0 at b = (1, 2), so the first solve drops it; at
+        # b[1] = 3 the rows contradict each other, which a warm solve on
+        # row 0 alone cannot see.
+        c = np.array([1.0, 1.0, 0.0])
+        a = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        assert len(linear_program_sweep(c, a, [1.0, 2.0], 1, [2.0, 2.0])) == 2
+        with pytest.raises(SolverError, match="infeasible"):
+            linear_program_sweep(c, a, [1.0, 2.0], 1, [2.0, 3.0])
+
+    def test_validation(self):
+        c, a, b = budget_instance(0)
+        with pytest.raises(ValueError):
+            linear_program_sweep(c, a, b, 5, [20.0])
+        with pytest.raises(ValueError):
+            linear_program_sweep(c, a, b, 4, [20.0, np.inf])
+        assert linear_program_sweep(c, a, b, 4, []) == []
