@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import SolverError
 from .model import GaussianSource, PayoffValue, RatePair, entropy_bits
@@ -211,8 +210,7 @@ def enumerate_subset_candidates(
     # Subsets of zero total mass cannot be disclosed; skip them.
     live = totals > 0.0
     masks, q = masks[live], raw[live] / totals[live, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.sum(special.xlogy(q, q), axis=1) / math.log(2.0)
+    ent = -np.sum(q * np.log(np.where(q > 0.0, q, 1.0)), axis=1) / math.log(2.0)
     return CandidateSet(masks, q, np.maximum(ent, 0.0), _scores(pmf.points, q, mode))
 
 

@@ -253,7 +253,7 @@ def sign_split_key_requirement(rate_bits: float) -> float:
     reconstruction.  Strictly below 1 bit for finite rates; the one-bit
     key therefore always covers the sign.  Absolute error <= 1e-4.
     """
-    # Imported here: scipy.integrate also loads scipy.optimize and scipy.sparse.
+    # Imported here: the package needs scipy for this quadrature alone.
     from scipy import integrate
     if not math.isfinite(rate_bits) or rate_bits < 0.0:
         raise ValueError(f"rate must be finite and >= 0, got {rate_bits}")
@@ -346,7 +346,9 @@ class GreedyQuantizedScheme:
         payoffs = (self._eve_mmse - self.bob_mse) / var
         if feasible.any():
             masked = np.where(feasible, payoffs, -math.inf)
-            pick = int(np.argmax(masked))
+            # Payoffs within 1e-12 tie (n = 1 and n = 2 are equal at low rate
+            # but for rounding), and ties go to the smallest divisor.
+            pick = int(np.argmax(masked >= masked.max() - 1e-12))
             ok = True
         else:
             pick = int(np.argmin(self._cond_entropy - key_rate_bits))

@@ -309,17 +309,46 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "everything"]) == 2
 
 
+# One small run of each command and suite that needs no quadrature.
+NO_SCIPY_ARGV = [
+    ["curve", "--schemes", "weak,quantized_greedy,lp_quantized", "--r", "1.5",
+     "--rs-range", "0:1:0.5", "--lp-max-support", "5"],
+    ["lp", "--t", "1.0", "--r", "2.5", "--rs-range", "0:1:0.5", "--max-support", "5"],
+    ["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "0", "--n", "1000"],
+    ["sim", "--scheme", "full_encryption", "--r", "2", "--seed", "0", "--n", "1000"],
+    ["quantizer-stats", "--t", "0.5", "--n-mod", "3"],
+    ["verify", "--suite", "thm2_grid"],
+    ["verify", "--suite", "entropy_limit"],
+    ["verify", "--suite", "quantizer_bound"],
+]
+
+
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # scipy.integrate loads scipy.optimize and scipy.sparse with it; only the
-    # sign-split integral needs it, so importing the CLI must not pay for it.
-    # The simplex inverts its small bases with numpy, not scipy.linalg.
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
-    code = f"import sys, secgauss.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # Gaussian masses come from math.erfc, so importing the CLI and running
+    # any command loads no scipy module; only the sign-split suite imports
+    # scipy.integrate (and with it scipy.optimize and scipy.sparse) for its
+    # quadrature.  The simplex inverts its small bases with numpy.
+    code = f"""
+import contextlib, io, sys
+from secgauss.cli import main
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(loaded())
+for argv in {NO_SCIPY_ARGV!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["verify", "--suite", "sign_split"]) == 0
+print("scipy.integrate" in loaded())
+"""
     env = dict(os.environ, PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["[]", "[]", "True"]
 
 
 def run_cli_capped(argv):

@@ -463,13 +463,15 @@ class TestWarmSweep:
 
     def test_fallback_from_the_zero_key_rate_basis(self, monkeypatch):
         # At rs = 0 the only feasible mixture is the singletons, and the
-        # optimal basis completes them with a near-singular column.  From
-        # it the dual pivots toward rs = 0.5 lose dual feasibility, so the
-        # sweep must solve that rate cold again and still return the cold
-        # answer at every rate.
+        # optimal basis completes them with a near-singular column.  The
+        # dual pivots from the rs = 0.5 basis toward it lose dual
+        # feasibility, so the sweep must solve rs = 0 cold again and still
+        # return the cold answer at every rate.  (Whether the ascending
+        # sweep also falls back, on leaving that basis, turns on the last
+        # bits of the bin masses.)
         pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=2.5), max_support=7)
         cands = enumerate_subset_candidates(pmf)
-        rates = [0.0, 0.5, 1.0, 1.5, 2.0]
+        rates = [2.0, 1.5, 1.0, 0.5, 0.0]
         cold = [solve_secrecy_lp(pmf, RatePair(20.0, rs), cands).value for rs in rates]
         colds = count_calls(monkeypatch, simplex, "_cold")
         swept = sweep_secrecy_lp(pmf, 20.0, rates, cands)

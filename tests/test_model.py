@@ -6,9 +6,10 @@ Reference values were frozen from high-precision evaluation (mpmath,
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from secgauss import (
@@ -267,6 +268,69 @@ class TestTruncatedMoments:
         assert m == truncated_moments(-1.0, 0.5, STANDARD_SOURCE)
 
 
+def mp_upper_tail(x):
+    """P(xi > x) for a standard normal xi, as an mpmath number."""
+    return mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) / 2
+
+
+def mp_interval_mass(a, b):
+    """P(a < xi <= b) at 50 digits, from the form that keeps every digit."""
+    with mpmath.workdps(50):
+        if a >= 0.0:
+            return mp_upper_tail(a) - mp_upper_tail(b)
+        if b <= 0.0:
+            return mp_upper_tail(-b) - mp_upper_tail(-a)
+        return (mpmath.erf(mpmath.mpf(b) / mpmath.sqrt(2))
+                - mpmath.erf(mpmath.mpf(a) / mpmath.sqrt(2))) / 2
+
+
+def cdf_rel_bound(x):
+    """normal_cdf's documented relative error at x (x**2 from the rounding of x/sqrt(2))."""
+    return 1e-15 + 2e-16 * x * x
+
+
+endpoints = st.one_of(st.floats(-37.0, 37.0), st.sampled_from([-math.inf, math.inf]))
+
+
+class TestGaussianMassesMatchMpmath:
+    # Out to 37 sigma, the last point before the lower tail is subnormal.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-37.0, 37.0), min_size=1, max_size=6))
+    @example([-37.0, -22.0, -1e-300, 0.0, 8.0, 37.0])
+    def test_normal_cdf(self, xs):
+        cdfs = normal_cdf(np.array(xs))
+        for x, cdf in zip(xs, cdfs):
+            assert cdf == normal_cdf(x)  # the same bits alone as inside an array
+            with mpmath.workdps(50):
+                exact = 1 - mp_upper_tail(x) if x > 0 else mp_upper_tail(-x)
+                assert abs(mpmath.mpf(cdf) - exact) <= cdf_rel_bound(x) * exact, x
+
+    # A one-sided mass is a difference of two upper tails P(xi > |a|) and
+    # P(xi > |b|), each as exact as normal_cdf, so its error is bounded by
+    # those tails, not by the mass: a narrow interval far out has a mass
+    # much smaller than its tails.  Across 0 it is a sum of two erf terms.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(endpoints, endpoints), min_size=1, max_size=6))
+    @example([(-math.inf, math.inf), (-math.inf, -37.0), (37.0, math.inf), (-1e-10, 1e-10),
+              (-3.0, 0.0), (0.0, 2.0), (-0.5, 0.25), (36.0, 36.5), (-9.0, -8.999999)])
+    def test_truncated_moments_mass(self, pairs):
+        pairs = [(min(p), max(p)) for p in pairs if p[0] != p[1]]
+        assume(pairs)
+        a, b = map(np.array, zip(*pairs))
+        masses = truncated_moments(a, b, STANDARD_SOURCE).mass
+        for (lo, hi), mass in zip(pairs, masses):
+            assert mass == truncated_moments(lo, hi, STANDARD_SOURCE).mass
+            with mpmath.workdps(50):
+                exact = mp_interval_mass(lo, hi)
+                one_sided = lo >= 0.0 or hi <= 0.0
+                bound = 1e-15 * exact + one_sided * sum(
+                    cdf_rel_bound(x) * mp_upper_tail(abs(x)) for x in (lo, hi) if math.isfinite(x))
+                if mass == 0.0:  # an underflowed interval, emptied by design
+                    assert exact < 1e-300 + bound, (lo, hi)
+                else:
+                    assert abs(mpmath.mpf(mass) - exact) <= bound, (lo, hi)
+
+
 class TestEntropyHelpers:
     def test_uniform(self):
         assert entropy_bits([0.25] * 4) == pytest.approx(2.0, abs=1e-15)
@@ -277,6 +341,9 @@ class TestEntropyHelpers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             entropy_bits([0.5, -0.5])
+
+    def test_rounding_negatives_count_as_zero(self):
+        assert entropy_bits([0.5, 0.5, -1e-13]) == 1.0
 
     def test_binary_entropy_points(self):
         assert entropy_bits([0.5, 0.5]) == 1.0

@@ -103,6 +103,10 @@ class TestBinTable:
             right = table.centroid[table.row(i)] - 0.3
             assert right == pytest.approx(-left, abs=1e-12)
 
+    def test_tail_width_literal_is_erfcinv(self):
+        # The package keeps the constant as a literal so as not to import scipy.
+        assert quantizer._TAIL_STDS == math.sqrt(2.0) * float(special.erfcinv(1e-12))
+
 
 class TestEntropies:
     def test_output_entropy_oracle(self, unit_table):
@@ -561,12 +565,12 @@ def mp_within_var(a, b, source):
 
 
 class TestBinTableMatchesReference:
-    # scipy's erfc and exp may differ from math's in the last ulp.  A
-    # narrow bin's mass is a difference of two tail masses, which scales
-    # that ulp by up to about sigma/step (some 3000 here); the centroid
-    # divides by the mass and reaches 7 sigma in the tails.  Worst gaps
-    # seen over 1500 random tables: 1.6e-12 relative on mass and 6.4e-12
-    # sigma on centroids.  The bounds sit at 6 to 8 times those.
+    # The masses come from math.erf/erfc on the same arguments as the
+    # loop's, so they are the same bits.  numpy's exp may differ from
+    # math's in the last ulp, and the centroid divides a difference of
+    # two densities by the mass, reaching 7 sigma in the tails; the bound
+    # on centroids is the one set when the masses came from scipy (worst
+    # gap then 6.4e-12 sigma over 1500 random tables).
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(1e-3, 3.0),
@@ -580,8 +584,7 @@ class TestBinTableMatchesReference:
         got = build_bin_table(source, spec)
         indices, prob, centroid = ref_build_bin_table(source, spec)
         assert np.array_equal(got.indices, indices)
-        np.testing.assert_allclose(got.prob, prob, rtol=1e-11, atol=0.0)
-        assert np.array_equal(got.prob == 0.0, prob == 0.0)
+        assert np.array_equal(got.prob, prob)
         np.testing.assert_allclose(got.centroid, centroid, rtol=0.0,
                                    atol=5e-11 * source.std)
 

@@ -296,6 +296,20 @@ class TestGreedyScheme:
                 GreedyQuantizedScheme(2.7, n_max=bad)
         assert GreedyQuantizedScheme(2.7, n_max=3.0).evaluate(0.0) == point
 
+    @pytest.mark.parametrize("rate", [0.5, 7.0])
+    def test_divisor_ties_survive_last_bit_noise(self, rate):
+        # At R = 0.5, n = 1 and n = 2 leave Eve the same error by sign
+        # symmetry, and at R = 7 several large divisors tie within 1e-15:
+        # a few ulps of erfc must not move the reported divisor.
+        plan = GreedyQuantizedScheme(rate)
+        key_rates = np.arange(0.0, 3.01, 0.05)
+        picks = [plan.evaluate(rs).meta["n_mod"] for rs in key_rates]
+        mmse = plan._eve_mmse.copy()
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            plan._eve_mmse = mmse + rng.integers(-4, 5, mmse.size) * np.spacing(mmse)
+            assert [plan.evaluate(rs).meta["n_mod"] for rs in key_rates] == picks
+
     def test_zero_rate_rejected(self):
         with pytest.raises(InfeasibleError):
             GreedyQuantizedScheme(0.0)
