@@ -44,6 +44,7 @@ GOLDEN_COMMANDS = {
     ],
     "verify_entropy_limit": ["verify", "--suite", "entropy_limit"],
     "verify_quantizer_bound": ["verify", "--suite", "quantizer_bound"],
+    "verify_sign_split": ["verify", "--suite", "sign_split"],
     "verify_thm2_grid": ["verify", "--suite", "thm2_grid"],
 }
 

@@ -44,6 +44,20 @@ SIGN_SPLIT_REFS = {
     8.0: 0.99655288,
 }
 
+# sign_split_key_requirement at the `verify --suite sign_split` grid, as
+# computed by the 0-d numpy integrand this module's quadrature started
+# from; rewrites of the integrand must keep these bits.
+SIGN_SPLIT_BITS = {
+    0.0: 0.0,
+    0.25: 0.19979454582570488,
+    0.5: 0.3444205932347648,
+    1.0: 0.5485568249265476,
+    2.0: 0.7781797294427327,
+    4.0: 0.944827685675844,
+    8.0: 0.9965528831045577,
+    10.0: 0.9991382218345025,
+}
+
 
 class TestClosedForms:
     def test_weak_value(self):
@@ -226,6 +240,10 @@ class TestSignSplit:
     @pytest.mark.parametrize("r,ref", sorted(SIGN_SPLIT_REFS.items()))
     def test_reference_values(self, r, ref):
         assert sign_split_key_requirement(r) == pytest.approx(ref, abs=1e-4)
+
+    @pytest.mark.parametrize("r,bits", sorted(SIGN_SPLIT_BITS.items()))
+    def test_recorded_bits_at_suite_grid(self, r, bits):
+        assert sign_split_key_requirement(r) == bits
 
     def test_monotone_and_below_one(self):
         grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
