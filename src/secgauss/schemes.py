@@ -17,12 +17,12 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .model import (
+    _INV_SQRT_2PI,
     STANDARD_SOURCE,
     GaussianSource,
     PayoffValue,
     RatePair,
     entropy_bits,
-    normal_pdf,
 )
 from .quantizer import (
     QuantizerSpec,
@@ -239,10 +239,10 @@ def verify_jointly_gaussian_grid(
 
 def _binary_entropy_of_logit(z: float) -> float:
     """H_binary(sigmoid(z)) in bits, stable for |z| up to overflow."""
-    sp_pos = np.logaddexp(0.0, z)
-    sp_neg = np.logaddexp(0.0, -z)
+    # softplus(+-z) = max(+-z, 0) + log1p(exp(-|z|)), as np.logaddexp(0, +-z).
+    tail = math.log1p(math.exp(-abs(z)))
     p = 1.0 / (1.0 + math.exp(-z)) if z > -700 else 0.0
-    return float(p * sp_neg + (1.0 - p) * sp_pos) / _LN2
+    return (p * (max(-z, 0.0) + tail) + (1.0 - p) * (max(z, 0.0) + tail)) / _LN2
 
 
 def sign_split_key_requirement(rate_bits: float) -> float:
@@ -267,6 +267,10 @@ def sign_split_key_requirement(rate_bits: float) -> float:
     s = math.sqrt(1.0 - rho2)
     s2 = 1.0 - rho2
 
+    def pdf(x: float) -> float:
+        # Scalar normal density; its arguments stay within 9 sigma.
+        return _INV_SQRT_2PI * math.exp(-0.5 * (x * x))
+
     def sign_entropy_given(y: float) -> float:
         # Conditional entropy of the sign given Y = y, as an integral in
         # the posterior log-odds z ~ N(a, b^2).
@@ -279,7 +283,7 @@ def sign_split_key_requirement(rate_bits: float) -> float:
         if lo >= hi:
             return 0.0
         val, _ = integrate.quad(
-            lambda z: _binary_entropy_of_logit(z) * normal_pdf((z - a) / b) / b,
+            lambda z: _binary_entropy_of_logit(z) * pdf((z - a) / b) / b,
             lo,
             hi,
             epsabs=1e-7,
@@ -288,7 +292,7 @@ def sign_split_key_requirement(rate_bits: float) -> float:
         return val
 
     def outer(y: float) -> float:
-        return normal_pdf(y) * sign_entropy_given(y)
+        return pdf(y) * sign_entropy_given(y)
 
     # The log-odds spike leaves the integration window near this y; split
     # the outer integral there so quad sees smooth pieces on both sides.

@@ -30,6 +30,7 @@ from secgauss import (
     verify_jointly_gaussian_grid,
     weak_eavesdropper_payoff,
 )
+from secgauss.schemes import _binary_entropy_of_logit
 
 WEAK_AT_2P7 = 0.97631692864827502996  # 1 - 2^-5.4, mpmath
 PI_E_HALF = 4.2698671113367835327
@@ -233,7 +234,23 @@ class TestGridCertificate:
         assert triple.rho_xy == round(triple.rho_xy / step) * step
 
 
+def reference_binary_entropy_of_logit(z):
+    """H_binary(sigmoid(z)) in bits through 0-d numpy, as the integrand had it."""
+    sp_pos = np.logaddexp(0.0, z)
+    sp_neg = np.logaddexp(0.0, -z)
+    p = 1.0 / (1.0 + math.exp(-z)) if z > -700 else 0.0
+    return float(p * sp_neg + (1.0 - p) * sp_pos) / math.log(2.0)
+
+
 class TestSignSplit:
+    def test_logit_entropy_matches_numpy_form(self):
+        edges = [0.0, 46.0, 699.0, 699.999, 700.0, 700.001, 701.0, 745.0, 746.0, 800.0]
+        grid = np.concatenate([np.linspace(-800.0, 800.0, 16001), edges, np.negative(edges),
+                               np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        for z in grid.tolist():
+            ref = reference_binary_entropy_of_logit(z)
+            assert abs(_binary_entropy_of_logit(z) - ref) <= 1e-15, z
+
     def test_zero_rate(self):
         assert sign_split_key_requirement(0.0) == 0.0
 
