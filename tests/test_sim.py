@@ -22,6 +22,8 @@ from secgauss import (
     standard_error,
     step_size_for_entropy,
 )
+from secgauss.model import entropy_bits
+from secgauss.sim import _BLOCK, _magnitude_means
 
 SRC = STANDARD_SOURCE
 
@@ -227,3 +229,88 @@ class TestSmallSamples:
     def test_two_symbols_valid(self):
         r = run_sim(make_config(n=2, seed=5), SRC)
         assert r.std_error >= 0.0
+
+
+def reference_run_sim(config, source):
+    """The whole-sample run_sim that drew every symbol in one array.
+
+    Returns its SimResult and the payoff sample array it held.
+    """
+    rates = config.rates
+    recon = config.quantizer.reconstruction
+    if config.scheme == "full_encryption":
+        step = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
+        table = build_bin_table(source, QuantizerSpec(step=step, reconstruction=recon))
+    else:
+        table = build_bin_table(source, config.quantizer)
+    h_table = output_entropy(table)
+    k = table.max_index
+    mag_prob, pair_mean = _magnitude_means(table)
+    if config.scheme == "sign_pad":
+        model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
+    elif config.scheme == "no_key":
+        model_rate, model_key = h_table, 0.0
+    else:
+        model_rate, model_key = h_table, h_table
+
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    xs = source.mean + source.std * rng.standard_normal(config.n_symbols)
+    idx = np.rint((xs - source.mean) / table.step).astype(np.int64)
+    np.clip(idx, -k, k, out=idx)
+    if recon == "centroid":
+        ys = table.centroid[idx + k]
+    else:
+        ys = source.mean + idx * table.step
+    if config.scheme == "no_key":
+        zs = table.centroid[idx + k]
+    elif config.scheme == "full_encryption":
+        zs = np.full(config.n_symbols, source.mean)
+    else:
+        zs = pair_mean[np.abs(idx)]
+    bob_sq = (ys - xs) ** 2
+    eve_sq = (zs - xs) ** 2
+    bob_mse = float(bob_sq.mean())
+    eve_mse = float(eve_sq.mean())
+    samples = (eve_sq - bob_sq) / source.variance
+    result = SimResult(
+        empirical_payoff=(eve_mse - bob_mse) / source.variance,
+        std_error=standard_error(samples) if config.n_symbols >= 2 else 0.0,
+        bob_mse=bob_mse,
+        eve_mse=eve_mse,
+        model_rate_bits=model_rate,
+        model_key_bits=model_key,
+    )
+    return result, samples
+
+
+def _close(actual, expected):
+    if expected == 0.0:
+        return actual == 0.0
+    return abs(actual - expected) <= 1e-12 * abs(expected)
+
+
+class TestBlockedSim:
+    """run_sim scores the sample in blocks; the whole-sample run is the reference."""
+
+    SCHEMES = {
+        "sign_pad": dict(rate=4.0, rs=1.0),
+        "no_key": dict(rate=4.0, rs=0.0),
+        "full_encryption": dict(rate=2.5, rs=1.75),
+    }
+
+    @pytest.mark.parametrize("source", [SRC, GaussianSource(mean=0.3, variance=1.7)],
+                             ids=["standard", "shifted"])
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    @pytest.mark.parametrize("recon", ["lattice", "centroid"])
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_matches_whole_sample_run(self, scheme, recon, n, source):
+        cfg = make_config(scheme=scheme, recon=recon, n=n, seed=n + 11,
+                          **self.SCHEMES[scheme])
+        got = run_sim(cfg, source)
+        ref, samples = reference_run_sim(cfg, source)
+        for field in ("empirical_payoff", "bob_mse", "eve_mse", "std_error"):
+            assert _close(getattr(got, field), getattr(ref, field)), field
+        assert got.model_rate_bits == ref.model_rate_bits
+        assert got.model_key_bits == ref.model_key_bits
+        if n >= 2:
+            assert _close(got.std_error, standard_error(samples))
