@@ -268,7 +268,6 @@ def sign_split_key_requirement(rate_bits: float) -> float:
     s2 = 1.0 - rho2
 
     def pdf(x: float) -> float:
-        # Scalar normal density; its arguments stay within 9 sigma.
         return _INV_SQRT_2PI * math.exp(-0.5 * (x * x))
 
     def sign_entropy_given(y: float) -> float:

@@ -382,8 +382,7 @@ class TestInputBounds:
     def test_largest_sim_stays_small(self):
         # run_sim draws and scores the sample in fixed blocks, so the largest
         # accepted run peaks near the interpreter's own footprint (about 38 MB
-        # on Linux; the whole-sample draw it replaced peaked near 0.65 GB).
-        # Linux carries the parent's ru_maxrss across exec, so a child of a
+        # on Linux).  Linux carries ru_maxrss across exec, so a child of a
         # large test process reads its own peak from VmHWM where it can.
         pytest.importorskip("resource")
         code = f"""

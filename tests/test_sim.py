@@ -15,6 +15,7 @@ from secgauss import (
     SimResult,
     bob_distortion,
     build_bin_table,
+    entropy_bits,
     eve_mmse_given_magnitude,
     eve_oracle_estimate,
     output_entropy,
@@ -22,7 +23,6 @@ from secgauss import (
     standard_error,
     step_size_for_entropy,
 )
-from secgauss.model import entropy_bits
 from secgauss.sim import _BLOCK, _magnitude_means
 
 SRC = STANDARD_SOURCE
