@@ -27,7 +27,6 @@ __all__ = [
     "CandidateSet",
     "LpSolution",
     "build_quantized_pmf",
-    "candidate_score",
     "enumerate_subset_candidates",
     "solve_secrecy_lp",
     "sweep_secrecy_lp",
@@ -36,8 +35,8 @@ __all__ = [
 
 DEFAULT_SUPPORT_CAP = 15
 # Largest support cap accepted; above it the 2**k subset masks are
-# refused before any is built.  Peak RSS of one `lp` solve: 134 MB at
-# support 15, 311 MB at 17, 943 MB at 19 (about 4x per two points).
+# refused before any is built.  Peak RSS of `lp --t 0.3 --r 9 --rs 0.5`:
+# 55 MB at support 15, 132 MB at 17, 468 MB at 19.
 _MAX_SUPPORT = 19
 
 _SCORE_MODES = ("continuous", "alphabet_restricted")
@@ -160,28 +159,6 @@ def build_quantized_pmf(
     return pmf
 
 
-def candidate_score(points, q, mode: str = "continuous") -> float:
-    """Least squared error of an eavesdropper who knows the posterior q.
-
-    `continuous` allows any real estimate (the variance); the
-    `alphabet_restricted` estimate must be one of the support points.
-    """
-    points = np.asarray(points, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if points.shape != q.shape:
-        raise ValueError("points and q must have matching shapes")
-    return float(_scores(points, q[None, :], mode)[0])
-
-
-def _scores(points: np.ndarray, q: np.ndarray, mode: str) -> np.ndarray:
-    """`candidate_score` of every posterior row of q."""
-    if mode not in _SCORE_MODES:
-        raise ValueError(f"unknown score mode {mode!r}")
-    gaps = (points - (q @ points)[:, None]) ** 2
-    var = np.sum(q * gaps, axis=1)
-    return var if mode == "continuous" else var + gaps.min(axis=1)
-
-
 def enumerate_subset_candidates(
     pmf: QuantizedPmf,
     k_cap: int = DEFAULT_SUPPORT_CAP,
@@ -194,6 +171,11 @@ def enumerate_subset_candidates(
     disclosure.  Subsets of zero mass are left out.  Supports larger
     than k_cap are refused outright rather than approximated, and so is
     a k_cap above `_MAX_SUPPORT`, before any mask is built.
+
+    A candidate's score is the least squared error of an eavesdropper
+    who knows its posterior: the variance in `continuous` mode; in
+    `alphabet_restricted` mode the estimate must be a support point,
+    which adds the squared gap from the mean to the nearest one.
     """
     if mode not in _SCORE_MODES:
         raise ValueError(f"unknown score mode {mode!r}")
@@ -211,7 +193,11 @@ def enumerate_subset_candidates(
     live = totals > 0.0
     masks, q = masks[live], raw[live] / totals[live, None]
     ent = -np.sum(q * np.log(np.where(q > 0.0, q, 1.0)), axis=1) / math.log(2.0)
-    return CandidateSet(masks, q, np.maximum(ent, 0.0), _scores(pmf.points, q, mode))
+    gaps = (pmf.points - (q @ pmf.points)[:, None]) ** 2
+    scores = np.sum(q * gaps, axis=1)
+    if mode == "alphabet_restricted":
+        scores += gaps.min(axis=1)
+    return CandidateSet(masks, q, np.maximum(ent, 0.0), scores)
 
 
 def covers_entropy(pmf: QuantizedPmf, rate: float) -> bool:

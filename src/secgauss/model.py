@@ -20,7 +20,6 @@ __all__ = [
     "PayoffValue",
     "TruncatedMoments",
     "payoff",
-    "sequence_payoff",
     "distortion_rate",
     "differential_entropy_bits",
     "normal_pdf",
@@ -129,21 +128,6 @@ def payoff(x: float, y: float, z: float, source: GaussianSource) -> float:
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     return ((z - x) ** 2 - (y - x) ** 2) / source.variance
-
-
-def sequence_payoff(xs, ys, zs, source: GaussianSource) -> float:
-    """Average payoff over equal-length sequences of symbols."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    zs = np.asarray(zs, dtype=float)
-    if not (xs.shape == ys.shape == zs.shape):
-        raise ValueError("xs, ys, zs must have identical shapes")
-    if xs.size == 0:
-        raise ValueError("sequences must be non-empty")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(zs).all()):
-        raise ValueError("sequence entries must be finite")
-    gaps = (zs - xs) ** 2 - (ys - xs) ** 2
-    return float(np.mean(gaps)) / source.variance
 
 
 def distortion_rate(rate_bits: float, source: GaussianSource) -> float:

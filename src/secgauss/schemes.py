@@ -404,11 +404,11 @@ def evaluate_finite_strategy(joint: FiniteJoint, source: GaussianSource) -> Fini
     i_xy_given_u = max(h_xu + h_yu - h_xyu - h_u, 0.0)
     i_x_uy = max(h_x + h_yu - h_xyu, 0.0)
 
+    # Eve's error about her estimate E[X|u], never E[X**2] minus a square,
+    # which cancels away the payoff when the mean is large.
     x = joint.x_points
-    second = float(np.dot(p_x, x * x))
-    cond_first = x @ p_xu
-    pos = p_u > 0.0
-    eve = second - float(np.sum(cond_first[pos] ** 2 / p_u[pos]))
+    eve_est = np.divide(x @ p_xu, p_u, out=np.zeros_like(p_u), where=p_u > 0.0)
+    eve = float(np.sum(p_xu * (x[:, None] - eve_est) ** 2))
     diff = joint.y_points[None, :] - x[:, None]
     bob = float(np.sum(p_xy * diff * diff))
     value = (eve - bob) / source.variance

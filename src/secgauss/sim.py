@@ -25,7 +25,6 @@ import numpy as np
 from .errors import InfeasibleError
 from .model import GaussianSource, RatePair, entropy_bits
 from .quantizer import (
-    BinTable,
     QuantizerSpec,
     _class_moments,
     build_bin_table,
@@ -39,8 +38,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "run_sim",
-    "eve_oracle_estimate",
-    "standard_error",
 ]
 
 SIM_SCHEMES = ("sign_pad", "full_encryption", "no_key")
@@ -97,46 +94,6 @@ class SimResult:
             raise ValueError("standard error must be nonnegative")
 
 
-def standard_error(payoff_samples) -> float:
-    """Standard error of the mean of per-letter payoffs."""
-    samples = np.asarray(payoff_samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("need at least two samples")
-    return float(np.std(samples, ddof=1) / math.sqrt(samples.size))
-
-
-def eve_oracle_estimate(observable, scheme: str, table: BinTable, history=None) -> float:
-    """Exact conditional mean of the current symbol given Eve's observables.
-
-    `history` takes any causal side information (past source, Bob, or
-    Eve symbols); the schemes are per-symbol and the source i.i.d., so
-    it is accepted and ignored.
-    """
-    del history
-    source = table.source
-    if scheme == "full_encryption":
-        # The pad makes the whole message independent of the symbol.
-        return source.mean
-    if scheme == "sign_pad":
-        u = int(observable)
-        if u < 0:
-            raise ValueError("magnitude observable must be >= 0")
-        return float(_magnitude_means(table)[1][min(u, table.max_index)])
-    if scheme == "no_key":
-        n = int(observable)
-        n = max(min(n, table.max_index), -table.max_index)
-        return float(table.centroid[table.row(n)])
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def _magnitude_means(table: BinTable) -> tuple[np.ndarray, np.ndarray]:
-    """Mass of each magnitude 0..k and the mean over its {+u, -u} bin pair.
-
-    A pair without mass gets the source mean.
-    """
-    return _class_moments(table, np.abs(table.indices))[:2]
-
-
 def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     """Simulate one scheme and report empirical payoff against analytic rates.
 
@@ -164,7 +121,7 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     if config.scheme == "sign_pad":
         if rates.key_rate < 1.0:
             raise InfeasibleError("sign_pad consumes one key bit per symbol; key_rate >= 1 required")
-        mag_prob, pair_mean = _magnitude_means(table)
+        mag_prob, pair_mean = _class_moments(table, np.abs(lattice))[:2]
         model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
         # Eve sees only the magnitude; condition on the {+u, -u} pair.
         eve_points = pair_mean[np.abs(lattice)]

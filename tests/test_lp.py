@@ -16,7 +16,6 @@ from secgauss import (
     QuantizerSpec,
     RatePair,
     build_quantized_pmf,
-    candidate_score,
     enumerate_subset_candidates,
     lp_payoff,
     solve_secrecy_lp,
@@ -127,37 +126,37 @@ class TestBuildQuantizedPmf:
 
 
 class TestCandidateScore:
+    """The `scores` column of enumerate_subset_candidates."""
+
+    HALVES = QuantizedPmf(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+
+    def full_score(self, mode):
+        cands = enumerate_subset_candidates(self.HALVES, mode=mode)
+        assert cands.masks[-1] == 3
+        return cands.scores[-1]
+
     def test_continuous_is_variance(self):
-        pts = np.array([0.0, 1.0])
-        q = np.array([0.5, 0.5])
-        assert candidate_score(pts, q, "continuous") == pytest.approx(0.25, abs=1e-15)
+        assert self.full_score("continuous") == pytest.approx(0.25, abs=1e-15)
 
     def test_restricted_adds_nearest_gap(self):
-        pts = np.array([0.0, 1.0])
-        q = np.array([0.5, 0.5])
         # Eve must answer 0 or 1; either is 0.5 away from the mean.
-        assert candidate_score(pts, q, "alphabet_restricted") == pytest.approx(
-            0.5, abs=1e-15
-        )
+        assert self.full_score("alphabet_restricted") == pytest.approx(0.5, abs=1e-15)
 
     def test_restricted_no_worse_than_continuous(self, small_pmf):
-        pts = small_pmf.points
-        cands = enumerate_subset_candidates(small_pmf)
-        for q in cands.posteriors[:10]:
-            c = candidate_score(pts, q, "continuous")
-            r = candidate_score(pts, q, "alphabet_restricted")
-            assert r >= c - 1e-15
+        c = enumerate_subset_candidates(small_pmf, mode="continuous").scores
+        r = enumerate_subset_candidates(small_pmf, mode="alphabet_restricted").scores
+        assert (r >= c - 1e-15).all()
 
-    def test_singleton_scores_zero(self):
-        pts = np.array([-1.0, 3.0])
-        assert candidate_score(pts, np.array([1.0, 0.0]), "continuous") == 0.0
-        assert (
-            candidate_score(pts, np.array([1.0, 0.0]), "alphabet_restricted") == 0.0
-        )
+    def test_singleton_scores_zero(self, small_pmf):
+        for mode in ("continuous", "alphabet_restricted"):
+            cands = enumerate_subset_candidates(small_pmf, mode=mode)
+            single = (cands.masks & (cands.masks - 1)) == 0
+            assert single.sum() == small_pmf.points.size
+            assert (cands.scores[single] == 0.0).all()
 
-    def test_unknown_mode(self):
+    def test_unknown_mode(self, small_pmf):
         with pytest.raises(ValueError):
-            candidate_score(np.array([0.0]), np.array([1.0]), "quantized")
+            enumerate_subset_candidates(small_pmf, mode="quantized")
 
 
 class TestEnumerateCandidates:
@@ -380,10 +379,13 @@ class TestValueCurveSupport15:
 
     def test_matches_highs_on_the_equilibrated_lp(self, support15, monkeypatch):
         # Capture the scaled program the sweep is handed and give it to
-        # HiGHS at each of its key rates.  HiGHS stops within its own
-        # tolerances, which leave its value a few 1e-9 off the exact
-        # optimum.  Key rate 0.25 and grid points 3, 6 and 10, solved as
-        # one warm sweep; the last lies above H(pmf).
+        # HiGHS's interior-point method at each of its key rates; on this
+        # 32767-column program it is about twice as fast as the dual
+        # simplex HiGHS picks by default.  Either stops within its own
+        # tolerances: after crossover the interior point lands within
+        # 1e-13 of our value here, the dual simplex up to 2e-9 off.  Key
+        # rate 0.25 and grid points 3, 6 and 10, solved as one warm
+        # sweep; the last lies above H(pmf).
         pmf, cands, grid, _ = support15
         original = lp_module.linear_program_sweep
         seen = []
@@ -401,7 +403,7 @@ class TestValueCurveSupport15:
         for rs, (_, value) in zip(rates, solved):
             b = b.copy()
             b[row] = rs
-            ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+            ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs-ipm")
             assert ref.success, rs
             assert value == pytest.approx(-ref.fun, abs=1e-7), rs
 

@@ -23,7 +23,6 @@ from secgauss import (
     normal_cdf,
     normal_pdf,
     payoff,
-    sequence_payoff,
     truncated_moments,
 )
 from secgauss import model
@@ -70,21 +69,6 @@ class TestPayoff:
             payoff(math.nan, 0.0, 0.0, STANDARD_SOURCE)
         with pytest.raises(ValueError):
             payoff(0.0, math.inf, 0.0, STANDARD_SOURCE)
-
-    def test_sequence_payoff_is_mean_of_singles(self):
-        xs = [0.0, 1.0, -2.0]
-        ys = [0.5, 1.0, -1.0]
-        zs = [1.0, 0.0, 0.0]
-        singles = [payoff(x, y, z, STANDARD_SOURCE) for x, y, z in zip(xs, ys, zs)]
-        assert sequence_payoff(xs, ys, zs, STANDARD_SOURCE) == pytest.approx(
-            np.mean(singles), abs=1e-15
-        )
-
-    def test_sequence_payoff_shape_checks(self):
-        with pytest.raises(ValueError):
-            sequence_payoff([1.0], [1.0, 2.0], [1.0], STANDARD_SOURCE)
-        with pytest.raises(ValueError):
-            sequence_payoff([], [], [], STANDARD_SOURCE)
 
 
 class TestRateTypes:

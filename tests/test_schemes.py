@@ -16,6 +16,7 @@ from secgauss import (
     STANDARD_SOURCE,
     CorrelationTriple,
     FiniteJoint,
+    GaussianSource,
     GreedyQuantizedScheme,
     InfeasibleError,
     PayoffPoint,
@@ -413,6 +414,20 @@ class TestFiniteStrategy:
         # Bob must play the useless Y (MSE 2) while Eve's blind
         # conditional mean earns MSE 1: the gap is exactly -1.
         assert float(report.payoff) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3, 1e5, 1e6, 1e7])
+    def test_blind_eve_at_large_mean(self, shift):
+        # X = Y on three points, U constant: Eve's error is the variance
+        # and the payoff is exactly 1 at any mean.  E[X**2] minus a squared
+        # mean cancels here; at mean 1e5 it overshoots the unit bound.
+        pts = np.array([-1.3, 0.2, 1.1]) + shift
+        probs = np.array([0.3, 0.3, 0.4])
+        mean = float(probs @ pts)
+        source = GaussianSource(mean, float(probs @ (pts - mean) ** 2))
+        pmf = np.zeros((3, 3, 1))
+        pmf[np.arange(3), np.arange(3), 0] = probs
+        report = evaluate_finite_strategy(FiniteJoint(pts, pts, np.array([0.0]), pmf), source)
+        assert float(report.payoff) == pytest.approx(1.0, abs=1e-12)
 
     def test_pmf_validation(self):
         pts = np.array([-1.0, 1.0])

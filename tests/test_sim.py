@@ -17,13 +17,12 @@ from secgauss import (
     build_bin_table,
     entropy_bits,
     eve_mmse_given_magnitude,
-    eve_oracle_estimate,
     output_entropy,
     run_sim,
-    standard_error,
     step_size_for_entropy,
 )
-from secgauss.sim import _BLOCK, _magnitude_means
+from secgauss.quantizer import _class_moments
+from secgauss.sim import _BLOCK
 
 SRC = STANDARD_SOURCE
 
@@ -40,56 +39,27 @@ def make_config(scheme="sign_pad", scenario="weak", rate=4.0, rs=1.0,
     )
 
 
-class TestStandardError:
-    def test_two_point_sample(self):
-        assert standard_error([0.0, 2.0]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_constant_sample(self):
-        assert standard_error([3.0, 3.0, 3.0]) == 0.0
-
-    def test_too_few(self):
-        with pytest.raises(ValueError):
-            standard_error([1.0])
-
-
-@pytest.fixture(scope="module")
-def table():
-    return build_bin_table(SRC, QuantizerSpec(step=0.7))
+def pair_means(source):
+    """A symmetric table and the mean over each of its {+u, -u} bin pairs."""
+    table = build_bin_table(source, QuantizerSpec(step=0.7))
+    return table, _class_moments(table, np.abs(table.indices))[1]
 
 
 class TestEveOracle:
-    def test_zero_magnitude_is_center_centroid(self, table):
-        assert eve_oracle_estimate(0, "sign_pad", table) == pytest.approx(
-            float(table.centroid[table.row(0)]), abs=1e-15
-        )
+    """Eve's sign_pad estimate given the magnitude, as run_sim forms it."""
 
-    def test_symmetric_pair_averages_to_mean(self, table):
-        # Symmetric source: +u and -u carry equal mass, centroids mirror.
-        for u in (1, 2, 3):
-            assert eve_oracle_estimate(u, "sign_pad", table) == pytest.approx(
-                0.0, abs=1e-12
-            )
+    SOURCES = (SRC, GaussianSource(mean=0.3, variance=1.7))
 
-    def test_history_ignored(self, table):
-        a = eve_oracle_estimate(2, "sign_pad", table)
-        b = eve_oracle_estimate(2, "sign_pad", table, history=[1.2, -0.3, 9.9])
-        assert a == b
+    def test_zero_magnitude_is_center_centroid(self):
+        for source in self.SOURCES:
+            table, means = pair_means(source)
+            assert means[0] == pytest.approx(float(table.centroid[table.row(0)]), abs=1e-15)
 
-    def test_full_encryption_blind(self, table):
-        assert eve_oracle_estimate(5, "full_encryption", table) == SRC.mean
-
-    def test_no_key_reads_centroid(self, table):
-        assert eve_oracle_estimate(-3, "no_key", table) == pytest.approx(
-            float(table.centroid[table.row(-3)]), abs=1e-15
-        )
-
-    def test_negative_magnitude_rejected(self, table):
-        with pytest.raises(ValueError):
-            eve_oracle_estimate(-1, "sign_pad", table)
-
-    def test_unknown_scheme(self, table):
-        with pytest.raises(ValueError):
-            eve_oracle_estimate(0, "xor_everything", table)
+    def test_symmetric_pair_averages_to_mean(self):
+        # +u and -u carry equal mass and their centroids mirror about the mean.
+        for source in self.SOURCES:
+            _, means = pair_means(source)
+            np.testing.assert_allclose(means[1:], source.mean, rtol=0.0, atol=1e-12)
 
 
 class TestConfigValidation:
@@ -232,10 +202,7 @@ class TestSmallSamples:
 
 
 def reference_run_sim(config, source):
-    """The whole-sample run_sim that drew every symbol in one array.
-
-    Returns its SimResult and the payoff sample array it held.
-    """
+    """The whole-sample run_sim that drew every symbol in one array."""
     rates = config.rates
     recon = config.quantizer.reconstruction
     if config.scheme == "full_encryption":
@@ -245,7 +212,7 @@ def reference_run_sim(config, source):
         table = build_bin_table(source, config.quantizer)
     h_table = output_entropy(table)
     k = table.max_index
-    mag_prob, pair_mean = _magnitude_means(table)
+    mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
     if config.scheme == "sign_pad":
         model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
     elif config.scheme == "no_key":
@@ -272,15 +239,15 @@ def reference_run_sim(config, source):
     bob_mse = float(bob_sq.mean())
     eve_mse = float(eve_sq.mean())
     samples = (eve_sq - bob_sq) / source.variance
-    result = SimResult(
+    return SimResult(
         empirical_payoff=(eve_mse - bob_mse) / source.variance,
-        std_error=standard_error(samples) if config.n_symbols >= 2 else 0.0,
+        std_error=(float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+                   if config.n_symbols >= 2 else 0.0),
         bob_mse=bob_mse,
         eve_mse=eve_mse,
         model_rate_bits=model_rate,
         model_key_bits=model_key,
     )
-    return result, samples
 
 
 def _close(actual, expected):
@@ -307,10 +274,8 @@ class TestBlockedSim:
         cfg = make_config(scheme=scheme, recon=recon, n=n, seed=n + 11,
                           **self.SCHEMES[scheme])
         got = run_sim(cfg, source)
-        ref, samples = reference_run_sim(cfg, source)
+        ref = reference_run_sim(cfg, source)
         for field in ("empirical_payoff", "bob_mse", "eve_mse", "std_error"):
             assert _close(getattr(got, field), getattr(ref, field)), field
         assert got.model_rate_bits == ref.model_rate_bits
         assert got.model_key_bits == ref.model_key_bits
-        if n >= 2:
-            assert _close(got.std_error, standard_error(samples))
