@@ -3,124 +3,19 @@
 A library and CLI for computing, optimizing, and empirically validating
 the trade-off between message rate, secret-key rate, and the payoff (the
 eavesdropper's excess squared error over the legitimate decoder's).
+The package exports the public names of its modules, listed in each
+module's `__all__`.
 """
 
-from .errors import InfeasibleError, SolverError
-from .lp import (
-    CandidateSet,
-    LpSolution,
-    QuantizedPmf,
-    build_quantized_pmf,
-    enumerate_subset_candidates,
-    lp_payoff,
-    solve_secrecy_lp,
-    sweep_secrecy_lp,
-)
-from .model import (
-    STANDARD_SOURCE,
-    GaussianSource,
-    PayoffValue,
-    RatePair,
-    TruncatedMoments,
-    differential_entropy_bits,
-    distortion_rate,
-    entropy_bits,
-    normal_cdf,
-    normal_pdf,
-    payoff,
-    truncated_moments,
-)
-from .quantizer import (
-    BinTable,
-    QuantizerSpec,
-    bob_distortion,
-    build_bin_table,
-    entropy_given_magnitude,
-    entropy_given_residue,
-    eve_mmse_given_magnitude,
-    eve_mmse_given_residue,
-    fold_bin_table,
-    output_entropy,
-    step_size_for_entropy,
-)
-from .schemes import (
-    SCHEME_IDS,
-    CorrelationTriple,
-    FiniteJoint,
-    FiniteStrategyReport,
-    GreedyQuantizedScheme,
-    PayoffPoint,
-    asymptotic_quantization_bound,
-    evaluate_finite_strategy,
-    greedy_quantized_scheme,
-    jointly_gaussian_payoff,
-    optimal_high_key_payoff,
-    sign_split_key_requirement,
-    verify_jointly_gaussian_grid,
-    weak_eavesdropper_payoff,
-)
-from .sim import (
-    SIM_SCENARIOS,
-    SIM_SCHEMES,
-    SimConfig,
-    SimResult,
-    run_sim,
-)
+from . import errors, lp, model, quantizer, schemes, sim
+from .errors import *  # noqa: F403
+from .lp import *  # noqa: F403
+from .model import *  # noqa: F403
+from .quantizer import *  # noqa: F403
+from .schemes import *  # noqa: F403
+from .sim import *  # noqa: F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "InfeasibleError",
-    "SolverError",
-    "GaussianSource",
-    "STANDARD_SOURCE",
-    "RatePair",
-    "PayoffValue",
-    "TruncatedMoments",
-    "payoff",
-    "distortion_rate",
-    "differential_entropy_bits",
-    "normal_pdf",
-    "normal_cdf",
-    "entropy_bits",
-    "truncated_moments",
-    "QuantizerSpec",
-    "BinTable",
-    "build_bin_table",
-    "fold_bin_table",
-    "output_entropy",
-    "entropy_given_magnitude",
-    "entropy_given_residue",
-    "bob_distortion",
-    "eve_mmse_given_residue",
-    "eve_mmse_given_magnitude",
-    "step_size_for_entropy",
-    "SCHEME_IDS",
-    "PayoffPoint",
-    "CorrelationTriple",
-    "FiniteJoint",
-    "FiniteStrategyReport",
-    "GreedyQuantizedScheme",
-    "weak_eavesdropper_payoff",
-    "jointly_gaussian_payoff",
-    "optimal_high_key_payoff",
-    "asymptotic_quantization_bound",
-    "verify_jointly_gaussian_grid",
-    "sign_split_key_requirement",
-    "greedy_quantized_scheme",
-    "evaluate_finite_strategy",
-    "QuantizedPmf",
-    "CandidateSet",
-    "LpSolution",
-    "build_quantized_pmf",
-    "enumerate_subset_candidates",
-    "solve_secrecy_lp",
-    "sweep_secrecy_lp",
-    "lp_payoff",
-    "SIM_SCHEMES",
-    "SIM_SCENARIOS",
-    "SimConfig",
-    "SimResult",
-    "run_sim",
+__all__ = ["__version__"] + [
+    name for module in (errors, model, quantizer, schemes, lp, sim) for name in module.__all__
 ]

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InfeasibleError", "SolverError"]
+
 
 class InfeasibleError(ValueError):
     """A requested operating point violates a feasibility precondition.

@@ -4,9 +4,11 @@ The quantized source is a finite pmf over bin centroids.  A disclosure
 strategy mixes posterior candidates whose barycenter is that pmf and
 whose average entropy fits the key rate; the best achievable
 eavesdropper error is then a linear program over the mixture weights.
-Candidates are the subset restrictions of the pmf, held column by
-column in one `CandidateSet` (subset masks, posterior rows, entropies
-and scores); the solver fills its constraint matrix from those columns.
+Candidates are the subset restrictions of the pmf, each fixed by its
+subset bitmask and held column by column in one `CandidateSet` (masks,
+entropies and scores).  Enumeration gets every subset's statistics by
+adding one support point to a smaller subset, and the solver builds its
+0/1 incidence matrix straight from the mask bits.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
 DEFAULT_SUPPORT_CAP = 15
 # Largest support cap accepted; above it the 2**k subset masks are
 # refused before any is built.  Peak RSS of `lp --t 0.3 --r 9 --rs 0.5`:
-# 55 MB at support 15, 132 MB at 17, 468 MB at 19.
+# 44 MB at support 15, 83 MB at 17, 250 MB at 19.
 _MAX_SUPPORT = 19
 
 _SCORE_MODES = ("continuous", "alphabet_restricted")
@@ -84,30 +86,24 @@ class QuantizedPmf:
 class CandidateSet:
     """Subset candidates as read-only columns; entry i of each is candidate i.
 
-    `posteriors` holds the pmf renormalized on subset `masks[i]` in row
-    i, with its `entropy_bits` and `scores`.  Every row must be a
-    nonnegative pmf, and entropies and scores must be nonnegative.
+    Candidate i is the pmf renormalized on the subset whose bitmask is
+    `masks[i]` (bit j for support point j), with its `entropy_bits` and
+    `scores`, which must be nonnegative.  The masks are checked against
+    the pmf that the candidates are solved on.
     """
 
     masks: np.ndarray
-    posteriors: np.ndarray
     entropy_bits: np.ndarray
     scores: np.ndarray
 
     def __post_init__(self) -> None:
         masks = np.array(self.masks, dtype=np.int64)
-        q = np.asarray(self.posteriors, dtype=float)
         ent, scores = np.array(self.entropy_bits, dtype=float), np.array(self.scores, dtype=float)
-        if q.ndim != 2 or not masks.shape == ent.shape == scores.shape == q.shape[:1]:
-            raise ValueError("candidate arrays must hold one entry per posterior row")
-        if q.shape[1] == 0 or (q < -1e-12).any():
-            raise ValueError("posteriors must be nonnegative pmfs")
-        if (np.abs(q.sum(axis=1) - 1.0) > 1e-9).any():
-            raise ValueError("posteriors must sum to 1")
+        if masks.ndim != 1 or not masks.shape == ent.shape == scores.shape:
+            raise ValueError("candidate arrays must hold one entry per mask")
         if (ent < -1e-12).any() or (scores < -1e-12).any():
             raise ValueError("entropy and score must be nonnegative")
-        for name, column in zip(("masks", "posteriors", "entropy_bits", "scores"),
-                                (masks, np.clip(q, 0.0, None), ent, scores)):
+        for name, column in zip(("masks", "entropy_bits", "scores"), (masks, ent, scores)):
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
@@ -117,7 +113,7 @@ class CandidateSet:
     def label(self, i: int) -> str:
         """Support points of candidate i's subset: "1+3" for mask 0b1010."""
         mask = int(self.masks[i])
-        return "+".join(str(j) for j in range(self.posteriors.shape[1]) if mask >> j & 1)
+        return "+".join(str(j) for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,18 +182,34 @@ def enumerate_subset_candidates(
         raise ValueError(
             f"support size {k} exceeds the cap {k_cap}; fold the pmf or raise the cap"
         )
-    masks = np.arange(1, 2**k, dtype=np.int64)
-    raw = ((masks[:, None] >> np.arange(k)) & 1) * pmf.probs
-    totals = raw.sum(axis=1)
+    pts, probs = pmf.points, pmf.probs
+    # Entry S describes the subset with bitmask S.  The subsets whose
+    # highest point is j are R + {j} for every R below 2**j; each merges
+    # R's (mass, mean, M2) with the one point (Chan, Golub & LeVeque
+    # 1979), M2 kept over the mass as a variance, and takes its entropy
+    # by the grouping rule H(S) = h(p_j / P(S)) + P(R) / P(S) * H(R).
+    mass, mean, var, ent = (np.zeros(2**k) for _ in range(4))
+    for j in range(k):
+        r, s = slice(0, 1 << j), slice(1 << j, 2 << j)
+        mass[s] = mass[r] + probs[j]
+        # Both shares by division, never one minus the other; a subset of
+        # zero mass gets zero shares and keeps zero statistics.
+        total = np.where(mass[s] > 0.0, mass[s], 1.0)
+        share, rest = probs[j] / total, mass[r] / total
+        delta = pts[j] - mean[r]
+        mean[s] = mean[r] + delta * share
+        var[s] = rest * (var[r] + share * delta**2)
+        small, large = np.minimum(share, rest), np.maximum(share, rest)
+        h = -small * np.log(np.where(small > 0.0, small, 1.0)) - large * np.log1p(-small)
+        ent[s] = h / math.log(2.0) + rest * ent[r]
     # Subsets of zero total mass cannot be disclosed; skip them.
-    live = totals > 0.0
-    masks, q = masks[live], raw[live] / totals[live, None]
-    ent = -np.sum(q * np.log(np.where(q > 0.0, q, 1.0)), axis=1) / math.log(2.0)
-    gaps = (pmf.points - (q @ pmf.points)[:, None]) ** 2
-    scores = np.sum(q * gaps, axis=1)
+    masks = np.flatnonzero(mass > 0.0)
+    mean, scores = mean[masks], var[masks]
     if mode == "alphabet_restricted":
-        scores += gaps.min(axis=1)
-    return CandidateSet(masks, q, np.maximum(ent, 0.0), scores)
+        i = np.searchsorted(pts, mean)
+        below, above = pts[np.maximum(i - 1, 0)], pts[np.minimum(i, k - 1)]
+        scores += np.minimum((mean - below) ** 2, (above - mean) ** 2)
+    return CandidateSet(masks, ent[masks], scores)
 
 
 def covers_entropy(pmf: QuantizedPmf, rate: float) -> bool:
@@ -234,46 +246,42 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
         raise ValueError("candidate set is empty")
     k = pmf.points.size
     n = len(candidates)
-    post, ent, score = candidates.posteriors, candidates.entropy_bits, candidates.scores
-    if post.shape[1] != k:
-        raise ValueError("candidate posterior length does not match the pmf support")
+    masks, ent, score = candidates.masks, candidates.entropy_bits, candidates.scores
+    if (masks >> k).any():
+        raise ValueError(f"candidate mask has a bit outside the {k}-point support")
 
-    # Columns: candidate weights plus one slack for the entropy row, whose
-    # right-hand side (the key rate) the sweep sets.
+    # Columns: v = w / P(S) for each candidate's weight w, plus one slack
+    # for the entropy row, whose right-hand side (the key rate) the sweep
+    # sets.  Barycenter row i then sums v over the subsets holding point i
+    # to 1: a 0/1 incidence system, with empty rows for zero-mass points.
     a = np.zeros((k + 1, n + 1))
-    a[:k, :n] = post.T
-    a[k, :n] = ent
+    for i in np.flatnonzero(pmf.probs > 0.0):
+        a[i, :n] = masks >> i & 1
+    mass = pmf.probs @ a[:k, :n]
+    if not (mass > 0.0).all():
+        raise ValueError("candidate subset has zero mass")
+    a[k, :n] = mass * ent
     a[k, n] = 1.0
-    b = np.append(pmf.probs, 0.0)
-    cost = np.append(score, 0.0)
+    b = np.append(np.where(pmf.probs > 0.0, 1.0, 0.0), 0.0)
+    # Equilibrate: each column over its largest entry, 1 or the key entry;
+    # the solver's variables are u = scale * v.
+    scale = np.maximum(a[k], 1.0)
+    a /= scale
+    cost = np.append(score * mass, 0.0) / scale
 
-    # Equilibrate before solving: outer bins carry probabilities many
-    # orders below 1, and a raw basis loses feasibility in the noise.
-    # Unit-rhs rows then unit-max columns turn subset candidates into a
-    # 0/1 incidence system.  The key row keeps scale 1.
-    row_scale = np.ones(k + 1)
-    row_scale[:k] = np.where(pmf.probs > 0.0, pmf.probs, 1.0)
-    a_scaled = a / row_scale[:, None]
-    col_scale = np.abs(a_scaled).max(axis=0)
-    col_scale[col_scale <= 0.0] = 1.0
-    a_scaled /= col_scale[None, :]
-
-    solved = linear_program_sweep(cost / col_scale, a_scaled, b / row_scale, k,
-                                  [p.key_rate for p in pairs], tol=1e-10)
+    solved = linear_program_sweep(cost, a, b, k, [p.key_rate for p in pairs], tol=1e-10)
     out = []
-    for pair, (x_scaled, _) in zip(pairs, solved):
-        x = x_scaled / col_scale
-        weights = x[:n]
-        recon = a[:k, :n] @ weights
-        if np.max(np.abs(recon - pmf.probs)) > 1e-8:
+    for pair, (u, _) in zip(pairs, solved):
+        if np.max(np.abs(pmf.probs * (a[:k, :n] @ u[:n]) - pmf.probs)) > 1e-8:
             raise SolverError("LP solution violates the barycenter constraint")
+        weights = u[:n] / scale[:n] * mass
         total = float(weights.sum())
         if abs(total - 1.0) > 1e-8:
             raise SolverError(f"LP weights sum to {total}, expected 1")
         used = float(np.dot(weights, ent))
         if used > pair.key_rate + 1e-8:
             raise SolverError("LP solution violates the key-rate constraint")
-        out.append(LpSolution(max(float(cost @ x), 0.0), weights, True, pair.key_rate - used))
+        out.append(LpSolution(max(float(cost @ u), 0.0), weights, True, pair.key_rate - used))
     return out
 
 

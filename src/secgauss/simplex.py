@@ -90,7 +90,7 @@ def linear_program_sweep(
 
 def _checked(c, A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """c, the phase-2 cost and [A | artificials] over all columns, and b."""
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
     if A.ndim != 2:

@@ -35,6 +35,7 @@ from secgauss import (
     verify_jointly_gaussian_grid,
     weak_eavesdropper_payoff,
 )
+from subset_reference import dense_subset_candidates
 
 SRC = STANDARD_SOURCE
 HALF_LOG2_2PIE = 2.0470955851806411
@@ -136,13 +137,13 @@ def test_criterion_4_entropy_limit(criterion_report):
     )
 
 
-def _brute_force_lp(pmf, rs, candidates):
-    """Dense vertex enumeration; complete for small supports."""
+def _brute_force_lp(pmf, rs):
+    """Dense vertex enumeration over the reference posterior rows; complete for small supports."""
     k = pmf.points.size
-    post, ent, score = candidates.posteriors, candidates.entropy_bits, candidates.scores
+    _, post, ent, score = dense_subset_candidates(pmf)
     best = -1.0
     for size in range(1, k + 2):
-        for idx in itertools.combinations(range(len(candidates)), size):
+        for idx in itertools.combinations(range(ent.size), size):
             cols = np.array(idx)
             for with_entropy in (False, True):
                 a = post[cols].T
@@ -197,7 +198,7 @@ def test_criterion_5_lp_endpoints_and_oracle(criterion_report):
         small_cands = enumerate_subset_candidates(small)
         for rs in (0.3, 0.9):
             got = solve_secrecy_lp(small, RatePair(6.0, rs), candidates=small_cands).value
-            ref = _brute_force_lp(small, rs, small_cands)
+            ref = _brute_force_lp(small, rs)
             worst_gap = max(worst_gap, abs(got - ref))
 
     m = math.sqrt(2.0 / math.pi)

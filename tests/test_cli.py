@@ -370,6 +370,32 @@ def run_cli_capped(argv):
     )
 
 
+def child_peak_mb(code):
+    """Peak memory in MB of a fresh interpreter running `code`, which binds `code` to its exit code.
+
+    Linux carries ru_maxrss across exec, so a child of a large test
+    process reads its own peak from VmHWM where it can.
+    """
+    pytest.importorskip("resource")
+    code += """
+import resource, sys
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) / 1024
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak /= 1 << 20 if sys.platform == "darwin" else 1 << 10
+print(peak)
+sys.exit(code)
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout.splitlines()[-1])
+
+
 class TestInputBounds:
     def test_huge_sim_rejected_before_allocating(self):
         proc = run_cli_capped(
@@ -382,28 +408,24 @@ class TestInputBounds:
     def test_largest_sim_stays_small(self):
         # run_sim draws and scores the sample in fixed blocks, so the largest
         # accepted run peaks near the interpreter's own footprint (about 38 MB
-        # on Linux).  Linux carries ru_maxrss across exec, so a child of a
-        # large test process reads its own peak from VmHWM where it can.
-        pytest.importorskip("resource")
+        # on Linux).
         code = f"""
-import resource, sys
 from secgauss.cli import main
 code = main(["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "1", "--n", "{_MAX_SYMBOLS}"])
-try:
-    with open("/proc/self/status") as fh:
-        peak = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:")) / 1024
-except OSError:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    peak /= 1 << 20 if sys.platform == "darwin" else 1 << 10
-print(peak)
-sys.exit(code)
 """
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-                   PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert float(proc.stdout.splitlines()[-1]) < 150.0
+        assert child_peak_mb(code) < 150.0
+
+    def test_largest_enumeration_stays_small(self):
+        # The subset statistics come from one bit recurrence over 2**19
+        # entries; a 2**19 x 19 posterior matrix and its temporaries
+        # peaked at 377 MB (Linux, x86-64).
+        code = """
+from secgauss import QuantizerSpec, STANDARD_SOURCE, build_quantized_pmf
+from secgauss import enumerate_subset_candidates
+pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=0.3), max_support=19)
+code = 0 if len(enumerate_subset_candidates(pmf, 19)) == 2**19 - 1 else 1
+"""
+        assert child_peak_mb(code) < 150.0
 
     def test_huge_grid_rejected_before_allocating(self):
         proc = run_cli_capped(

@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from subset_reference import dense_subset_candidates
 
 from secgauss import (
     STANDARD_SOURCE,
@@ -41,18 +43,19 @@ def small_pmf():
     )
 
 
-def brute_force_value(pmf, rs, candidates):
+def brute_force_value(pmf, rs):
     """Exhaustive vertex enumeration over basic candidate subsets.
 
     A basic optimal solution activates at most K+1 candidates (K
     barycenter rows plus the entropy row), so checking every subset of
-    that size is a complete oracle for small K.
+    that size is a complete oracle for small K.  The candidates are the
+    dense reference's posterior rows.
     """
     k = pmf.points.size
-    post, ent, score = candidates.posteriors, candidates.entropy_bits, candidates.scores
+    _, post, ent, score = dense_subset_candidates(pmf)
     best = -1.0
     for size in range(1, k + 2):
-        for idx in itertools.combinations(range(len(candidates)), size):
+        for idx in itertools.combinations(range(ent.size), size):
             cols = np.array(idx)
             a_eq = post[cols].T
             # Entropy tight or slack: try both basic configurations.
@@ -166,7 +169,7 @@ class TestEnumerateCandidates:
         assert [cands.label(i) for i in range(len(cands))] == ["0", "1", "0+1"]
         assert cands.entropy_bits.tolist() == [0.0, 0.0, 1.0]
         assert cands.scores[2] == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_allclose(cands.posteriors[2], [0.5, 0.5])
+        np.testing.assert_array_equal(cands.masks, [1, 2, 3])
 
     def test_count(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
@@ -187,14 +190,44 @@ class TestEnumerateCandidates:
         # ascending mask order starting at 1.
         i = 10 - 1
         assert cands.label(i) == "1+3"
-        expect = np.zeros(5)
-        expect[[1, 3]] = small_pmf.probs[[1, 3]]
-        expect /= expect.sum()
-        np.testing.assert_allclose(cands.posteriors[i], expect, atol=1e-15)
-        p = expect[expect > 0]
+        p = small_pmf.probs[[1, 3]] / small_pmf.probs[[1, 3]].sum()
+        x = small_pmf.points[[1, 3]]
         assert cands.entropy_bits[i] == pytest.approx(
             -float(np.sum(p * np.log2(p))), abs=1e-12
         )
+        assert cands.scores[i] == pytest.approx(float(p @ (x - p @ x) ** 2), abs=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["continuous", "alphabet_restricted"])
+@pytest.mark.parametrize("mean", [0.0, 3.0, 1e3])
+@pytest.mark.parametrize("support", [3, 5, 9, 15])
+@pytest.mark.parametrize("step", [0.25, 0.5, 1.0, 2.0, 3.0])
+def test_enumeration_matches_dense_reference(step, support, mean, mode):
+    # The bit recurrence against one posterior row per subset.  At mean
+    # 1e3 both sides' scores are within 8.3e-13 of 50-digit values.
+    pmf = build_quantized_pmf(GaussianSource(mean, 1.0), QuantizerSpec(step=step),
+                              max_support=support)
+    cands = enumerate_subset_candidates(pmf, mode=mode)
+    masks, _, ent, scores = dense_subset_candidates(pmf, mode)
+    np.testing.assert_array_equal(cands.masks, masks)
+    np.testing.assert_allclose(cands.entropy_bits, ent, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(cands.scores, scores, rtol=2e-12, atol=0.0)
+
+
+def test_tiny_entropies_are_accurate():
+    # Subsets holding the centre bin and one or two far bins have
+    # entropies of 7.6e-11 to 1.5e-10 bits, where summing -q log q over a
+    # renormalized row loses about six digits.
+    pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=2.0), max_support=9)
+    cands = enumerate_subset_candidates(pmf, 9)
+    for subset in ((0, 4), (4, 8), (0, 4, 8)):
+        with mpmath.workdps(50):
+            p = [mpmath.mpf(float(pmf.probs[j])) for j in subset]
+            total = mpmath.fsum(p)
+            exact = float(-mpmath.fsum(q / total * mpmath.log(q / total, 2) for q in p))
+        got = cands.entropy_bits[sum(1 << j for j in subset) - 1]
+        assert 0.0 < exact < 2e-10
+        assert got == pytest.approx(exact, rel=1e-14, abs=0.0), subset
 
 
 class TestCandidateSet:
@@ -202,8 +235,7 @@ class TestCandidateSet:
         cands = enumerate_subset_candidates(small_pmf)
         assert isinstance(cands, CandidateSet)
         assert len(cands) == 31
-        assert cands.posteriors.shape == (31, 5)
-        assert cands.entropy_bits.shape == cands.scores.shape == (31,)
+        assert cands.masks.shape == cands.entropy_bits.shape == cands.scores.shape == (31,)
         np.testing.assert_array_equal(cands.masks, np.arange(1, 32))
         assert cands.label(0) == "0"
         assert cands.label(np.int64(17)) == "1+4"  # mask 18
@@ -213,28 +245,43 @@ class TestCandidateSet:
 
     def test_columns_read_only(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
-        for column in (cands.masks, cands.posteriors, cands.entropy_bits, cands.scores):
+        for column in (cands.masks, cands.entropy_bits, cands.scores):
             with pytest.raises(ValueError):
                 column[0] = 0
 
     @pytest.mark.parametrize(
-        "row, entropy, score",
-        [([0.5, 0.6], 1.0, 0.1), ([1.5, -0.5], 0.0, 0.0), ([0.5, 0.5], -0.1, 0.1),
-         ([0.5, 0.5], 1.0, -0.1)],
+        "row, entropy, score, error",
+        [([1, 0, 1], 1.0, 0.1, "outside the 2-point support"),
+         ([0, 0], 0.0, 0.0, "zero mass"),
+         ([1, 1], -0.1, 0.1, "nonnegative"),
+         ([1, 1], 1.0, -0.1, "nonnegative")],
+        ids=["row0-1.0-0.1", "row1-0.0-0.0", "row2--0.1-0.1", "row3-1.0--0.1"],
     )
-    def test_rejects_what_a_candidate_rejects(self, row, entropy, score):
-        good = [0.5, 0.5]
-        with pytest.raises(ValueError):
-            CandidateSet([1, 2], np.array([good, row]), [1.0, entropy], [0.2, score])
+    def test_rejects_what_a_candidate_rejects(self, row, entropy, score, error):
+        # `row` is the second candidate's incidence over the support
+        # points: set bits outside the support, or an empty subset, fail
+        # where the candidates meet a pmf; bad columns fail at once.
+        pmf = QuantizedPmf(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        mask = sum(bit << j for j, bit in enumerate(row))
+        with pytest.raises(ValueError, match=error):
+            cands = CandidateSet([1, mask], [0.0, entropy], [0.0, score])
+            solve_secrecy_lp(pmf, RatePair(5.0, 1.0), candidates=cands)
+
+    def test_rejects_zero_mass_subset(self):
+        # Point 1 has no mass, so the subset {1} cannot be disclosed.
+        pmf = QuantizedPmf(np.array([0.0, 1.0, 2.0]), np.array([0.5, 0.0, 0.5]))
+        cands = CandidateSet([1, 2, 4], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="zero mass"):
+            solve_secrecy_lp(pmf, RatePair(5.0, 0.5), candidates=cands)
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(ValueError, match="one entry per"):
-            CandidateSet([1, 2], np.array([[1.0, 0.0]]), [0.0], [0.0])
+            CandidateSet([1, 2], [0.0], [0.0])
 
     def test_mismatched_support_rejected(self, small_pmf, unit_pmf):
-        cands = enumerate_subset_candidates(small_pmf)
-        with pytest.raises(ValueError, match="does not match"):
-            solve_secrecy_lp(unit_pmf, RatePair(5.0, 0.6), candidates=cands)
+        cands = enumerate_subset_candidates(unit_pmf)
+        with pytest.raises(ValueError, match="outside the 5-point support"):
+            solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=cands)
 
 
 class TestSolveEndpoints:
@@ -294,7 +341,7 @@ class TestBruteForceOracle:
         pmf = QuantizedPmf(pts, pr)
         cands = enumerate_subset_candidates(pmf)
         sol = solve_secrecy_lp(pmf, RatePair(5.0, rs), candidates=cands)
-        ref = brute_force_value(pmf, rs, cands)
+        ref = brute_force_value(pmf, rs)
         assert sol.value == pytest.approx(ref, abs=1e-8)
 
 
@@ -302,8 +349,7 @@ class TestInvariances:
     def test_candidate_order_irrelevant(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
         sol1 = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=cands)
-        flipped = CandidateSet(cands.masks[::-1], cands.posteriors[::-1],
-                               cands.entropy_bits[::-1], cands.scores[::-1])
+        flipped = CandidateSet(cands.masks[::-1], cands.entropy_bits[::-1], cands.scores[::-1])
         sol2 = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=flipped)
         assert sol1.value == pytest.approx(sol2.value, abs=1e-9)
 
