@@ -38,7 +38,7 @@ __all__ = [
 DEFAULT_SUPPORT_CAP = 15
 # Largest support cap accepted; above it the 2**k subset masks are
 # refused before any is built.  Peak RSS of `lp --t 0.3 --r 9 --rs 0.5`:
-# 44 MB at support 15, 83 MB at 17, 250 MB at 19.
+# 40 MB at support 15, 63 MB at 17, 162 MB at 19.
 _MAX_SUPPORT = 19
 
 _SCORE_MODES = ("continuous", "alphabet_restricted")
@@ -252,27 +252,30 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
 
     # Columns: v = w / P(S) for each candidate's weight w, plus one slack
     # for the entropy row, whose right-hand side (the key rate) the sweep
-    # sets.  Barycenter row i then sums v over the subsets holding point i
-    # to 1: a 0/1 incidence system, with empty rows for zero-mass points.
-    a = np.zeros((k + 1, n + 1))
-    for i in np.flatnonzero(pmf.probs > 0.0):
-        a[i, :n] = masks >> i & 1
-    mass = pmf.probs @ a[:k, :n]
+    # sets.  Barycenter row r then sums v over the subsets holding the
+    # r-th point of positive mass to 1: a 0/1 incidence system whose
+    # singleton columns and slack are unit columns, the solver's start.
+    points = np.flatnonzero(pmf.probs > 0.0)
+    probs, key = pmf.probs[points], points.size
+    a = np.zeros((key + 1, n + 1))
+    for r, i in enumerate(points):
+        a[r, :n] = masks >> i & 1
+    mass = probs @ a[:key, :n]
     if not (mass > 0.0).all():
         raise ValueError("candidate subset has zero mass")
-    a[k, :n] = mass * ent
-    a[k, n] = 1.0
-    b = np.append(np.where(pmf.probs > 0.0, 1.0, 0.0), 0.0)
+    a[key, :n] = mass * ent
+    a[key, n] = 1.0
+    b = np.append(np.ones(key), 0.0)
     # Equilibrate: each column over its largest entry, 1 or the key entry;
     # the solver's variables are u = scale * v.
-    scale = np.maximum(a[k], 1.0)
+    scale = np.maximum(a[key], 1.0)
     a /= scale
     cost = np.append(score * mass, 0.0) / scale
 
-    solved = linear_program_sweep(cost, a, b, k, [p.key_rate for p in pairs], tol=1e-10)
+    solved = linear_program_sweep(cost, a, b, key, [p.key_rate for p in pairs], tol=1e-10)
     out = []
     for pair, (u, _) in zip(pairs, solved):
-        if np.max(np.abs(pmf.probs * (a[:k, :n] @ u[:n]) - pmf.probs)) > 1e-8:
+        if np.max(np.abs(probs * (a[:key, :n] @ u[:n]) - probs)) > 1e-8:
             raise SolverError("LP solution violates the barycenter constraint")
         weights = u[:n] / scale[:n] * mass
         total = float(weights.sum())

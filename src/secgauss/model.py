@@ -60,6 +60,9 @@ class GaussianSource:
     variance: float = 1.0
 
     def __post_init__(self) -> None:
+        # Floats, so that arrays filled with the mean are never integer arrays.
+        object.__setattr__(self, "mean", float(self.mean))
+        object.__setattr__(self, "variance", float(self.variance))
         if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
             raise ValueError("source mean and variance must be finite")
         if self.variance <= 0.0:

@@ -1,4 +1,4 @@
-"""Revised two-phase simplex with Dantzig pricing, a Bland fallback and warm starts.
+"""Revised simplex with Dantzig pricing, a Bland fallback and warm starts.
 
 The secrecy LP has at most 20 equality rows and up to tens of thousands
 of columns, so no tableau is kept.  Every change of basis inverts the
@@ -6,6 +6,11 @@ small basis matrix afresh from the original data; every iteration prices
 all columns with one product ``y @ a`` and runs the ratio test on
 ``B^-1 a_col``.  The pricing that ends a solve is therefore fresh, and it
 is the solve's optimality certificate.
+
+A cold solve starts from the unit columns of A (a crash start, Bixby
+1992): row i starts on the first column equal to e_i if b[i] >= 0.  Only
+the other rows get artificial columns, and a phase 1 over them; the
+secrecy LP, whose singleton and key-slack columns are unit, needs none.
 
 The entering column is the one with the most negative reduced cost
 (Dantzig), ties going to the smallest index.  Dantzig's rule alone can
@@ -21,7 +26,7 @@ reduced costs do not depend on b, so the last optimal basis stays dual
 feasible and dual simplex pivots (Lemke 1954) restore feasibility.  A
 warm solve that meets a singular or infeasible basis, finds no entering
 column, stalls, hits the pivot limit or ends off ``A @ x = b`` gives way
-to the cold solve, as does a carried basis holding an artificial column.
+to the cold solve.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ _STALL = 50
 
 
 class _Basis:
-    """Basic columns `cols` of the rows `rows` kept from ``ext @ x = b``, inverted."""
+    """Basic columns `cols` of the rows `rows` kept from ``a @ x = b``, inverted."""
 
-    def __init__(self, ext: np.ndarray, b: np.ndarray, rows, cols) -> None:
+    def __init__(self, a: np.ndarray, b: np.ndarray, rows, cols) -> None:
         self.rows, self.cols = list(rows), list(cols)
         whole = len(self.rows) == b.size
-        self.a, self.rhs = (ext, b) if whole else (ext[self.rows], b[self.rows])
+        self.a, self.rhs = (a, b) if whole else (a[self.rows], b[self.rows])
         self.invert()
 
     def invert(self) -> None:
@@ -62,8 +67,8 @@ def linear_program_max(
     Returns (x, value) at an optimal vertex.  Raises SolverError when the
     program is infeasible, unbounded, or the pivot limit is hit.
     """
-    c, cost, ext, b = _checked(c, A, b)
-    return _solution(c, _cold(ext, b, cost, tol, max_iter))
+    c, a, b = _checked(c, A, b)
+    return _solution(c, _cold(a, b, -c, tol, max_iter))
 
 
 def linear_program_sweep(
@@ -75,7 +80,8 @@ def linear_program_sweep(
     before.  The values equal those of separate solves up to rounding; a
     program with several optimal vertices may return another of them.
     """
-    c, cost, ext, b = _checked(c, A, b)
+    c, a, b = _checked(c, A, b)
+    cost = -c
     values = np.array(values, dtype=float)
     if not (0 <= row < b.size and values.ndim == 1 and np.isfinite(values).all()):
         raise ValueError("a sweep needs a row of A and a 1-d array of finite values")
@@ -83,13 +89,13 @@ def linear_program_sweep(
     for value in values:
         b = b.copy()
         b[row] = value
-        basis = _warm(ext, b, cost, basis, tol, max_iter) or _cold(ext, b, cost, tol, max_iter)
+        basis = _warm(a, b, cost, basis, tol, max_iter) or _cold(a, b, cost, tol, max_iter)
         out.append(_solution(c, basis))
     return out
 
 
-def _checked(c, A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """c, the phase-2 cost and [A | artificials] over all columns, and b."""
+def _checked(c, A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c, A and b as float arrays; a float A is used as given, never copied or written to."""
     A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
@@ -100,7 +106,7 @@ def _checked(c, A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("LP data must be finite")
-    return c, np.concatenate([-c, np.zeros(m)]), np.concatenate([A, np.eye(m)], axis=1), b
+    return c, A, b
 
 
 def _solution(c: np.ndarray, basis: _Basis) -> tuple[np.ndarray, float]:
@@ -110,58 +116,71 @@ def _solution(c: np.ndarray, basis: _Basis) -> tuple[np.ndarray, float]:
     return x, float(c @ x)
 
 
-def _cold(ext: np.ndarray, b: np.ndarray, cost: np.ndarray, tol: float, max_iter: int) -> _Basis:
-    """Two-phase solve of min cost @ x from the all-artificial basis."""
-    m = b.size
-    n = ext.shape[1] - m
-    # Artificial i carries the sign of b[i], so the start basis is feasible.
-    ext[:, n:] = np.diag(np.where(b < 0.0, -1.0, 1.0))
+def _cold(a: np.ndarray, b: np.ndarray, cost: np.ndarray, tol: float, max_iter: int) -> _Basis:
+    """Solve min cost @ x from the unit columns of `a`; phase 1 only for rows without one."""
+    m, n = a.shape
+    cols = _unit_columns(a)
+    cols[b < 0.0] = -1
+    rows, keep = np.flatnonzero(cols < 0), range(m)
+    if rows.size:
+        # Phase 1 over [a | artificials]: artificial j stands in for row
+        # rows[j] with the sign of its b, so the start is feasible.
+        art = np.zeros((m, rows.size))
+        art[rows, np.arange(rows.size)] = np.where(b[rows] < 0.0, -1.0, 1.0)
+        ext = np.concatenate([a, art], axis=1)
+        cols[rows] = n + np.arange(rows.size)
+        cost1 = np.append(np.zeros(n), np.ones(rows.size))
+        basis = _Basis(ext, b, keep, cols)
+        _iterate(basis, cost1, tol, max_iter)
+        residual = float(cost1[basis.cols] @ np.maximum(basis.x, 0.0))
+        if residual > tol * max(1.0, float(abs(b).sum())):
+            raise SolverError(f"LP infeasible: artificial residual {residual}")
 
-    # Phase 1: minimize the sum of artificial variables.
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = _Basis(ext, b, range(m), range(n, n + m))
-    _iterate(basis, cost1, tol, max_iter)
-    residual = float(cost1[basis.cols] @ np.maximum(basis.x, 0.0))
-    if residual > tol * max(1.0, float(abs(b).sum())):
-        raise SolverError(f"LP infeasible: artificial residual {residual}")
+        # Drive leftover artificials out of the basis, dropping redundant rows.
+        keep = []
+        for i in range(m):
+            if basis.cols[i] >= n:
+                nz = np.flatnonzero(np.abs((basis.inv[i] @ ext)[:n]) > tol)
+                if not nz.size:
+                    continue
+                _pivot(basis, i, int(nz[0]))
+            keep.append(i)
+        cols = [basis.cols[i] for i in keep]
 
-    # Drive leftover artificials out of the basis, dropping redundant rows.
-    keep = []
-    for i in range(m):
-        if basis.cols[i] >= n:
-            nz = np.flatnonzero(np.abs((basis.inv[i] @ ext)[:n]) > tol)
-            if not nz.size:
-                continue
-            _pivot(basis, i, int(nz[0]))
-        keep.append(i)
-    if len(keep) < m:
-        basis = _Basis(ext, b, keep, [basis.cols[i] for i in keep])
-
-    # Phase 2 on the original columns.
-    _iterate(basis, cost, tol, max_iter, stop=n)
+    # Phase 2 on the columns of `a` alone.
+    basis = _Basis(a, b, keep, cols)
+    _iterate(basis, cost, tol, max_iter)
     return basis
 
 
-def _warm(ext, b, cost, carried: _Basis | None, tol: float, max_iter: int) -> _Basis | None:
+def _unit_columns(a: np.ndarray) -> np.ndarray:
+    """For each row i, the first column of `a` equal to e_i, or -1 where none is."""
+    unit = np.flatnonzero((np.count_nonzero(a, axis=0) == 1) & (a.sum(axis=0) == 1.0))
+    rows, first = np.unique(np.argmax(a[:, unit], axis=0), return_index=True)
+    start = np.full(a.shape[0], -1)
+    start[rows] = unit[first]
+    return start
+
+
+def _warm(a, b, cost, carried: _Basis | None, tol: float, max_iter: int) -> _Basis | None:
     """Re-solve from the carried optimal basis; None where the cold solve must run."""
-    n = ext.shape[1] - b.size
-    if carried is None or max(carried.cols) >= n:
+    if carried is None:
         return None
     try:
-        basis = _Basis(ext, b, carried.rows, carried.cols)
-        _iterate(basis, cost, tol, max_iter, stop=n)
+        basis = _Basis(a, b, carried.rows, carried.cols)
+        _iterate(basis, cost, tol, max_iter)
     except SolverError:
         return None
     # Every row, kept or dropped: a dropped row that the new b contradicts
     # shows here, as does a basis too near singular to solve accurately.
-    residual = ext[:, basis.cols] @ np.maximum(basis.x, 0.0) - b
+    residual = a[:, basis.cols] @ np.maximum(basis.x, 0.0) - b
     if np.abs(residual).max() > 10.0 * tol * max(1.0, float(np.abs(b).max())):
         return None
     return basis
 
 
-def _iterate(basis: _Basis, cost: np.ndarray, tol: float, max_iter: int, stop=None) -> None:
-    """Pivot to a basis minimizing cost @ x; columns from `stop` on never enter.
+def _iterate(basis: _Basis, cost: np.ndarray, tol: float, max_iter: int) -> None:
+    """Pivot to a basis minimizing cost @ x.
 
     From a primal feasible basis these are primal simplex pivots, and
     the pricing that finds no improving column ends the solve.  While a
@@ -169,7 +188,6 @@ def _iterate(basis: _Basis, cost: np.ndarray, tol: float, max_iter: int, stop=No
     dual simplex pivots: the most negative basic variable leaves and
     `_dual_ratio_test` picks the entering column.
     """
-    stop = cost.size if stop is None else stop
     dual_slack = 10.0 * tol * max(1.0, float(np.abs(cost).max()))
     stalled = dual_stalled = 0
     for _ in range(max_iter):
@@ -177,16 +195,16 @@ def _iterate(basis: _Basis, cost: np.ndarray, tol: float, max_iter: int, stop=No
         row = int(np.argmin(basis.x))
         if basis.x[row] < -tol:
             prices = np.stack([y, basis.inv[row]]) @ basis.a
-            red = cost[:stop] - prices[0, :stop]
+            red = cost - prices[0]
             if red.min() < -dual_slack:
                 raise SolverError("simplex basis is neither primal nor dual feasible")
-            col, step = _dual_ratio_test(red, prices[1, :stop], tol)
+            col, step = _dual_ratio_test(red, prices[1], tol)
             dual_stalled = dual_stalled + 1 if step <= 0.0 else 0
             if dual_stalled >= _STALL:
                 raise SolverError("dual simplex stalled on degenerate pivots")
             _pivot(basis, row, col)
             continue
-        red = cost[:stop] - (y @ basis.a)[:stop]
+        red = cost - y @ basis.a
         if stalled < _STALL:  # Dantzig: most negative reduced cost
             col = int(np.argmin(red))
         else:  # Bland: smallest improving index (0 if there is none)

@@ -127,6 +127,17 @@ class TestBuildQuantizedPmf:
                 STANDARD_SOURCE, QuantizerSpec(step=1.0), max_support=8
             )
 
+    def test_integer_source_gives_the_float_pmf(self):
+        # The fold fills arrays with the source mean; an int mean once
+        # made them integer arrays, and the fold raised.
+        source = GaussianSource(0, 1)
+        assert type(source.mean) is float and type(source.variance) is float
+        spec = QuantizerSpec(step=1.0)
+        got = build_quantized_pmf(source, spec, max_support=5)
+        want = build_quantized_pmf(GaussianSource(0.0, 1.0), spec, max_support=5)
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.probs.tobytes() == want.probs.tobytes()
+
 
 class TestCandidateScore:
     """The `scores` column of enumerate_subset_candidates."""
@@ -315,6 +326,18 @@ class TestSolveEndpoints:
         sol = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.8))
         assert float(sol.weights.sum()) == pytest.approx(1.0, abs=1e-8)
         assert (sol.weights >= -1e-10).all()
+
+    def test_zero_probability_point_changes_nothing(self, small_pmf):
+        # A point of zero mass gets no barycenter row; the subsets that
+        # add it to others repeat those others' columns.
+        padded = QuantizedPmf(np.insert(small_pmf.points, 3, 0.5),
+                              np.insert(small_pmf.probs, 3, 0.0))
+        rates = [0.0, 0.4, 0.8, 1.2, 1.6, 2.5, 1.0, 0.0]
+        got = sweep_secrecy_lp(padded, 5.0, rates)
+        want = sweep_secrecy_lp(small_pmf, 5.0, rates)
+        for rs, g, w in zip(rates, got, want):
+            assert g.feasible and g.value == pytest.approx(w.value, abs=1e-9), rs
+            assert g.slack_rs == pytest.approx(w.slack_rs, abs=1e-9), rs
 
 
 class TestHandInstance:
@@ -534,6 +557,19 @@ class TestWarmSweep:
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 18
         assert 0 < len(pivots) < 300
+
+    def test_curve_solve_starts_from_the_singletons(self, monkeypatch, capsys):
+        # The support-15 lp_quantized solve of the benchmark's first
+        # variant: the cold solve starts from the singleton and key-slack
+        # columns, so its one round of pivots is phase 2 (from the
+        # artificials it took two rounds and 106 pivots).
+        pivots = count_calls(monkeypatch, simplex, "_pivot")
+        rounds = count_calls(monkeypatch, simplex, "_iterate")
+        code = cli_main(["curve", "--schemes", "lp_quantized", "--r", "2.7", "--rs", "0.25"])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == 2
+        assert 0 < len(pivots) < 80
+        assert len(rounds) == 1
 
     def test_message_rate_gate_covers_the_sweep(self, small_pmf):
         swept = sweep_secrecy_lp(small_pmf, 1.0, [0.0, 0.5, 1.0])

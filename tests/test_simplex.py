@@ -45,6 +45,14 @@ def test_simple_hand_instance():
     assert x[2] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_unit_column_on_a_negative_row_is_not_a_start():
+    # Column 0 is e_0, but x0 = b[0] < 0 is infeasible; the row takes an
+    # artificial and phase 1 finds x1 = 1.
+    x, value = linear_program_max([-1.0, -1.0], [[1.0, -1.0]], [-1.0])
+    assert value == pytest.approx(-1.0, abs=1e-12)
+    np.testing.assert_allclose(x, [0.0, 1.0], atol=1e-12)
+
+
 def test_negative_rhs_rows_handled():
     # Same instance with the row negated; the solver must flip it.
     c = np.array([1.0, 0.0])
@@ -222,3 +230,33 @@ class TestSweep:
         with pytest.raises(ValueError):
             linear_program_sweep(c, a, b, 4, [20.0, np.inf])
         assert linear_program_sweep(c, a, b, 4, []) == []
+
+
+class TestStartBasis:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_slack_matches_phase_1(self, seed):
+        # The budget row's slack is e_4, so row 4 starts on it; scaled by
+        # 2 it is no unit column, and row 4 goes through phase 1 as well.
+        c, a, b = budget_instance(seed)
+        b[4] = 20.0
+        hidden = a.copy()
+        hidden[:, 12] *= 2.0
+        assert list(simplex._unit_columns(a)) == [-1, -1, -1, -1, 12]
+        assert list(simplex._unit_columns(hidden)) == [-1] * 5
+        _, value = linear_program_max(c, a, b)
+        _, reference = linear_program_max(c, hidden, b)
+        assert value == pytest.approx(reference, abs=1e-9)
+
+    def test_identity_start_runs_no_phase_1(self, monkeypatch):
+        # Columns 1, 3 and 0 are e_0, e_1 and e_2 (the first of the two
+        # copies of e_1), so the one round of pivots is phase 2.
+        a = np.array([[0.0, 1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0],
+                      [1.0, 0.0, 0.5, 0.0, 0.0]])
+        assert list(simplex._unit_columns(a)) == [1, 3, 0]
+        rounds = []
+        original = simplex._iterate
+        monkeypatch.setattr(simplex, "_iterate", lambda *args: rounds.append(original(*args)))
+        x, value = linear_program_max([0.0, 0.0, 1.0, 0.0, 0.0], a, [1.0, 1.0, 1.0])
+        assert len(rounds) == 1
+        assert value == pytest.approx(2.0, abs=1e-12)
+        np.testing.assert_allclose(x, [0.0, 0.0, 2.0, 0.0, 0.0], atol=1e-12)
