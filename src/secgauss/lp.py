@@ -274,7 +274,7 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
 
     solved = linear_program_sweep(cost, a, b, key, [p.key_rate for p in pairs], tol=1e-10)
     out = []
-    for pair, (u, _) in zip(pairs, solved):
+    for pair, (u, value) in zip(pairs, solved):
         if np.max(np.abs(probs * (a[:key, :n] @ u[:n]) - probs)) > 1e-8:
             raise SolverError("LP solution violates the barycenter constraint")
         weights = u[:n] / scale[:n] * mass
@@ -284,7 +284,7 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
         used = float(np.dot(weights, ent))
         if used > pair.key_rate + 1e-8:
             raise SolverError("LP solution violates the key-rate constraint")
-        out.append(LpSolution(max(float(cost @ u), 0.0), weights, True, pair.key_rate - used))
+        out.append(LpSolution(max(value, 0.0), weights, True, pair.key_rate - used))
     return out
 
 

@@ -54,6 +54,7 @@ __all__ = [
 SCHEME_IDS = ("weak", "jointly_gaussian", "optimal_high_key", "quantized_greedy", "lp_quantized")
 
 _LN2 = math.log(2.0)
+_GRID_SEED = 512  # columns of largest bound that `verify_jointly_gaussian_grid` tests first
 
 
 @dataclass(frozen=True)
@@ -190,13 +191,17 @@ def verify_jointly_gaussian_grid(
     feasible a form an interval up to a+ = bc + sqrt((1-b^2)(1-c^2) - D),
     or bc where that is complex (as when b = 1 or |c| = 1).  The
     feasibility test is tried at the three grid points from
-    floor(a+/step) + 1 down; g grows with a, so the least (a, b, c) index
-    among these per-(b, c) maxima is the least maximizer.
+    top = floor(a+/step) + 1 down; g grows with a, so the least (a, b, c)
+    index among these per-(b, c) maxima is the least maximizer.  It runs
+    first on the `_GRID_SEED` columns (b, c) of largest bound = g at top,
+    then on those whose bound reaches the best g found (on all if none).
 
     Exactness.  The 1e-12 slacks and rounding move the test's roots in a,
     and the computed a+, by under sqrt(2e-12) < 2e-6 each, so for step >
     4e-6 the largest passing index is within one of floor(a+/step).
-    Finer grids (over 1e11 points) cannot be allocated.
+    Finer grids (over 1e11 points) cannot be allocated.  No column passes
+    above top and rounding is monotone, so bound >= g exactly: a skipped
+    column has g below an attained value and can neither hold nor tie it.
     """
     if not 0.0 < step <= 0.05:
         raise ValueError(f"grid step must lie in (0, 0.05], got {step}")
@@ -211,30 +216,37 @@ def verify_jointly_gaussian_grid(
     # symmetric with 0 in the middle; the clip keeps its ends at +-1.
     axis_pos = np.minimum(np.arange(n + 1) * step, 1.0)
     axis_full = np.clip(np.arange(-n, n + 1) * step, -1.0, 1.0)
-    xu, yu = np.meshgrid(axis_pos, axis_full, indexing="ij")
+    xu, yu = (v.ravel() for v in np.meshgrid(axis_pos, axis_full, indexing="ij"))
     xu2, yu2 = xu * xu, yu * yu
 
     peak = (1.0 - xu2) * (1.0 - yu2)
     d_need = np.maximum(peak * 2.0 ** (-2.0 * rs), (1.0 - yu2) * 2.0 ** (-2.0 * r)).clip(1e-15)
     a_plus = xu * yu + np.sqrt(np.maximum(peak - d_need, 0.0))
     top = np.minimum(np.floor(a_plus / step).astype(int) + 1, axis_pos.size - 1)
-    best = np.full(xu.shape, -1)
-    for k in (top, top - 1, top - 2):
-        a = axis_pos[np.maximum(k, 0)]
-        det = 1.0 - a * a - xu2 - yu2 + 2.0 * a * xu * yu
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rs_need = 0.5 * np.log2(peak / det)
-            r_need = 0.5 * np.log2((1.0 - yu2) / det)
-        feasible = (det > 1e-15) & (rs_need <= rs + 1e-12) & (r_need <= r + 1e-12)
-        best = np.where((best < 0) & (k >= 0) & feasible, k, best)
+    bound = np.square(axis_pos[np.maximum(top, 0)]) - xu2
+
+    def scan(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Highest passing a index of top, top-1, top-2 per column (-1 if none), and its g."""
+        x, y, x2, y2, p, t = xu[cols], yu[cols], xu2[cols], yu2[cols], peak[cols], top[cols]
+        best = np.full(cols.size, -1)
+        for k in (t, t - 1, t - 2):
+            a = axis_pos[np.maximum(k, 0)]
+            det = 1.0 - a * a - x2 - y2 + 2.0 * a * x * y
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rs_need = 0.5 * np.log2(p / det)
+                r_need = 0.5 * np.log2((1.0 - y2) / det)
+            feasible = (det > 1e-15) & (rs_need <= rs + 1e-12) & (r_need <= r + 1e-12)
+            best = np.where((best < 0) & (k >= 0) & feasible, k, best)
+        return best, np.where(best >= 0, np.square(axis_pos[np.maximum(best, 0)]) - x2, -math.inf)
 
     # Never empty: (a, b) = (0, 0) with |c| < 1 gives det = 1 - c^2 and both needs 0.
-    a = axis_pos[np.maximum(best, 0)]
-    g = np.where(best >= 0, a * a - xu2, -math.inf)
-    ties = g == g.max()
-    i, j = np.unravel_index(int(np.argmax(ties & (best == best[ties].min()))), g.shape)
-    triple = CorrelationTriple(float(a[i, j]), float(axis_pos[i]), float(axis_full[j]))
-    return float(g[i, j]), triple
+    _, seed_g = scan(np.argpartition(bound, -_GRID_SEED)[-_GRID_SEED:])
+    cols = np.flatnonzero(bound >= seed_g.max())
+    best, g = scan(cols)
+    pick = np.lexsort((best, -g))[0]  # largest g, then least a index, then least flat (b, c)
+    i, j = divmod(int(cols[pick]), axis_full.size)
+    triple = CorrelationTriple(float(axis_pos[best[pick]]), float(axis_pos[i]), float(axis_full[j]))
+    return float(g[pick]), triple
 
 
 def _binary_entropy_of_logit(z: float) -> float:

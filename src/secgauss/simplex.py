@@ -31,6 +31,8 @@ to the cold solve.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .errors import SolverError
@@ -73,32 +75,32 @@ def linear_program_max(
 
 def linear_program_sweep(
     c, A, b, row: int, values, tol: float = 1e-9, max_iter: int = 50_000
-) -> list[tuple[np.ndarray, float]]:
+) -> Iterator[tuple[np.ndarray, float]]:
     """`linear_program_max` with b[row] set to each of `values` in turn.
 
-    Each program after the first starts from the optimal basis of the one
-    before.  The values equal those of separate solves up to rounding; a
-    program with several optimal vertices may return another of them.
+    Yields each (x, value) as it is solved, each program after the first
+    starting from the optimal basis of the one before.  The values equal
+    those of separate solves up to rounding; a program with several
+    optimal vertices may return another of them.
     """
     c, a, b = _checked(c, A, b)
     cost = -c
     values = np.array(values, dtype=float)
     if not (0 <= row < b.size and values.ndim == 1 and np.isfinite(values).all()):
         raise ValueError("a sweep needs a row of A and a 1-d array of finite values")
-    out, basis = [], None
+    basis = None
     for value in values:
         b = b.copy()
         b[row] = value
         basis = _warm(a, b, cost, basis, tol, max_iter) or _cold(a, b, cost, tol, max_iter)
-        out.append(_solution(c, basis))
-    return out
+        yield _solution(c, basis)
 
 
 def _checked(c, A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c, A and b as float arrays; a float A is used as given, never copied or written to."""
+    """c, A and b as float arrays; a float A or c is used as given, never copied or written to."""
     A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
-    c = np.array(c, dtype=float)
+    c = np.asarray(c, dtype=float)
     if A.ndim != 2:
         raise ValueError("A must be a matrix")
     m, n = A.shape

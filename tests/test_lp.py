@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -460,7 +461,7 @@ class TestValueCurveSupport15:
         seen = []
 
         def spy(c, a, b, row, values, **kwargs):
-            solved = original(c, a, b, row, values, **kwargs)
+            solved = list(original(c, a, b, row, values, **kwargs))
             seen.append((c, a, b, row, values, solved))
             return solved
 
@@ -570,6 +571,27 @@ class TestWarmSweep:
         assert len(capsys.readouterr().out.splitlines()) == 2
         assert 0 < len(pivots) < 80
         assert len(rounds) == 1
+
+    def test_sweep_holds_one_dense_solution_at_a_time(self):
+        # A 17-rate sweep at support 13, 8191 candidates.  Beside the
+        # (k + 1) x (n + 1) matrix and the 17 returned weight vectors it may
+        # hold only a few dense n-vectors at once: cost, scales, the current
+        # solution and the pricing temporaries.  Solutions kept until the
+        # sweep ends would add 17 more.
+        pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=0.3), max_support=13)
+        cands = enumerate_subset_candidates(pmf, 13)
+        rates = [i * 0.125 for i in range(17)]
+        tracemalloc.start()
+        try:
+            swept = sweep_secrecy_lp(pmf, 9.0, rates, cands)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector = 8 * (len(cands) + 1)
+        matrix = (pmf.points.size + 1) * vector
+        weights = sum(sol.weights.nbytes for sol in swept)
+        assert len(cands) == 8191 and all(sol.feasible for sol in swept)
+        assert peak < matrix + weights + 10 * vector
 
     def test_message_rate_gate_covers_the_sweep(self, small_pmf):
         swept = sweep_secrecy_lp(small_pmf, 1.0, [0.0, 0.5, 1.0])

@@ -31,6 +31,7 @@ from secgauss import (
     verify_jointly_gaussian_grid,
     weak_eavesdropper_payoff,
 )
+from secgauss import schemes as schemes_module
 from secgauss.schemes import _binary_entropy_of_logit
 
 WEAK_AT_2P7 = 0.97631692864827502996  # 1 - 2^-5.4, mpmath
@@ -180,6 +181,10 @@ class TestGridCertificate:
     @example(1.3, 0.0, 0.05)
     @example(0.0, 0.0, 0.05)
     @example(3.0, 3.0, 0.05)
+    @example(0.0, 0.0, 0.005)
+    @example(3.0, 3.0, 0.005)
+    @example(0.0, 1.3, 0.005)
+    @example(1.3, 0.0, 0.005)
     def test_matches_reference_loop(self, r, rs, step):
         rates = RatePair(r, rs)
         g, triple = verify_jointly_gaussian_grid(rates, step)
@@ -196,6 +201,24 @@ class TestGridCertificate:
         g, triple = verify_jointly_gaussian_grid(RatePair(m, m), 0.05)
         assert (g, triple) == reference_grid_certificate(RatePair(m, m), 0.05)
         assert triple.rho_xy == a_k
+
+    @pytest.mark.parametrize("r, rs", sorted(THM2_GRID_RESULTS))
+    def test_coarsest_grid_has_more_columns_than_the_seed(self, r, rs):
+        # Step 0.05, the coarsest accepted, gives 21 * 41 = 861 columns: the
+        # seed must fit in them and leave some to prune.
+        assert schemes_module._GRID_SEED < 21 * 41
+        rates = RatePair(r, rs)
+        assert verify_jointly_gaussian_grid(rates, 0.05) == reference_grid_certificate(rates, 0.05)
+
+    @pytest.mark.parametrize("r, rs", [(0.0, 0.0), (0.0, 1.3), (1.3, 0.0), (1.0, 1.0)])
+    def test_one_column_seed_matches_the_reference(self, monkeypatch, r, rs):
+        # With a one-column seed, the column of largest bound fails its
+        # test at the first three pairs, so the scan falls back to every
+        # column; at (1, 1) it passes and prunes.  Both must give the
+        # reference's result.
+        monkeypatch.setattr(schemes_module, "_GRID_SEED", 1)
+        rates = RatePair(r, rs)
+        assert verify_jointly_gaussian_grid(rates, 0.05) == reference_grid_certificate(rates, 0.05)
 
     @pytest.mark.parametrize("r, rs", sorted(THM2_GRID_RESULTS))
     def test_thm2_grid_pairs_match_recorded_reference(self, r, rs):

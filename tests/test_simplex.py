@@ -199,7 +199,7 @@ class TestSweep:
         c, a, b = budget_instance(seed)
         # The interior point of random_feasible_instance sums to at most 13.2.
         values = [20.0, 30.0, 14.0, 14.0, 50.0, 25.0]
-        swept = linear_program_sweep(c, a, b, 4, values)
+        swept = list(linear_program_sweep(c, a, b, 4, values))
         assert len(swept) == len(values)
         for v, (x, value) in zip(values, swept):
             bv = b.copy()
@@ -211,7 +211,7 @@ class TestSweep:
     def test_infeasible_value_raises(self):
         c, a, b = budget_instance(0)
         with pytest.raises(SolverError, match="infeasible"):
-            linear_program_sweep(c, a, b, 4, [20.0, -1.0])
+            list(linear_program_sweep(c, a, b, 4, [20.0, -1.0]))
 
     def test_dropped_row_is_checked_at_every_value(self):
         # Row 1 repeats row 0 at b = (1, 2), so the first solve drops it; at
@@ -219,17 +219,17 @@ class TestSweep:
         # row 0 alone cannot see.
         c = np.array([1.0, 1.0, 0.0])
         a = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        assert len(linear_program_sweep(c, a, [1.0, 2.0], 1, [2.0, 2.0])) == 2
+        assert len(list(linear_program_sweep(c, a, [1.0, 2.0], 1, [2.0, 2.0]))) == 2
         with pytest.raises(SolverError, match="infeasible"):
-            linear_program_sweep(c, a, [1.0, 2.0], 1, [2.0, 3.0])
+            list(linear_program_sweep(c, a, [1.0, 2.0], 1, [2.0, 3.0]))
 
     def test_validation(self):
         c, a, b = budget_instance(0)
         with pytest.raises(ValueError):
-            linear_program_sweep(c, a, b, 5, [20.0])
+            list(linear_program_sweep(c, a, b, 5, [20.0]))
         with pytest.raises(ValueError):
-            linear_program_sweep(c, a, b, 4, [20.0, np.inf])
-        assert linear_program_sweep(c, a, b, 4, []) == []
+            list(linear_program_sweep(c, a, b, 4, [20.0, np.inf]))
+        assert list(linear_program_sweep(c, a, b, 4, [])) == []
 
 
 class TestStartBasis:
