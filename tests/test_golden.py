@@ -28,6 +28,9 @@ GOLDEN_COMMANDS = {
         "curve", "--schemes", "weak,jointly_gaussian,optimal_high_key,quantized_greedy",
         "--r-range", "0.5:5:0.5", "--rs-range", "0:2:0.25",
     ],
+    "curve_greedy_high_rate": [
+        "curve", "--schemes", "quantized_greedy", "--r-range", "6:7:0.5", "--rs-range", "0:2:0.25",
+    ],
     "curve_lp": [
         "curve", "--schemes", "lp_quantized", "--r", "2", "--rs-range", "0:1:0.25",
         "--lp-max-support", "9", "--mu", "0.5",
