@@ -7,7 +7,8 @@ All entropy and distortion summaries of a quantized source are computed
 from these tables.  Bins grouped by a function of the index (residue
 mod n, magnitude, or the outer bins merged by a fold) are merged by one
 routine, `_class_moments`, which gives each group's mass, mean and
-variance by the law of total variance in one vectorized pass.
+variance by the law of total variance in one vectorized pass, also for
+the residues mod many moduli at once, stacked in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ _MAX_BINS = 1_000_000
 _TAIL_STDS = 7.130506848171325
 
 _SYMMETRY_TOL = 1e-12
+_RESIDUE_BLOCK = 8192  # table entries per block of stacked residue labellings, to stay in cache
 
 # The step search stops within this many bits below its target entropy.
 _ENTROPY_TOL = 1e-4
@@ -157,58 +159,69 @@ def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
     _require_symmetric(table)
 
     # Fold the nonnegative half, then mirror it so the result is exactly symmetric.
-    k = int(max_index)
-    half = slice(k_old, None)
-    merged = _class_moments(table, np.minimum(table.indices[half], k), half)
+    half = [col[k_old:] for col in (table.prob, table.centroid, table.within_var)]
+    merged = _class_moments(table, np.minimum(table.indices[k_old:], int(max_index)), half)
     return _mirrored(*merged, table.source, table.step)
 
 
-def _class_moments(table: BinTable, labels: np.ndarray, rows: slice = slice(None)):
+def _class_moments(table: BinTable, labels: np.ndarray, columns=None):
     """Mass, mean and variance of each class of bins.
 
-    `labels` gives the nonnegative integer class of each table row in
-    `rows`; entry u of each array is over the rows labelled u, summed in
-    row order.  The variance is the law of total variance,
-    (sum p*v + sum p*(c - class mean)**2) / class mass, so no square of
-    a mean is ever subtracted.  A class without mass gets the source
-    mean and zero variance.
+    `labels` gives the nonnegative integer class of each row of `columns`
+    (prob, centroid, within_var; the table's by default); entry u of each
+    array is over the rows labelled u, summed in row order.  The variance
+    is the law of total variance, (sum p*v + sum p*(c - class mean)**2) /
+    class mass, so no square of a mean is ever subtracted.  A class
+    without mass gets the source mean and zero variance.
     """
-    p, c = table.prob[rows], table.centroid[rows]
+    p, c, v = columns or (table.prob, table.centroid, table.within_var)
     mass = np.bincount(labels, weights=p)
     has_mass = mass > 0.0
     mean = np.divide(np.bincount(labels, weights=p * c), mass,
                      out=np.full(mass.size, table.source.mean), where=has_mass)
-    spread = np.bincount(labels, weights=p * (table.within_var[rows] + (c - mean[labels]) ** 2))
-    var = np.divide(spread, mass, out=np.zeros(mass.size), where=has_mass)
+    dev = c - mean.take(labels)
+    dev = np.multiply(p, np.add(v, np.square(dev, out=dev), out=dev), out=dev)
+    var = np.divide(np.bincount(labels, weights=dev), mass, out=np.zeros(mass.size), where=has_mass)
     return mass, mean, var
 
 
-def _conditional_entropy(table: BinTable, labels: np.ndarray) -> float:
+def _conditional_entropy(table: BinTable, labels: np.ndarray, sizes=(), columns=None) -> list:
     """Entropy in bits of the output given its class: -sum_i p_i log2(p_i / P(class of i)).
 
-    Summed directly rather than as H(output) - H(class), which cancels
-    catastrophically when the remainder is tiny.
+    One per table-long labelling stacked in `labels`, with `columns` (prob, prob > 0) to
+    match; summed directly, as H(output) - H(class) cancels catastrophically when tiny.
     """
-    p = table.prob
-    class_mass = np.bincount(labels, weights=p)[labels]
-    ratio = np.divide(p, class_mass, out=np.ones_like(p), where=p > 0.0)
+    p, positive = columns or (table.prob, table.prob > 0.0)
+    ratio = np.divide(p, np.bincount(labels, weights=p).take(labels), out=np.ones_like(p),
+                      where=positive)
     # 0.0 - x rather than -x, so an exact zero never prints as -0.
-    return 0.0 - float(p @ np.log(ratio)) / math.log(2.0)
+    return [0.0 - float(p[:row.size].dot(row)) / math.log(2.0)
+            for row in np.log(ratio, out=ratio).reshape(-1, table.prob.size)]
 
 
-def _eve_mmse(table: BinTable, labels: np.ndarray) -> float:
-    """Least mean squared error of an estimator that sees only the class."""
-    mass, _, var = _class_moments(table, labels)
-    return float(np.dot(mass, var))
+def _eve_mmse(table: BinTable, labels: np.ndarray, sizes, columns=None) -> list:
+    """Least mean squared error of an estimator that sees only the class, per labelling."""
+    mass, _, var = _class_moments(table, labels, columns)
+    w = table.prob.size
+    return [float(mass[j * w:j * w + n].dot(var[j * w:j * w + n])) for j, n in enumerate(sizes)]
 
 
-def _residues(table: BinTable, modulus: int) -> np.ndarray:
-    """Nonnegative residues 0..modulus-1 of the indices, as class labels."""
-    if int(modulus) != modulus or modulus < 1:
-        raise ValueError(f"modulus must be an integer >= 1, got {modulus}")
-    # Every modulus of at least the table width leaves each bin in its own
-    # class, so capping it keeps the class arrays no longer than the table.
-    return np.mod(table.indices, min(int(modulus), len(table.indices)))
+def _residue_sweep(table: BinTable, moduli, columns, stat):
+    """`stat(table, labels, sizes, columns)` over blocks of residue labellings of `moduli`,
+    stacked to _RESIDUE_BLOCK entries: labelling j's `sizes[j]` classes start at j * width."""
+    f = np.asarray(moduli, dtype=float)
+    if not np.all((f >= 1.0) & (f == np.floor(f)) & (f < math.inf)):
+        raise ValueError(f"modulus must be an integer >= 1, got {moduli}")
+    # A modulus of at least the table width leaves each bin in its own class.
+    caps = np.minimum(f.ravel(), table.prob.size).astype(np.int64)
+    rows = max(1, _RESIDUE_BLOCK // table.prob.size)
+    tiled = [np.tile(col, min(rows, caps.size)) for col in columns]
+    out = []
+    for block in np.split(caps, range(rows, caps.size, rows)):
+        labels = np.mod(table.indices, block[:, None])
+        labels[1:] += np.arange(table.prob.size, labels.size, table.prob.size)[:, None]
+        out += stat(table, labels.ravel(), block.tolist(), [c[:labels.size] for c in tiled])
+    return out[0] if f.ndim == 0 else np.array(out, dtype=float).reshape(f.shape)
 
 
 def _require_symmetric(table: BinTable) -> None:
@@ -234,16 +247,17 @@ def entropy_given_magnitude(table: BinTable) -> float:
     nonzero.  Asymmetric tables are rejected.
     """
     _require_symmetric(table)
-    return _conditional_entropy(table, np.abs(table.indices))
+    return _conditional_entropy(table, np.abs(table.indices))[0]
 
 
-def entropy_given_residue(table: BinTable, modulus: int) -> float:
+def entropy_given_residue(table: BinTable, modulus):
     """Conditional entropy in bits of the output given its index mod `modulus`.
 
     Residues are the nonnegative representatives 0..modulus-1, matching
-    the arithmetic a decoder applies to received indices.
+    the arithmetic a decoder applies to received indices.  An integer
+    array of moduli gives an array, bit for bit the scalar calls.
     """
-    return _conditional_entropy(table, _residues(table, modulus))
+    return _residue_sweep(table, modulus, (table.prob, table.prob > 0.0), _conditional_entropy)
 
 
 def bob_distortion(table: BinTable, reconstruction: str) -> float:
@@ -260,9 +274,9 @@ def bob_distortion(table: BinTable, reconstruction: str) -> float:
     raise ValueError(f"unknown reconstruction rule {reconstruction!r}")
 
 
-def eve_mmse_given_residue(table: BinTable, modulus: int) -> float:
-    """Least mean squared error of an estimator that sees only index mod `modulus`."""
-    return _eve_mmse(table, _residues(table, modulus))
+def eve_mmse_given_residue(table: BinTable, modulus):
+    """Least mean squared error of an estimator that sees only index mod `modulus` (or array)."""
+    return _residue_sweep(table, modulus, (table.prob, table.centroid, table.within_var), _eve_mmse)
 
 
 def eve_mmse_given_magnitude(table: BinTable) -> float:
@@ -273,12 +287,10 @@ def eve_mmse_given_magnitude(table: BinTable) -> float:
     value must equal the source variance; that identity is asserted.
     """
     _require_symmetric(table)
-    mmse = _eve_mmse(table, np.abs(table.indices))
+    mmse = _eve_mmse(table, np.abs(table.indices), [table.max_index + 1])[0]
     expected = table.source.variance
     if abs(mmse - expected) > 1e-9 * max(1.0, expected):
-        raise SolverError(
-            f"magnitude-only MMSE {mmse} differs from the source variance {expected}"
-        )
+        raise SolverError(f"magnitude-only MMSE {mmse} differs from the source variance {expected}")
     return mmse
 
 

@@ -55,6 +55,7 @@ SCHEME_IDS = ("weak", "jointly_gaussian", "optimal_high_key", "quantized_greedy"
 
 _LN2 = math.log(2.0)
 _GRID_SEED = 512  # columns of largest bound that `verify_jointly_gaussian_grid` tests first
+_MAX_SWEEP = 250_000_000  # n_max * table width: entries the greedy's residue sweep may label
 
 
 @dataclass(frozen=True)
@@ -321,9 +322,10 @@ class GreedyQuantizedScheme:
     Picks the finest step whose output entropy fits the message rate,
     then, per key budget, discloses the bin index modulo the divisor
     that maximizes payoff subject to the residual entropy fitting the
-    key rate.  Reusable across key rates: the table and the per-divisor
-    sweep are computed once.  `n_max` bounds the divisors tried (default:
-    every divisor up to the table width).
+    key rate.  Reusable across key rates: the table and both residue
+    statistics of every divisor (one array call each) are computed once.
+    `n_max` bounds the divisors (default: the table width); n_max times
+    the width may not exceed `_MAX_SWEEP`, which keeps the sweep to seconds.
     """
 
     def __init__(
@@ -345,12 +347,11 @@ class GreedyQuantizedScheme:
         self.bob_mse = bob_distortion(self.table, "lattice")
         full = 2 * self.table.max_index + 1
         self.n_max = min(int(n_max), full) if n_max is not None else full
-        self._cond_entropy = np.array(
-            [entropy_given_residue(self.table, n) for n in range(1, self.n_max + 1)]
-        )
-        self._eve_mmse = np.array(
-            [eve_mmse_given_residue(self.table, n) for n in range(1, self.n_max + 1)]
-        )
+        if self.n_max * full > _MAX_SWEEP:
+            raise ValueError(f"{self.n_max} moduli of a {full}-bin table exceed the {_MAX_SWEEP}"
+                             " entries the residue sweep allows; lower n_max (--n-max)")
+        self._cond_entropy = entropy_given_residue(self.table, np.arange(1, self.n_max + 1))
+        self._eve_mmse = eve_mmse_given_residue(self.table, np.arange(1, self.n_max + 1))
 
     def evaluate(self, key_rate_bits: float) -> PayoffPoint:
         """Best feasible divisor at one key rate, or the least-violating one."""

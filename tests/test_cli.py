@@ -272,6 +272,13 @@ class TestQuantizerStats:
     def test_bad_step(self):
         assert run_cli(["quantizer-stats", "--t", "-1.0"]) == 2
 
+    def test_modulus_bounds(self, capsys):
+        assert run_cli(["quantizer-stats", "--t", "0.5", "--n-mod", "0"]) == 2
+        assert "modulus must be an integer >= 1" in capsys.readouterr().err
+        assert run_cli(["quantizer-stats", "--t", "0.5", "--n-mod", str(10**21)]) == 0
+        got = {r["quantity"]: r["value"] for r in parse_csv(capsys.readouterr().out)}
+        assert got[f"entropy_given_mod{10**21}_bits"] == "0"
+
     def test_point_mass_entropy_is_zero_not_negative(self, capsys):
         # Every bin but the centre lies 150 sigma out: a point mass.
         assert run_cli(["quantizer-stats", "--t", "3", "--sigma2", "1e-4"]) == 0
@@ -452,6 +459,16 @@ code = 0 if len(enumerate_subset_candidates(pmf, 19)) == 2**19 - 1 else 1
         assert len(grid) == _MAX_GRID_POINTS
         with pytest.raises(ValueError):
             _parse_grid(None, f"0:{_MAX_GRID_POINTS}:1", "--rs", "--rs-range")
+
+    def test_greedy_sweep_bounded_by_n_max(self, capsys):
+        # R = 14 gives a 56537-bin table, whose full sweep would label
+        # 3.2e9 entries; the cap refuses it once the table is built.
+        base = ["curve", "--schemes", "quantized_greedy", "--r", "14", "--rs", "0.5"]
+        assert run_cli(base) == 2
+        assert "--n-max" in capsys.readouterr().err
+        assert run_cli(base + ["--n-max", "10"]) == 0
+        row = parse_csv(capsys.readouterr().out)[0]
+        assert row["N"] == "10" and row["feasible"] == "false"
 
     def test_symbol_cap_is_inclusive(self, monkeypatch, capsys):
         # The simulation itself is stubbed out: only validation is under test.

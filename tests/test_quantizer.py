@@ -473,6 +473,7 @@ class TestClassStatisticsMatchReference:
             ref = ref_entropy_given_residue(table, n)
             assert got == pytest.approx(ref, rel=1e-10, abs=0.0), n
             assert math.copysign(1.0, got) == 1.0
+        assert_array_calls_match_scalar(entropy_given_residue, table)
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_tables())
@@ -485,6 +486,7 @@ class TestClassStatisticsMatchReference:
             got = eve_mmse_given_residue(table, n)
             assert got == pytest.approx(ref_eve_mmse_given_residue(table, n), abs=tol), n
             assert math.isfinite(got)
+        assert_array_calls_match_scalar(eve_mmse_given_residue, table)
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_tables())
@@ -498,6 +500,33 @@ class TestClassStatisticsMatchReference:
             assert np.array_equal(got.centroid, ref.centroid)
             assert np.array_equal(got.within_var, ref.within_var)
 
+    @pytest.mark.parametrize("stat", [entropy_given_residue, eve_mmse_given_residue])
+    # One entry, N - 1, N, N + 1, 2N and 3N entries for the N = 443 bins at R = 7.
+    @pytest.mark.parametrize("block", [1, 442, 443, 444, 886, 1329])
+    def test_block_size_keeps_the_bits(self, monkeypatch, rate7_scalars, stat, block):
+        # Blocks of one modulus, as in a scalar call, and of two or three
+        # stacked moduli must all give the scalar calls' bits.
+        table, scalars = rate7_scalars
+        monkeypatch.setattr(quantizer, "_RESIDUE_BLOCK", block)
+        assert np.array_equal(stat(table, np.arange(1, 444)), scalars[stat.__name__])
+
+    @pytest.mark.parametrize("stat", [entropy_given_residue, eve_mmse_given_residue])
+    def test_array_moduli_validated_like_scalars(self, unit_table, stat):
+        for bad in ([3, 0, 2], [-1], [1.5, 2.0], [2.0, math.nan], [math.inf]):
+            with pytest.raises(ValueError, match="modulus must be an integer >= 1"):
+                stat(unit_table, np.array(bad))
+        for bad in (0, -3, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="modulus must be an integer >= 1"):
+                stat(unit_table, bad)
+        empty = stat(unit_table, np.array([], dtype=np.int64))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        full = 2 * unit_table.max_index + 1
+        capped = stat(unit_table, np.array([10**15, full, 3], dtype=np.int64))
+        assert capped.tolist() == [stat(unit_table, full)] * 2 + [stat(unit_table, 3)]
+        square = stat(unit_table, np.array([[1, 2], [3, 4]]))
+        assert square.tolist() == [[stat(unit_table, 1), stat(unit_table, 2)],
+                                   [stat(unit_table, 3), stat(unit_table, 4)]]
+
     def test_huge_modulus_needs_no_allocation(self, unit_table):
         # Every modulus past the table width discloses the index exactly.
         full = 2 * unit_table.max_index + 1
@@ -505,6 +534,27 @@ class TestClassStatisticsMatchReference:
         assert eve_mmse_given_residue(unit_table, 10**15) == pytest.approx(
             eve_mmse_given_residue(unit_table, full), abs=1e-15
         )
+
+
+def assert_array_calls_match_scalar(stat, table):
+    """An array of moduli gives the scalar calls' bits, sorted or not, with repeats."""
+    moduli = np.arange(1, 2 * table.max_index + 3)
+    scalars = np.array([stat(table, int(n)) for n in moduli])
+    assert np.array_equal(stat(table, moduli), scalars)
+    mixed = np.concatenate([moduli[::-1], moduli[::2], [1, 1]])
+    assert np.array_equal(stat(table, mixed), scalars[mixed - 1])
+    assert all(math.copysign(1.0, x) == 1.0 for x in stat(table, mixed))
+
+
+@pytest.fixture(scope="module")
+def rate7_scalars():
+    """The R = 7 table (443 bins) and both statistics at moduli 1..443, one call each."""
+    table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=step_size_for_entropy(
+        STANDARD_SOURCE, 7.0)))
+    assert table.prob.size == 443
+    moduli = range(1, table.prob.size + 1)
+    return table, {stat.__name__: np.array([stat(table, n) for n in moduli])
+                   for stat in (entropy_given_residue, eve_mmse_given_residue)}
 
 
 # Reference for the array bin table: the per-bin loop over scalar

@@ -355,6 +355,18 @@ class TestGreedyScheme:
                 GreedyQuantizedScheme(2.7, n_max=bad)
         assert GreedyQuantizedScheme(2.7, n_max=3.0).evaluate(0.0) == point
 
+    def test_sweep_cap_admits_the_default_at_rate_12(self, monkeypatch):
+        # The sweep itself is stubbed out: only the cap is under test.
+        widths = []
+        monkeypatch.setattr(schemes_module, "entropy_given_residue",
+                            lambda table, moduli: widths.append(table.prob.size) or moduli)
+        monkeypatch.setattr(schemes_module, "eve_mmse_given_residue", lambda table, moduli: moduli)
+        GreedyQuantizedScheme(12.0)
+        assert widths[0] ** 2 <= schemes_module._MAX_SWEEP
+        with pytest.raises(ValueError, match="n_max"):
+            GreedyQuantizedScheme(12.5)
+        assert GreedyQuantizedScheme(12.5, n_max=1000).n_max == 1000
+
     @pytest.mark.parametrize("rate", [0.5, 7.0])
     def test_divisor_ties_survive_last_bit_noise(self, rate):
         # At R = 0.5, n = 1 and n = 2 leave Eve the same error by sign
