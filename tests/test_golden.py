@@ -40,6 +40,8 @@ GOLDEN_COMMANDS = {
         "quantizer-stats", "--t", "2.5", "--mu", "0.3", "--sigma2", "1.7", "--n-mod", "7",
     ],
     "quantizer_stats_mod3": ["quantizer-stats", "--t", "0.5", "--n-mod", "3"],
+    # The 950k-bin table, the largest the CLI builds.
+    "quantizer_stats_fine": ["quantizer-stats", "--t", "1.5e-5"],
     "sim_sign_pad": ["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "7", "--n", "100000"],
     "sim_no_key": ["sim", "--scheme", "no_key", "--t", "0.5", "--seed", "7", "--n", "100000"],
     "sim_full_encryption": [
