@@ -188,15 +188,21 @@ def _class_moments(table: BinTable, labels: np.ndarray, columns=None):
 def _conditional_entropy(table: BinTable, labels: np.ndarray, sizes=(), columns=None) -> list:
     """Entropy in bits of the output given its class: -sum_i p_i log2(p_i / P(class of i)).
 
-    One per table-long labelling stacked in `labels`, with `columns` (prob, prob > 0) to
+    One per table-long labelling stacked in `labels`, with `columns` (prob,) to
     match; summed directly, as H(output) - H(class) cancels catastrophically when tiny.
+    An entry holding most of its class takes log1p(-rest / P), with `rest` summed from
+    the class's other entries, as p / P would round a rest below 1e-16 P away.
     """
-    p, positive = columns or (table.prob, table.prob > 0.0)
-    ratio = np.divide(p, np.bincount(labels, weights=p).take(labels), out=np.ones_like(p),
-                      where=positive)
+    p = columns[0] if columns else table.prob
+    share = np.bincount(labels, weights=p).take(labels)
+    major = p > 0.5 * share
+    minor = np.where(major, 0.0, p)
+    ratio = np.divide(p, share, out=np.ones_like(p), where=minor > 0.0)
+    np.log(ratio, out=ratio)
+    ratio[major] = np.log1p(-np.bincount(labels, weights=minor).take(labels[major]) / share[major])
     # 0.0 - x rather than -x, so an exact zero never prints as -0.
-    return [0.0 - float(p[:row.size].dot(row)) / math.log(2.0)
-            for row in np.log(ratio, out=ratio).reshape(-1, table.prob.size)]
+    rows = (-1, table.prob.size)
+    return (0.0 - np.vecdot(p.reshape(rows), ratio.reshape(rows)) / math.log(2.0)).tolist()
 
 
 def _eve_mmse(table: BinTable, labels: np.ndarray, sizes, columns=None) -> list:
@@ -257,7 +263,7 @@ def entropy_given_residue(table: BinTable, modulus):
     the arithmetic a decoder applies to received indices.  An integer
     array of moduli gives an array, bit for bit the scalar calls.
     """
-    return _residue_sweep(table, modulus, (table.prob, table.prob > 0.0), _conditional_entropy)
+    return _residue_sweep(table, modulus, (table.prob,), _conditional_entropy)
 
 
 def bob_distortion(table: BinTable, reconstruction: str) -> float:

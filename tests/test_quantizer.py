@@ -373,15 +373,15 @@ def ref_entropy_given_magnitude(table):
 
 
 def ref_entropy_given_residue(table, modulus):
+    """Exact for the table's float probabilities: each class summed at 50 digits."""
     residues = np.mod(table.indices, modulus)
-    acc = 0.0
-    for u in range(int(modulus)):
-        mask = residues == u
-        pu = float(table.prob[mask].sum())
-        if pu <= 0.0:
-            continue
-        acc += pu * entropy_bits(table.prob[mask] / pu)
-    return acc
+    acc = mpmath.mpf(0)
+    with mpmath.workdps(50):
+        for u in range(int(modulus)):
+            probs = [mpmath.mpf(float(x)) for x in table.prob[residues == u] if x > 0.0]
+            pu = mpmath.fsum(probs)
+            acc -= mpmath.fsum(x * mpmath.log(x / pu) for x in probs)
+        return float(acc / mpmath.log(2))
 
 
 def second_moment(table):
@@ -429,18 +429,32 @@ def symmetric_tables(draw):
     """A hand-built table, symmetric about a nonzero-capable mean, any bin possibly empty."""
     k = draw(st.integers(1, 6))
     mu = draw(st.floats(-5.0, 5.0))
-    w = np.array(draw(st.lists(_WEIGHT, min_size=k + 1, max_size=k + 1)))
+    w = draw(st.lists(_WEIGHT, min_size=k + 1, max_size=k + 1))
+    offset = draw(st.lists(st.floats(0.0, 4.0), min_size=k, max_size=k))
+    spread = draw(st.lists(st.floats(0.01, 2.0), min_size=k + 1, max_size=k + 1))
+    return symmetric_table(mu, w, offset, spread)
+
+
+def symmetric_table(mu, weights, offset, spread):
+    """Bins 0..k weighted by `weights`, centroids mu + [0] + `offset`, mirrored about mu."""
+    w, spread = np.array(weights, dtype=float), np.array(spread, dtype=float)
     if w.sum() == 0.0:
         w[0] = 1.0
-    offset = np.array([0.0] + draw(st.lists(st.floats(0.0, 4.0), min_size=k, max_size=k)))
-    spread = np.array(draw(st.lists(st.floats(0.01, 2.0), min_size=k + 1, max_size=k + 1)))
+    offset = np.array([0.0] + list(offset))
     half = w / (w[0] + 2.0 * w[1:].sum())
     prob = np.concatenate([half[:0:-1], half])
     centroid = mu + np.concatenate([-offset[:0:-1], offset])
     within_var = np.concatenate([spread[:0:-1], spread])
     variance = float(prob @ (within_var + (centroid - mu) ** 2))
-    indices = np.arange(-k, k + 1, dtype=np.int64)
+    indices = np.arange(-(w.size - 1), w.size, dtype=np.int64)
     return BinTable(indices, prob, centroid, within_var, GaussianSource(mu, variance), 1.0)
+
+
+# Each class of residues mod 1 and mod 5 is nearly all one bin, whose
+# share p / P rounds away the other bins' 8e-12: log(p / P) was 3e-7
+# (relative) off the entropy, where log1p(-rest / P) keeps every digit.
+_NEAR_POINT_MASS_TABLE = symmetric_table(0.0, [1.0, 2e-12, 0.0, 0.0, 0.0, 2e-12], [0.0] * 5,
+                                         [1.0] * 6)
 
 
 # Folding to k = 1 squares a centroid offset of 0.9135239674620381, whose
@@ -462,6 +476,7 @@ _POW_ROUNDING_TABLE = BinTable(
 class TestClassStatisticsMatchReference:
     @settings(max_examples=150, deadline=None)
     @given(symmetric_tables())
+    @example(_NEAR_POINT_MASS_TABLE)
     def test_entropies(self, table):
         # Relative comparison: a conditional entropy that is tiny next to
         # H(output) must still be exact to its own size.
@@ -700,3 +715,4 @@ class TestBinTableMatchesReference:
         mse = float(table.prob[inner] @ table.within_var[inner])
         assert mse / (float(table.prob[inner].sum()) * t * t / 12.0) == pytest.approx(
             1.0, rel=1e-9, abs=0.0)
+
