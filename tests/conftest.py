@@ -1,6 +1,18 @@
-"""Shared fixtures; collects acceptance-criterion lines for the summary."""
+"""Shared fixtures; collects acceptance-criterion lines for the summary.
 
+Failures print what is needed to replay them: hypothesis adds the
+`@reproduce_failure` blob of a falsifying example, and numpy prints
+every float of an array in full, so a failing table can be pasted into
+an `@example`.  Both only change what a failure prints.
+"""
+
+import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
+np.set_printoptions(floatmode="unique")
 
 _CRITERION_LINES: list[str] = []
 
