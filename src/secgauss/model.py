@@ -200,39 +200,44 @@ def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
         i = np.argmax(bad)
         raise ValueError(f"interval must satisfy a < b, got [{a.flat[i]}, {b.flat[i]}]")
     mu, sigma = source.mean, source.std
-    alpha, beta = (a - mu) / sigma, (b - mu) / sigma
+    alpha, beta = ((a - mu) / sigma).ravel(), ((b - mu) / sigma).ravel()
+    n = alpha.size
 
-    # With the upper tails qa = P(xi > |alpha|) and qb = P(xi > |beta|), the
-    # mass is qa - qb for alpha >= 0 and qb - qa for beta <= 0, never a
+    # Each distinct edge's upper tail P(xi > |x|) and density are taken once:
+    # intervals that partition a range, as build_bin_table's do, share edges.
+    shared = n > 1 and np.array_equal(beta[:-1], alpha[1:])
+    edges = np.append(alpha, beta[-1]) if shared else np.concatenate([alpha, beta])
+    upper = slice(1 if shared else n, None)
+    tail, pdf = normal_cdf(-np.abs(edges)), normal_pdf(edges)
+    # x * pdf(x) vanishes at an infinite endpoint; drop it there, not inf * 0.
+    x_pdf = np.where(np.isfinite(edges), edges, 0.0) * pdf
+
+    # The mass is qa - qb for alpha >= 0 and qb - qa for beta <= 0, never a
     # difference of values near 1; an interval straddling 0 sums two erfs.
-    qa, qb = normal_cdf(-np.abs(alpha)), normal_cdf(-np.abs(beta))
-    mass = np.maximum(np.where(alpha >= 0.0, qa - qb, qb - qa), 0.0).ravel()
+    qa, qb = tail[:n], tail[upper]
+    mass = np.maximum(np.where(alpha >= 0.0, qa - qb, qb - qa), 0.0)
     mid = np.flatnonzero((alpha < 0.0) & (beta > 0.0))
     mass[mid] = [0.5 * (math.erf(hi / _SQRT2) + math.erf(-lo / _SQRT2))
                  for lo, hi in zip(alpha.take(mid).tolist(), beta.take(mid).tolist())]
-    mass = mass.reshape(alpha.shape)
     empty = mass < 1e-300
-    # Empty entries divide by 1 here and are replaced at the end.
-    divisor = np.where(empty, 1.0, mass)
-    pdf_a, pdf_b = normal_pdf(alpha), normal_pdf(beta)
-    first = (pdf_a - pdf_b) / divisor
-    # x * pdf(x) vanishes at an infinite endpoint; drop it there, not inf * 0.
-    excess = (np.where(np.isfinite(alpha), alpha, 0.0) * pdf_a
-              - np.where(np.isfinite(beta), beta, 0.0) * pdf_b)
-    var_std = np.maximum(1.0 + excess / divisor - first * first, 0.0).ravel()
+    # Empty entries, if any, divide by 1 here and are replaced at the end.
+    divisor = np.where(empty, 1.0, mass) if empty.any() else mass
+    first = (pdf[:n] - pdf[upper]) / divisor
+    var_std = np.maximum(1.0 + (x_pdf[:n] - x_pdf[upper]) / divisor - first * first, 0.0)
     narrow = np.flatnonzero((beta - alpha < _NARROW_WIDTH) & ~empty)
     for start in range(0, narrow.size, _NARROW_BLOCK):
         rows = narrow[start:start + _NARROW_BLOCK]
         half = 0.5 * (beta.take(rows) - alpha.take(rows))
         var_std[rows] = _narrow_variance(alpha.take(rows) + half, half)
 
-    # The endpoint nearest the mean; finite wherever the interval is empty.
-    edge = np.where(alpha > 0.0, a, b)
-    moments = (np.where(empty, 0.0, mass), np.where(empty, edge, mu + sigma * first),
-               np.where(empty, 0.0, source.variance * var_std.reshape(mass.shape)))
-    if mass.ndim == 0:
-        return TruncatedMoments(*map(float, moments))
-    return TruncatedMoments(*moments)
+    moments = (mass, mu + sigma * first, source.variance * var_std)
+    if empty.any():
+        # The endpoint nearest the mean; finite wherever the interval is empty.
+        nearest = np.where(alpha > 0.0, a.ravel(), b.ravel())
+        moments = tuple(np.where(empty, fill, m) for fill, m in zip((0.0, nearest, 0.0), moments))
+    if a.ndim == 0:
+        return TruncatedMoments(*(float(m[0]) for m in moments))
+    return TruncatedMoments(*(m.reshape(a.shape) for m in moments))
 
 
 def entropy_bits(probs) -> float:

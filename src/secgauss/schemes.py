@@ -9,6 +9,7 @@ evaluator for finite-alphabet strategies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -210,17 +211,7 @@ def verify_jointly_gaussian_grid(
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"grid step must divide 1, got {step}")
     r, rs = rates.rate, rates.key_rate
-
-    # Sign flips (a,b,c) -> (|a|,|b|,c*sign(ab)) preserve g, the
-    # determinant, and both constraints, so nonnegative a, b suffice.
-    # Entry k of an axis is k*step, so the rho_yu axis is exactly
-    # symmetric with 0 in the middle; the clip keeps its ends at +-1.
-    axis_pos = np.minimum(np.arange(n + 1) * step, 1.0)
-    axis_full = np.clip(np.arange(-n, n + 1) * step, -1.0, 1.0)
-    xu, yu = (v.ravel() for v in np.meshgrid(axis_pos, axis_full, indexing="ij"))
-    xu2, yu2 = xu * xu, yu * yu
-
-    peak = (1.0 - xu2) * (1.0 - yu2)
+    axis_pos, axis_full, xu, yu, xu2, yu2, peak = _grid_columns(step, n)
     d_need = np.maximum(peak * 2.0 ** (-2.0 * rs), (1.0 - yu2) * 2.0 ** (-2.0 * r)).clip(1e-15)
     a_plus = xu * yu + np.sqrt(np.maximum(peak - d_need, 0.0))
     top = np.minimum(np.floor(a_plus / step).astype(int) + 1, axis_pos.size - 1)
@@ -248,6 +239,24 @@ def verify_jointly_gaussian_grid(
     i, j = divmod(int(cols[pick]), axis_full.size)
     triple = CorrelationTriple(float(axis_pos[best[pick]]), float(axis_pos[i]), float(axis_full[j]))
     return float(g[pick]), triple
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_columns(step: float, n: int) -> tuple:
+    """Read-only axes and flat (b, c) columns of the grid of `step` = 1/n; no rate moves them.
+
+    Sign flips (a,b,c) -> (|a|,|b|,c*sign(ab)) preserve g, the determinant and
+    both constraints, so nonnegative a, b suffice.  Entry k of an axis is k*step,
+    so the rho_yu axis is exactly symmetric about 0; the clip keeps its ends at +-1.
+    """
+    axis_pos = np.minimum(np.arange(n + 1) * step, 1.0)
+    axis_full = np.clip(np.arange(-n, n + 1) * step, -1.0, 1.0)
+    xu, yu = (v.ravel() for v in np.meshgrid(axis_pos, axis_full, indexing="ij"))
+    xu2, yu2 = xu * xu, yu * yu
+    columns = (axis_pos, axis_full, xu, yu, xu2, yu2, (1.0 - xu2) * (1.0 - yu2))
+    for col in columns:
+        col.setflags(write=False)
+    return columns
 
 
 def _binary_entropy_of_logit(z: float) -> float:

@@ -141,24 +141,29 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     # (count, mean, M2) of the payoff merge as in Chan, Golub & LeVeque (1979).
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = config.n_symbols
-    buf = np.empty(min(n, _BLOCK))
+    # Block buffers, filled in place: draw, lattice index, row, Bob's and Eve's errors.
+    draw, lat, bob, eve = np.empty((4, min(n, _BLOCK)))
+    rows = np.empty(draw.size, dtype=np.intp)
     bob_total = eve_total = mean = m2 = 0.0
     for start in range(0, n, _BLOCK):
-        xs = rng.standard_normal(out=buf[: n - start])
+        xs, t, r, b, e = (buf[: n - start] for buf in (draw, lat, rows, bob, eve))
+        rng.standard_normal(out=xs)
         xs *= source.std
         xs += source.mean
-        rows = (np.clip(np.rint((xs - source.mean) / table.step), -k, k) + k).astype(np.intp)
-        bob_sq = (bob_points[rows] - xs) ** 2
-        eve_sq = (eve_points[rows] - xs) ** 2
-        bob_total += float(bob_sq.sum())
-        eve_total += float(eve_sq.sum())
-        samples = (eve_sq - bob_sq) / source.variance
+        np.divide(np.subtract(xs, source.mean, out=t), table.step, out=t)
+        np.clip(np.rint(t, out=t), -k, k, out=t)
+        r[:] = np.add(t, k, out=t)
+        for points, sq in ((bob_points, b), (eve_points, e)):
+            np.square(np.subtract(np.take(points, r, out=sq, mode="clip"), xs, out=sq), out=sq)
+        bob_total += float(b.sum())
+        eve_total += float(e.sum())
+        samples = np.divide(np.subtract(e, b, out=e), source.variance, out=e)
         block_mean = float(samples.mean())
         delta, m = block_mean - mean, samples.size
         mean += delta * m / (start + m)
-        m2 += float(np.square(samples - block_mean).sum()) + delta * delta * start * m / (start + m)
-    bob_mse = bob_total / n
-    eve_mse = eve_total / n
+        dev = np.square(np.subtract(samples, block_mean, out=b), out=b)
+        m2 += float(dev.sum()) + delta * delta * start * m / (start + m)
+    bob_mse, eve_mse = bob_total / n, eve_total / n
     return SimResult(
         empirical_payoff=(eve_mse - bob_mse) / source.variance,
         std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n >= 2 else 0.0,

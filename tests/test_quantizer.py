@@ -11,10 +11,10 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import special
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from secgauss import quantizer
+from secgauss import model, quantizer
 from secgauss import (
     STANDARD_SOURCE,
     BinTable,
@@ -716,3 +716,114 @@ class TestBinTableMatchesReference:
         assert mse / (float(table.prob[inner].sum()) * t * t / 12.0) == pytest.approx(
             1.0, rel=1e-9, abs=0.0)
 
+
+# Reference for truncated_moments over a partition: each interval's two
+# endpoint tails and densities taken separately, with the empty-interval
+# replacements always applied, as before shared edges were taken once.
+
+
+def ref_two_tail_moments(a, b, source):
+    """Mass, mean and variance arrays on the intervals (a, b], two tails per interval."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    mu, sigma = source.mean, source.std
+    alpha, beta = (a - mu) / sigma, (b - mu) / sigma
+    qa, qb = model.normal_cdf(-np.abs(alpha)), model.normal_cdf(-np.abs(beta))
+    mass = np.maximum(np.where(alpha >= 0.0, qa - qb, qb - qa), 0.0).ravel()
+    mid = np.flatnonzero((alpha < 0.0) & (beta > 0.0))
+    mass[mid] = [0.5 * (math.erf(hi / _SQRT2) + math.erf(-lo / _SQRT2))
+                 for lo, hi in zip(alpha.take(mid).tolist(), beta.take(mid).tolist())]
+    mass = mass.reshape(alpha.shape)
+    empty = mass < 1e-300
+    divisor = np.where(empty, 1.0, mass)
+    pdf_a, pdf_b = model.normal_pdf(alpha), model.normal_pdf(beta)
+    first = (pdf_a - pdf_b) / divisor
+    excess = (np.where(np.isfinite(alpha), alpha, 0.0) * pdf_a
+              - np.where(np.isfinite(beta), beta, 0.0) * pdf_b)
+    var_std = np.maximum(1.0 + excess / divisor - first * first, 0.0).ravel()
+    narrow = np.flatnonzero((beta - alpha < model._NARROW_WIDTH) & ~empty)
+    for start in range(0, narrow.size, model._NARROW_BLOCK):
+        rows = narrow[start:start + model._NARROW_BLOCK]
+        half = 0.5 * (beta.take(rows) - alpha.take(rows))
+        var_std[rows] = model._narrow_variance(alpha.take(rows) + half, half)
+    edge = np.where(alpha > 0.0, a, b)
+    return (np.where(empty, 0.0, mass), np.where(empty, edge, mu + sigma * first),
+            np.where(empty, 0.0, source.variance * var_std.reshape(mass.shape)))
+
+
+def ref_two_tail_table(source, spec):
+    """build_bin_table's table from the two-tail moments."""
+    mu, t = source.mean, spec.step
+    k_max = max(int(spec.max_index), int(math.ceil(quantizer._TAIL_STDS * source.std / t - 0.5)), 1)
+    k = np.arange(k_max + 1)
+    hi = np.where(k < k_max, mu + (k + 0.5) * t, math.inf)
+    return quantizer._mirrored(*ref_two_tail_moments(mu + (k - 0.5) * t, hi, source), source, t)
+
+
+def intervals(draw, size):
+    """`size` intervals anywhere from 60 sigma below to 60 above, some with infinite ends."""
+    a = np.array(draw(st.lists(st.floats(-60.0, 60.0), min_size=size, max_size=size)))
+    width = np.array(draw(st.lists(st.floats(-6.0, 1.5), min_size=size, max_size=size)))
+    b = a + 10.0 ** width
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        a[i] = -math.inf
+    for i in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        b[i] = math.inf
+    return a, b
+
+
+class TestSharedEdgesKeepTheBits:
+    """truncated_moments takes each shared edge once; the two-tail form is the reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.floats(-4.0, math.log10(3.0)).map(lambda e: 10.0**e),
+        st.sampled_from([0.0, 3.0, -1e3, 1e6]) | st.floats(-5.0, 5.0),
+        st.floats(0.1, 4.0),
+        # Past 40 sigma the outer bins underflow to empty.
+        st.integers(1, 60) | st.integers(300, 900),
+    )
+    def test_bin_table_columns(self, step, mu, variance, max_index):
+        source = GaussianSource(mu, variance)
+        spec = QuantizerSpec(step=step * source.std, max_index=max_index)
+        got, ref = build_bin_table(source, spec), ref_two_tail_table(source, spec)
+        for column in ("indices", "prob", "centroid", "within_var"):
+            assert np.array_equal(getattr(got, column), getattr(ref, column)), column
+
+    def test_forced_extent_has_empty_outer_bins(self):
+        spec = QuantizerSpec(step=0.5, max_index=200)
+        got = build_bin_table(STANDARD_SOURCE, spec)
+        ref = ref_two_tail_table(STANDARD_SOURCE, spec)
+        assert (got.prob == 0.0).sum() > 100
+        for column in ("prob", "centroid", "within_var"):
+            assert np.array_equal(getattr(got, column), getattr(ref, column)), column
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.integers(1, 12), st.floats(-5.0, 5.0), st.floats(0.1, 4.0))
+    def test_separate_intervals(self, data, size, mu, variance):
+        # Intervals that share no edge, as arrays and one at a time.
+        source = GaussianSource(mu, variance)
+        sigma = source.std
+        a, b = intervals(data.draw, size)
+        a, b = mu + sigma * a, mu + sigma * b
+        assume(np.all(a < b))
+        got, ref = truncated_moments(a, b, source), ref_two_tail_moments(a, b, source)
+        for i, field in enumerate(("mass", "mean", "variance")):
+            assert np.array_equal(getattr(got, field), ref[i]), field
+        for j in range(size):
+            one = truncated_moments(float(a[j]), float(b[j]), source)
+            assert (one.mass, one.mean, one.variance) == tuple(float(r[j]) for r in ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-45.0, 45.0), min_size=2, max_size=40, unique=True),
+           st.booleans(), st.booleans())
+    def test_partition(self, edges, open_below, open_above):
+        # Adjacent intervals over sorted edges, possibly open at either end.
+        e = np.sort(np.array(edges))
+        if open_below:
+            e[0] = -math.inf
+        if open_above:
+            e[-1] = math.inf
+        got, ref = truncated_moments(e[:-1], e[1:], STANDARD_SOURCE), ref_two_tail_moments(
+            e[:-1], e[1:], STANDARD_SOURCE)
+        for i, field in enumerate(("mass", "mean", "variance")):
+            assert np.array_equal(getattr(got, field), ref[i]), field

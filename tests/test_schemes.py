@@ -247,6 +247,26 @@ class TestGridCertificate:
         with pytest.raises(ValueError, match="divide 1"):
             verify_jointly_gaussian_grid(RatePair(1.0, 1.0), step=0.03)
 
+    def test_cached_columns_follow_the_step(self):
+        # The step-only columns are cached for one step at a time: switching
+        # steps back and forth must give what a call with no cache gives.
+        pairs = [(RatePair(1.0, 0.5), 0.005), (RatePair(2.0, 0.25), 0.01),
+                 (RatePair(0.5, 2.0), 0.005), (RatePair(2.0, 2.0), 0.005)]
+        fresh = []
+        for rates, step in pairs:
+            schemes_module._grid_columns.cache_clear()
+            fresh.append(verify_jointly_gaussian_grid(rates, step))
+        schemes_module._grid_columns.cache_clear()
+        assert [verify_jointly_gaussian_grid(rates, step) for rates, step in pairs] == fresh
+        # Only the last call repeats its predecessor's step.
+        assert schemes_module._grid_columns.cache_info().hits == 1
+
+    def test_cached_columns_are_read_only(self):
+        verify_jointly_gaussian_grid(RatePair(1.0, 1.0), 0.05)
+        for column in schemes_module._grid_columns(0.05, 20):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
+
     @pytest.mark.parametrize("step", [0.05, 0.02, 0.01, 0.005])
     def test_axes_are_integer_multiples_of_the_step(self, step):
         # The reported rho_yu is k*step for an integer k, with no drift from

@@ -201,8 +201,8 @@ class TestSmallSamples:
         assert r.std_error >= 0.0
 
 
-def reference_run_sim(config, source):
-    """The whole-sample run_sim that drew every symbol in one array."""
+def reference_points(config, source):
+    """Table, model rates, and Bob's and Eve's estimate per table row, as run_sim forms them."""
     rates = config.rates
     recon = config.quantizer.reconstruction
     if config.scheme == "full_encryption":
@@ -212,28 +212,27 @@ def reference_run_sim(config, source):
         table = build_bin_table(source, config.quantizer)
     h_table = output_entropy(table)
     k = table.max_index
+    lattice = np.arange(-k, k + 1)
     mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
+    bob_points = table.centroid if recon == "centroid" else source.mean + lattice * table.step
     if config.scheme == "sign_pad":
-        model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
+        rates_used, eve_points = (entropy_bits(mag_prob) + 1.0, 1.0), pair_mean[np.abs(lattice)]
     elif config.scheme == "no_key":
-        model_rate, model_key = h_table, 0.0
+        rates_used, eve_points = (h_table, 0.0), table.centroid
     else:
-        model_rate, model_key = h_table, h_table
+        rates_used, eve_points = (h_table, h_table), np.full(2 * k + 1, source.mean)
+    return table, rates_used, bob_points, eve_points
 
+
+def reference_run_sim(config, source):
+    """The whole-sample run_sim that drew every symbol in one array."""
+    table, (model_rate, model_key), bob_points, eve_points = reference_points(config, source)
+    k = table.max_index
     rng = np.random.Generator(np.random.PCG64(config.seed))
     xs = source.mean + source.std * rng.standard_normal(config.n_symbols)
     idx = np.rint((xs - source.mean) / table.step).astype(np.int64)
     np.clip(idx, -k, k, out=idx)
-    if recon == "centroid":
-        ys = table.centroid[idx + k]
-    else:
-        ys = source.mean + idx * table.step
-    if config.scheme == "no_key":
-        zs = table.centroid[idx + k]
-    elif config.scheme == "full_encryption":
-        zs = np.full(config.n_symbols, source.mean)
-    else:
-        zs = pair_mean[np.abs(idx)]
+    ys, zs = bob_points[idx + k], eve_points[idx + k]
     bob_sq = (ys - xs) ** 2
     eve_sq = (zs - xs) ** 2
     bob_mse = float(bob_sq.mean())
@@ -243,6 +242,40 @@ def reference_run_sim(config, source):
         empirical_payoff=(eve_mse - bob_mse) / source.variance,
         std_error=(float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
                    if config.n_symbols >= 2 else 0.0),
+        bob_mse=bob_mse,
+        eve_mse=eve_mse,
+        model_rate_bits=model_rate,
+        model_key_bits=model_key,
+    )
+
+
+def reference_block_loop(config, source):
+    """The blocked run_sim that allocated fresh arrays for every block."""
+    table, (model_rate, model_key), bob_points, eve_points = reference_points(config, source)
+    k = table.max_index
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    n = config.n_symbols
+    buf = np.empty(min(n, _BLOCK))
+    bob_total = eve_total = mean = m2 = 0.0
+    for start in range(0, n, _BLOCK):
+        xs = rng.standard_normal(out=buf[: n - start])
+        xs *= source.std
+        xs += source.mean
+        rows = (np.clip(np.rint((xs - source.mean) / table.step), -k, k) + k).astype(np.intp)
+        bob_sq = (bob_points[rows] - xs) ** 2
+        eve_sq = (eve_points[rows] - xs) ** 2
+        bob_total += float(bob_sq.sum())
+        eve_total += float(eve_sq.sum())
+        samples = (eve_sq - bob_sq) / source.variance
+        block_mean = float(samples.mean())
+        delta, m = block_mean - mean, samples.size
+        mean += delta * m / (start + m)
+        m2 += float(np.square(samples - block_mean).sum()) + delta * delta * start * m / (start + m)
+    bob_mse = bob_total / n
+    eve_mse = eve_total / n
+    return SimResult(
+        empirical_payoff=(eve_mse - bob_mse) / source.variance,
+        std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n >= 2 else 0.0,
         bob_mse=bob_mse,
         eve_mse=eve_mse,
         model_rate_bits=model_rate,
@@ -279,3 +312,15 @@ class TestBlockedSim:
             assert _close(getattr(got, field), getattr(ref, field)), field
         assert got.model_rate_bits == ref.model_rate_bits
         assert got.model_key_bits == ref.model_key_bits
+
+    @pytest.mark.parametrize("source", [SRC, GaussianSource(mean=3.0, variance=2.5)],
+                             ids=["standard", "mean3"])
+    @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("recon", ["lattice", "centroid"])
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    def test_buffers_keep_the_bits(self, scheme, recon, n, source):
+        # The block buffers are filled in place by the same operations in
+        # the same order, so every field keeps its bits.
+        cfg = make_config(scheme=scheme, recon=recon, n=n, seed=n + 5,
+                          **self.SCHEMES[scheme])
+        assert run_sim(cfg, source) == reference_block_loop(cfg, source)
