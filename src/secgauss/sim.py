@@ -141,7 +141,7 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     # (count, mean, M2) of the payoff merge as in Chan, Golub & LeVeque (1979).
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = config.n_symbols
-    # Block buffers, filled in place: draw, lattice index, row, Bob's and Eve's errors.
+    # Block buffers, filled in place; np.take writes into them unbuffered in "clip" mode.
     draw, lat, bob, eve = np.empty((4, min(n, _BLOCK)))
     rows = np.empty(draw.size, dtype=np.intp)
     bob_total = eve_total = mean = m2 = 0.0

@@ -201,6 +201,55 @@ class TestSmallSamples:
         assert r.std_error >= 0.0
 
 
+def reference_run_sim(config, source):
+    """The whole-sample run_sim that drew every symbol in one array."""
+    rates = config.rates
+    recon = config.quantizer.reconstruction
+    if config.scheme == "full_encryption":
+        step = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
+        table = build_bin_table(source, QuantizerSpec(step=step, reconstruction=recon))
+    else:
+        table = build_bin_table(source, config.quantizer)
+    h_table = output_entropy(table)
+    k = table.max_index
+    mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
+    if config.scheme == "sign_pad":
+        model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
+    elif config.scheme == "no_key":
+        model_rate, model_key = h_table, 0.0
+    else:
+        model_rate, model_key = h_table, h_table
+
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    xs = source.mean + source.std * rng.standard_normal(config.n_symbols)
+    idx = np.rint((xs - source.mean) / table.step).astype(np.int64)
+    np.clip(idx, -k, k, out=idx)
+    if recon == "centroid":
+        ys = table.centroid[idx + k]
+    else:
+        ys = source.mean + idx * table.step
+    if config.scheme == "no_key":
+        zs = table.centroid[idx + k]
+    elif config.scheme == "full_encryption":
+        zs = np.full(config.n_symbols, source.mean)
+    else:
+        zs = pair_mean[np.abs(idx)]
+    bob_sq = (ys - xs) ** 2
+    eve_sq = (zs - xs) ** 2
+    bob_mse = float(bob_sq.mean())
+    eve_mse = float(eve_sq.mean())
+    samples = (eve_sq - bob_sq) / source.variance
+    return SimResult(
+        empirical_payoff=(eve_mse - bob_mse) / source.variance,
+        std_error=(float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
+                   if config.n_symbols >= 2 else 0.0),
+        bob_mse=bob_mse,
+        eve_mse=eve_mse,
+        model_rate_bits=model_rate,
+        model_key_bits=model_key,
+    )
+
+
 def reference_points(config, source):
     """Table, model rates, and Bob's and Eve's estimate per table row, as run_sim forms them."""
     rates = config.rates
@@ -222,31 +271,6 @@ def reference_points(config, source):
     else:
         rates_used, eve_points = (h_table, h_table), np.full(2 * k + 1, source.mean)
     return table, rates_used, bob_points, eve_points
-
-
-def reference_run_sim(config, source):
-    """The whole-sample run_sim that drew every symbol in one array."""
-    table, (model_rate, model_key), bob_points, eve_points = reference_points(config, source)
-    k = table.max_index
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    xs = source.mean + source.std * rng.standard_normal(config.n_symbols)
-    idx = np.rint((xs - source.mean) / table.step).astype(np.int64)
-    np.clip(idx, -k, k, out=idx)
-    ys, zs = bob_points[idx + k], eve_points[idx + k]
-    bob_sq = (ys - xs) ** 2
-    eve_sq = (zs - xs) ** 2
-    bob_mse = float(bob_sq.mean())
-    eve_mse = float(eve_sq.mean())
-    samples = (eve_sq - bob_sq) / source.variance
-    return SimResult(
-        empirical_payoff=(eve_mse - bob_mse) / source.variance,
-        std_error=(float(np.std(samples, ddof=1)) / math.sqrt(samples.size)
-                   if config.n_symbols >= 2 else 0.0),
-        bob_mse=bob_mse,
-        eve_mse=eve_mse,
-        model_rate_bits=model_rate,
-        model_key_bits=model_key,
-    )
 
 
 def reference_block_loop(config, source):
