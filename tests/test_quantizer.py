@@ -29,7 +29,6 @@ from secgauss import (
     eve_mmse_given_residue,
     fold_bin_table,
     output_entropy,
-    entropy_bits,
     step_size_for_entropy,
     truncated_moments,
 )
