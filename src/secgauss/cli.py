@@ -86,6 +86,12 @@ def _parse_grid(single, rng, flag_single: str, flag_range: str) -> list[float]:
     return [start + i * step for i in range(count)]
 
 
+def _check_rates(r_grid, rs_grid) -> None:
+    """Refuse each rate that RatePair refuses: each r against rs = 0, each rs against r = 0."""
+    for r, rs in [(r, 0.0) for r in r_grid] + [(0.0, rs) for rs in rs_grid]:
+        RatePair(r, rs)
+
+
 def _emit(out_path, text: str) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -175,6 +181,7 @@ def cmd_curve(args) -> int:
             raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(SCHEME_IDS)}")
     r_grid = _parse_grid(args.r, args.r_range, "--r", "--r-range")
     rs_grid = _parse_grid(args.rs, args.rs_range, "--rs", "--rs-range")
+    _check_rates(r_grid, rs_grid)
 
     rows = []
     for scheme in schemes:
@@ -190,28 +197,20 @@ def _curve_rows(scheme: str, r: float, rs_grid, source, args) -> list[str]:
         try:
             plan = GreedyQuantizedScheme(r, source, n_max=args.n_max)
         except InfeasibleError as exc:
-            return [
-                _csv_row(scheme, r, rs, math.nan, None, None, False, str(exc))
-                for rs in rs_grid
-            ]
+            return [_csv_row(scheme, r, rs, math.nan, None, None, False, str(exc))
+                    for rs in rs_grid]
         for rs in rs_grid:
             point = plan.evaluate(rs)
             meta = point.meta
             note = "" if meta["feasible"] else "no feasible modulus within key budget"
-            rows.append(
-                _csv_row(
-                    scheme, r, rs, point.payoff.value, meta["t"], meta["n_mod"],
-                    bool(meta["feasible"]), note,
-                )
-            )
+            rows.append(_csv_row(scheme, r, rs, point.payoff.value, meta["t"], meta["n_mod"],
+                                 bool(meta["feasible"]), note))
         return rows
     if scheme == "lp_quantized":
-        step = step_size_for_entropy(source, r) if r > 0 else None
-        if step is None:
-            return [
-                _csv_row(scheme, r, rs, math.nan, None, None, False, "rate must be positive")
-                for rs in rs_grid
-            ]
+        if r == 0.0:
+            return [_csv_row(scheme, r, rs, math.nan, None, None, False, "rate must be positive")
+                    for rs in rs_grid]
+        step = step_size_for_entropy(source, r)
         return _lp_rows(source, r, step, rs_grid, args.lp_max_support, args.lp_mode, False)
 
     closed = {
@@ -315,6 +314,7 @@ def _lp_rows(source, r, step, rs_grid, max_support, mode, mixtures: bool) -> lis
 
 def cmd_lp(args) -> int:
     rs_grid = _parse_grid(args.rs, args.rs_range, "--rs", "--rs-range")
+    _check_rates([args.r], rs_grid)
     rows = _lp_rows(_source(args), args.r, args.t, rs_grid, args.max_support, args.mode, True)
     _emit(args.out, "\n".join([CSV_HEADER] + rows) + "\n")
     return EXIT_OK

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverError
-from .model import GaussianSource, PayoffValue, RatePair, entropy_bits
+from .model import GaussianSource, PayoffValue, RatePair, _frozen, entropy_bits
 from .quantizer import QuantizerSpec, build_bin_table, fold_bin_table
 from .simplex import linear_program_sweep
 
@@ -52,8 +52,7 @@ class QuantizedPmf:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float)
-        pr = np.asarray(self.probs, dtype=float)
+        pts, pr = _frozen(self.points, float), np.asarray(self.probs, dtype=float)
         if pts.ndim != 1 or pts.size == 0 or pts.shape != pr.shape:
             raise ValueError("points and probs must be equal-length 1-d arrays")
         if not np.isfinite(pts).all():
@@ -65,18 +64,14 @@ class QuantizedPmf:
         total = float(pr.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"probabilities sum to {total}, expected 1")
-        pr = np.clip(pr, 0.0, None)
-        pts.setflags(write=False)
-        pr.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", pr)
+        object.__setattr__(self, "probs", _frozen(np.clip(pr, 0.0, None)))
 
     def mean(self) -> float:
         return float(np.dot(self.probs, self.points))
 
     def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot(self.probs, (self.points - m) ** 2))
+        return float(np.dot(self.probs, (self.points - self.mean()) ** 2))
 
     def entropy_bits(self) -> float:
         return entropy_bits(self.probs)
@@ -97,14 +92,13 @@ class CandidateSet:
     scores: np.ndarray
 
     def __post_init__(self) -> None:
-        masks = np.array(self.masks, dtype=np.int64)
-        ent, scores = np.array(self.entropy_bits, dtype=float), np.array(self.scores, dtype=float)
+        masks = _frozen(self.masks, np.int64)
+        ent, scores = _frozen(self.entropy_bits, float), _frozen(self.scores, float)
         if masks.ndim != 1 or not masks.shape == ent.shape == scores.shape:
             raise ValueError("candidate arrays must hold one entry per mask")
         if (ent < -1e-12).any() or (scores < -1e-12).any():
             raise ValueError("entropy and score must be nonnegative")
         for name, column in zip(("masks", "entropy_bits", "scores"), (masks, ent, scores)):
-            column.setflags(write=False)
             object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
@@ -126,9 +120,7 @@ class LpSolution:
     slack_rs: float
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen(self.weights, float))
 
 
 def build_quantized_pmf(
@@ -217,23 +209,23 @@ def covers_entropy(pmf: QuantizedPmf, rate: float) -> bool:
     return rate >= pmf.entropy_bits() - 1e-9
 
 
-def solve_secrecy_lp(pmf: QuantizedPmf, rates: RatePair, candidates: Optional[CandidateSet] = None,
-                     mode: str = "continuous") -> LpSolution:
+def solve_secrecy_lp(pmf: QuantizedPmf, rates: RatePair,
+                     candidates: Optional[CandidateSet] = None) -> LpSolution:
     """Best eavesdropper error over key-feasible mixtures: one rate of `sweep_secrecy_lp`."""
-    return sweep_secrecy_lp(pmf, rates.rate, [rates.key_rate], candidates, mode)[0]
+    return sweep_secrecy_lp(pmf, rates.rate, [rates.key_rate], candidates)[0]
 
 
 def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
-                     candidates: Optional[CandidateSet] = None,
-                     mode: str = "continuous") -> list[LpSolution]:
+                     candidates: Optional[CandidateSet] = None) -> list[LpSolution]:
     """Best eavesdropper error over key-feasible mixtures at each key rate, in order.
 
     Maximizes the weighted score subject to the mixture reproducing the
     pmf and the average candidate entropy fitting the key rate.  The
     message rate must cover the pmf entropy outright; otherwise every
     instance is reported infeasible without solving.  When `candidates`
-    is omitted the subset family is enumerated with the given mode;
-    supplied candidates are trusted as scored.  The program is built
+    is omitted the subset family is enumerated in `continuous` mode;
+    pass `enumerate_subset_candidates(pmf, mode=...)` for another.
+    Supplied candidates are trusted as scored.  The program is built
     once and only the key rate changes, so each solve starts from the
     optimal basis of the one before.
     """
@@ -241,11 +233,10 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     if not covers_entropy(pmf, rate):
         return [LpSolution(math.nan, np.zeros(0), False, math.nan) for _ in pairs]
     if candidates is None:
-        candidates = enumerate_subset_candidates(pmf, mode=mode)
+        candidates = enumerate_subset_candidates(pmf)
     if not candidates:
         raise ValueError("candidate set is empty")
-    k = pmf.points.size
-    n = len(candidates)
+    k, n = pmf.points.size, len(candidates)
     masks, ent, score = candidates.masks, candidates.entropy_bits, candidates.scores
     if (masks >> k).any():
         raise ValueError(f"candidate mask has a bit outside the {k}-point support")
@@ -272,7 +263,7 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     a /= scale
     cost = np.append(score * mass, 0.0) / scale
 
-    solved = linear_program_sweep(cost, a, b, key, [p.key_rate for p in pairs], tol=1e-10)
+    solved = linear_program_sweep(cost, a, b, key, [p.key_rate for p in pairs])
     out = []
     for pair, (u, value) in zip(pairs, solved):
         if np.max(np.abs(probs * (a[:key, :n] @ u[:n]) - probs)) > 1e-8:

@@ -121,6 +121,13 @@ class TruncatedMoments:
     variance: float
 
 
+def _frozen(values, dtype=None) -> np.ndarray:
+    """Read-only copy of `values` (as `dtype` if given); the way every value type keeps arrays."""
+    out = np.array(values, dtype=dtype, copy=True)
+    out.setflags(write=False)
+    return out
+
+
 def payoff(x: float, y: float, z: float, source: GaussianSource) -> float:
     """Per-symbol payoff: eavesdropper loss minus decoder loss, normalized.
 

@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SolverError
-from .model import GaussianSource, entropy_bits, truncated_moments
+from .model import GaussianSource, _frozen, entropy_bits, truncated_moments
 
 __all__ = [
     "QuantizerSpec",
@@ -87,8 +87,7 @@ class BinTable:
 
     def __post_init__(self) -> None:
         for name in ("indices", "prob", "centroid", "within_var"):
-            arr = getattr(self, name)
-            object.__setattr__(self, name, _frozen(arr))
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
         n = len(self.indices)
         if n % 2 != 1 or n < 3:
             raise ValueError("table must cover -k..k for some k >= 1")
@@ -108,12 +107,6 @@ class BinTable:
         if not -k <= index <= k:
             raise ValueError(f"bin index {index} outside [-{k}, {k}]")
         return index + k
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.setflags(write=False)
-    return out
 
 
 def build_bin_table(source: GaussianSource, spec: QuantizerSpec) -> BinTable:
@@ -172,7 +165,7 @@ def _class_moments(table: BinTable, labels: np.ndarray, columns=None):
     array is over the rows labelled u, summed in row order.  The variance
     is the law of total variance, (sum p*v + sum p*(c - class mean)**2) /
     class mass, so no square of a mean is ever subtracted.  A class
-    without mass gets the source mean and zero variance.
+    without mass gets the source mean and zero variance; a row without mass adds exactly 0.
     """
     p, c, v = columns or (table.prob, table.centroid, table.within_var)
     mass = np.bincount(labels, weights=p)
@@ -180,6 +173,8 @@ def _class_moments(table: BinTable, labels: np.ndarray, columns=None):
     mean = np.divide(np.bincount(labels, weights=p * c), mass,
                      out=np.full(mass.size, table.source.mean), where=has_mass)
     dev = c - mean.take(labels)
+    if not table.prob.all():  # the columns are the table's, whole, halved or tiled
+        dev[p == 0.0] = 0.0
     dev = np.multiply(p, np.add(v, np.square(dev, out=dev), out=dev), out=dev)
     var = np.divide(np.bincount(labels, weights=dev), mass, out=np.zeros(mass.size), where=has_mass)
     return mass, mean, var
@@ -276,7 +271,9 @@ def bob_distortion(table: BinTable, reconstruction: str) -> float:
         return float(np.dot(table.prob, table.within_var))
     if reconstruction == "lattice":
         points = table.source.mean + table.indices * table.step
-        return float(np.dot(table.prob, table.within_var + (table.centroid - points) ** 2))
+        # A bin without mass adds exactly 0; at huge steps its squared gap would overflow.
+        gap = np.where(table.prob > 0.0, table.centroid - points, 0.0)
+        return float(np.dot(table.prob, table.within_var + gap * gap))
     raise ValueError(f"unknown reconstruction rule {reconstruction!r}")
 
 

@@ -23,6 +23,7 @@ from .model import (
     GaussianSource,
     PayoffValue,
     RatePair,
+    _frozen,
     entropy_bits,
 )
 from .quantizer import (
@@ -115,7 +116,7 @@ class FiniteJoint:
 
     def __post_init__(self) -> None:
         for name in ("x_points", "y_points", "u_points"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = _frozen(getattr(self, name), float)
             if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be a non-empty finite 1-d array")
             object.__setattr__(self, name, arr)
@@ -128,7 +129,7 @@ class FiniteJoint:
         total = float(p.sum())
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"pmf sums to {total}, expected 1")
-        object.__setattr__(self, "pmf", np.clip(p, 0.0, None))
+        object.__setattr__(self, "pmf", _frozen(np.clip(p, 0.0, None)))
 
 
 @dataclass(frozen=True)
@@ -346,7 +347,8 @@ class GreedyQuantizedScheme:
     ) -> None:
         if n_max is not None and (int(n_max) != n_max or n_max < 1):
             raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
-        if not math.isfinite(rate_bits) or rate_bits <= 0.0:
+        RatePair(rate_bits, 0.0)  # a ValueError for a non-finite or negative rate
+        if rate_bits == 0.0:
             raise InfeasibleError(f"message rate must be positive, got {rate_bits}")
         self.rate_bits = float(rate_bits)
         self.source = source

@@ -42,6 +42,9 @@ __all__ = ["linear_program_max", "linear_program_sweep"]
 # Consecutive degenerate pivots after which primal pricing falls back to
 # Bland, and after which a warm solve's dual pivots give up.
 _STALL = 50
+# Feasibility and pricing tolerance, and the pivots one solve may take.
+_TOL = 1e-10
+_MAX_PIVOTS = 50_000
 
 
 class _Basis:
@@ -61,21 +64,17 @@ class _Basis:
         self.x = self.inv @ self.rhs
 
 
-def linear_program_max(
-    c, A, b, tol: float = 1e-9, max_iter: int = 50_000
-) -> tuple[np.ndarray, float]:
+def linear_program_max(c, A, b) -> tuple[np.ndarray, float]:
     """Maximize c @ x subject to A @ x = b and x >= 0.
 
     Returns (x, value) at an optimal vertex.  Raises SolverError when the
     program is infeasible, unbounded, or the pivot limit is hit.
     """
     c, a, b = _checked(c, A, b)
-    return _solution(c, _cold(a, b, -c, tol, max_iter))
+    return _solution(c, _cold(a, b, -c))
 
 
-def linear_program_sweep(
-    c, A, b, row: int, values, tol: float = 1e-9, max_iter: int = 50_000
-) -> Iterator[tuple[np.ndarray, float]]:
+def linear_program_sweep(c, A, b, row: int, values) -> Iterator[tuple[np.ndarray, float]]:
     """`linear_program_max` with b[row] set to each of `values` in turn.
 
     Yields each (x, value) as it is solved, each program after the first
@@ -92,7 +91,7 @@ def linear_program_sweep(
     for value in values:
         b = b.copy()
         b[row] = value
-        basis = _warm(a, b, cost, basis, tol, max_iter) or _cold(a, b, cost, tol, max_iter)
+        basis = _warm(a, b, cost, basis) or _cold(a, b, cost)
         yield _solution(c, basis)
 
 
@@ -118,7 +117,7 @@ def _solution(c: np.ndarray, basis: _Basis) -> tuple[np.ndarray, float]:
     return x, float(c @ x)
 
 
-def _cold(a: np.ndarray, b: np.ndarray, cost: np.ndarray, tol: float, max_iter: int) -> _Basis:
+def _cold(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> _Basis:
     """Solve min cost @ x from the unit columns of `a`; phase 1 only for rows without one."""
     m, n = a.shape
     cols = _unit_columns(a)
@@ -133,16 +132,16 @@ def _cold(a: np.ndarray, b: np.ndarray, cost: np.ndarray, tol: float, max_iter: 
         cols[rows] = n + np.arange(rows.size)
         cost1 = np.append(np.zeros(n), np.ones(rows.size))
         basis = _Basis(ext, b, keep, cols)
-        _iterate(basis, cost1, tol, max_iter)
+        _iterate(basis, cost1)
         residual = float(cost1[basis.cols] @ np.maximum(basis.x, 0.0))
-        if residual > tol * max(1.0, float(abs(b).sum())):
+        if residual > _TOL * max(1.0, float(abs(b).sum())):
             raise SolverError(f"LP infeasible: artificial residual {residual}")
 
         # Drive leftover artificials out of the basis, dropping redundant rows.
         keep = []
         for i in range(m):
             if basis.cols[i] >= n:
-                nz = np.flatnonzero(np.abs((basis.inv[i] @ ext)[:n]) > tol)
+                nz = np.flatnonzero(np.abs((basis.inv[i] @ ext)[:n]) > _TOL)
                 if not nz.size:
                     continue
                 _pivot(basis, i, int(nz[0]))
@@ -151,7 +150,7 @@ def _cold(a: np.ndarray, b: np.ndarray, cost: np.ndarray, tol: float, max_iter: 
 
     # Phase 2 on the columns of `a` alone.
     basis = _Basis(a, b, keep, cols)
-    _iterate(basis, cost, tol, max_iter)
+    _iterate(basis, cost)
     return basis
 
 
@@ -164,43 +163,43 @@ def _unit_columns(a: np.ndarray) -> np.ndarray:
     return start
 
 
-def _warm(a, b, cost, carried: _Basis | None, tol: float, max_iter: int) -> _Basis | None:
+def _warm(a, b, cost, carried: _Basis | None) -> _Basis | None:
     """Re-solve from the carried optimal basis; None where the cold solve must run."""
     if carried is None:
         return None
     try:
         basis = _Basis(a, b, carried.rows, carried.cols)
-        _iterate(basis, cost, tol, max_iter)
+        _iterate(basis, cost)
     except SolverError:
         return None
     # Every row, kept or dropped: a dropped row that the new b contradicts
     # shows here, as does a basis too near singular to solve accurately.
     residual = a[:, basis.cols] @ np.maximum(basis.x, 0.0) - b
-    if np.abs(residual).max() > 10.0 * tol * max(1.0, float(np.abs(b).max())):
+    if np.abs(residual).max() > 10.0 * _TOL * max(1.0, float(np.abs(b).max())):
         return None
     return basis
 
 
-def _iterate(basis: _Basis, cost: np.ndarray, tol: float, max_iter: int) -> None:
+def _iterate(basis: _Basis, cost: np.ndarray) -> None:
     """Pivot to a basis minimizing cost @ x.
 
     From a primal feasible basis these are primal simplex pivots, and
     the pricing that finds no improving column ends the solve.  While a
-    basic value is below -tol (a warm start after b changed) they are
+    basic value is below -_TOL (a warm start after b changed) they are
     dual simplex pivots: the most negative basic variable leaves and
     `_dual_ratio_test` picks the entering column.
     """
-    dual_slack = 10.0 * tol * max(1.0, float(np.abs(cost).max()))
+    dual_slack = 10.0 * _TOL * max(1.0, float(np.abs(cost).max()))
     stalled = dual_stalled = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_PIVOTS):
         y = cost[basis.cols] @ basis.inv
         row = int(np.argmin(basis.x))
-        if basis.x[row] < -tol:
+        if basis.x[row] < -_TOL:
             prices = np.stack([y, basis.inv[row]]) @ basis.a
             red = cost - prices[0]
             if red.min() < -dual_slack:
                 raise SolverError("simplex basis is neither primal nor dual feasible")
-            col, step = _dual_ratio_test(red, prices[1], tol)
+            col, step = _dual_ratio_test(red, prices[1])
             dual_stalled = dual_stalled + 1 if step <= 0.0 else 0
             if dual_stalled >= _STALL:
                 raise SolverError("dual simplex stalled on degenerate pivots")
@@ -210,11 +209,11 @@ def _iterate(basis: _Basis, cost: np.ndarray, tol: float, max_iter: int) -> None
         if stalled < _STALL:  # Dantzig: most negative reduced cost
             col = int(np.argmin(red))
         else:  # Bland: smallest improving index (0 if there is none)
-            col = int(np.argmax(red < -tol))
-        if red[col] >= -tol:
+            col = int(np.argmax(red < -_TOL))
+        if red[col] >= -_TOL:
             return
         column = basis.inv @ basis.a[:, col]
-        rows = np.flatnonzero(column > tol)
+        rows = np.flatnonzero(column > _TOL)
         if rows.size == 0:
             raise SolverError("LP unbounded along an improving direction")
         values = np.maximum(basis.x[rows], 0.0) / column[rows]
@@ -227,24 +226,24 @@ def _iterate(basis: _Basis, cost: np.ndarray, tol: float, max_iter: int) -> None
         cand = rows[values <= best + 1e-9 * abs(best) + 1e-30]
         row = int(min(cand, key=lambda i: basis.cols[i]))
         _pivot(basis, row, col)
-    raise SolverError(f"simplex hit the {max_iter}-pivot limit")
+    raise SolverError(f"simplex hit the {_MAX_PIVOTS}-pivot limit")
 
 
-def _dual_ratio_test(red: np.ndarray, alpha: np.ndarray, tol: float) -> tuple[int, float]:
+def _dual_ratio_test(red: np.ndarray, alpha: np.ndarray) -> tuple[int, float]:
     """Entering column and step of a dual pivot on the row `alpha` of B^-1 a.
 
     Harris's two passes (1973): the steps red_j / -alpha_j of the columns
     with alpha_j < 0 are bounded by the least step that would take some
-    reduced cost below -tol, and within that bound the largest |alpha_j|
+    reduced cost below -_TOL, and within that bound the largest |alpha_j|
     enters, ties to the smallest index, keeping the next basis further
     from singular.
     """
     cols = np.flatnonzero(alpha < 0.0)
     if cols.size:
         slack, pivots = np.maximum(red[cols], 0.0), -alpha[cols]
-        near = np.flatnonzero(slack / pivots <= ((slack + tol) / pivots).min())
+        near = np.flatnonzero(slack / pivots <= ((slack + _TOL) / pivots).min())
         k = near[np.argmax(pivots[near])]
-        if pivots[k] > tol:
+        if pivots[k] > _TOL:
             return int(cols[k]), float(slack[k] / pivots[k])
     raise SolverError("dual ratio test found no entering column")
 

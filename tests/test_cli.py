@@ -253,6 +253,41 @@ class TestLp:
         assert code == 2
 
 
+class TestRateChecks:
+    # A rate that RatePair refuses exits 2, whichever scheme or gate it would reach.
+    @pytest.mark.parametrize("argv", [
+        ["lp", "--t", "1", "--r", "2", "--rs", "-1"],
+        ["lp", "--t", "1", "--r", "2", "--rs", "nan"],
+        ["lp", "--t", "1", "--r", "5", "--rs", "-1"],
+        ["curve", "--schemes", "quantized_greedy", "--r", "inf", "--rs", "0.5"],
+        ["curve", "--schemes", "weak", "--r", "inf", "--rs", "0.5"],
+        ["curve", "--schemes", "quantized_greedy,lp_quantized", "--r", "-1", "--rs", "0.5"],
+    ])
+    def test_bad_rate_is_a_usage_error(self, argv, capsys):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be finite and >= 0" in err
+
+    def test_rates_checked_before_any_work(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the rates were checked")
+
+        monkeypatch.setattr(secgauss.cli, "GreedyQuantizedScheme", refuse)
+        monkeypatch.setattr(secgauss.cli, "step_size_for_entropy", refuse)
+        argv = ["curve", "--schemes", "quantized_greedy,lp_quantized", "--r", "2.7",
+                "--rs-range=-0.5:0.5:0.5"]
+        assert run_cli(argv) == 2
+        assert "key_rate must be finite and >= 0, got -0.5" in capsys.readouterr().err
+
+    def test_zero_rate_stays_an_infeasible_row(self, capsys):
+        argv = ["curve", "--schemes", "quantized_greedy,lp_quantized", "--r", "0", "--rs", "0.5"]
+        assert run_cli(argv) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert [(r["scheme"], r["feasible"], r["payoff"]) for r in rows] == [
+            ("quantized_greedy", "false", "nan"), ("lp_quantized", "false", "nan")]
+
+
 class TestQuantizerStats:
     def test_matches_library(self, capsys):
         code = run_cli(["quantizer-stats", "--t", "0.5", "--n-mod", "3"])
@@ -525,11 +560,14 @@ _ALWAYS = {
     "lp": ("--max-support", ["3", "5", "2", "41"]),
 }
 
-# The two commands that once failed numerically: a mean of 1e6 sigma,
-# and a step at the bin cap.
+# The commands that once failed numerically: a mean of 1e6 sigma, a step
+# at the bin cap, and a step so large that the empty outer bins' squared
+# gaps overflow.
 FOUND_COMMANDS = (
     ("quantizer-stats", "--t", "3", "--mu", "1e6", "--sigma2", "1e-4"),
     ("quantizer-stats", "--t", "1.5e-5"),
+    ("quantizer-stats", "--t", "1e300"),
+    ("sim", "--scheme", "sign_pad", "--t", "1e300", "--seed", "7", "--n", "1000"),
 )
 
 
@@ -553,6 +591,8 @@ class TestArgvFuzz:
     @given(argvs())
     @example(FOUND_COMMANDS[0])
     @example(FOUND_COMMANDS[1])
+    @example(FOUND_COMMANDS[2])
+    @example(FOUND_COMMANDS[3])
     def test_every_run_ends_in_a_documented_exit_code(self, argv):
         # Any exception escaping main would be a traceback at the shell.
         code = run_cli(list(argv))

@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secgauss import STANDARD_SOURCE, QuantizerSpec, build_quantized_pmf
+from secgauss import (
+    STANDARD_SOURCE, QuantizerSpec, bob_distortion, build_bin_table, build_quantized_pmf,
+)
 from secgauss.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -90,6 +92,16 @@ def test_cli_output_matches_golden(name, capsys):
     assert code == 0
     expected = (GOLDEN_DIR / f"{name}.txt").read_text()
     assert mismatches(expected, actual) == []
+
+
+def test_fine_table_mses_match_golden_relatively():
+    # Both MSEs are near 1.9e-11, where FLOAT_TOL alone would let them drift by 5%.
+    text = (GOLDEN_DIR / "quantizer_stats_fine.txt").read_text()
+    golden = dict(line.split(",") for line in text.splitlines())
+    table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=1.5e-5))
+    for rule in ("lattice", "centroid"):
+        expected = float(golden[f"bob_mse_{rule}"])
+        assert bob_distortion(table, rule) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_every_golden_file_has_a_command():

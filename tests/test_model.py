@@ -14,8 +14,13 @@ from hypothesis import strategies as st
 
 from secgauss import (
     STANDARD_SOURCE,
+    BinTable,
+    CandidateSet,
+    FiniteJoint,
     GaussianSource,
+    LpSolution,
     PayoffValue,
+    QuantizedPmf,
     RatePair,
     differential_entropy_bits,
     distortion_rate,
@@ -352,3 +357,37 @@ class TestGaussianSource:
             GaussianSource(0.0, -1.0)
         with pytest.raises(ValueError):
             GaussianSource(math.nan, 1.0)
+
+
+def _value_type_cases():
+    """(type, the caller's arrays by field, the other fields) for each value type."""
+    half = np.array([0.25, 0.5, 0.25])
+    return {
+        "BinTable": (BinTable, {"indices": np.arange(-1, 2), "prob": half.copy(),
+                                "centroid": np.array([-1.5, 0.0, 1.5]),
+                                "within_var": np.full(3, 0.1)},
+                     {"source": STANDARD_SOURCE, "step": 1.0}),
+        "QuantizedPmf": (QuantizedPmf, {"points": np.array([-1.0, 0.0, 1.0]),
+                                        "probs": half.copy()}, {}),
+        "CandidateSet": (CandidateSet, {"masks": np.array([1, 2, 3]),
+                                        "entropy_bits": np.array([0.0, 0.0, 1.0]),
+                                        "scores": np.array([0.0, 0.0, 0.25])}, {}),
+        "LpSolution": (LpSolution, {"weights": half.copy()},
+                       {"value": 0.5, "feasible": True, "slack_rs": 0.0}),
+        "FiniteJoint": (FiniteJoint, {"x_points": np.array([-1.0, 1.0]),
+                                      "y_points": np.array([-1.0, 1.0]),
+                                      "u_points": np.array([0.0]),
+                                      "pmf": np.full((2, 2, 1), 0.25)}, {}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_value_type_cases()))
+def test_value_types_keep_read_only_copies(name):
+    cls, arrays, rest = _value_type_cases()[name]
+    value = cls(**arrays, **rest)
+    kept = {field: getattr(value, field).copy() for field in arrays}
+    for field, arr in arrays.items():
+        assert arr.flags.writeable, field
+        arr[...] = 7
+        np.testing.assert_array_equal(getattr(value, field), kept[field])
+        assert not getattr(value, field).flags.writeable, field

@@ -185,6 +185,15 @@ class TestDistortions:
         with pytest.raises(ValueError):
             bob_distortion(unit_table, "midpoint")
 
+    def test_empty_bins_add_nothing_at_a_huge_step(self):
+        # Bin 0 holds all the mass; the empty outer bins keep centroids
+        # near +-5e299, whose squared gaps would overflow to inf * 0.
+        table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=1e300))
+        assert table.prob.tolist() == [0.0, 1.0, 0.0]
+        assert bob_distortion(table, "lattice") == 1.0
+        assert eve_mmse_given_residue(table, 2) == 1.0
+        assert eve_mmse_given_magnitude(table) == 1.0
+
 
 class TestEveMmse:
     def test_mod3_oracle(self, unit_table):

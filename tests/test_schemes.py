@@ -405,6 +405,11 @@ class TestGreedyScheme:
         with pytest.raises(InfeasibleError):
             GreedyQuantizedScheme(0.0)
 
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, -1.0])
+    def test_invalid_rate_is_a_value_error(self, rate):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            GreedyQuantizedScheme(rate)
+
     def test_scheme_id_and_cap(self, plan):
         point = plan.evaluate(1.5)
         assert point.scheme_id == "quantized_greedy"
