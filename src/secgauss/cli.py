@@ -63,6 +63,10 @@ def _csv_row(scheme, r, rs, payoff, t, n, feasible, notes="") -> str:
     return ",".join(cells)
 
 
+def _infeasible_rows(scheme, r, rs_grid, t, notes) -> list[str]:
+    return [_csv_row(scheme, r, rs, math.nan, t, None, False, notes) for rs in rs_grid]
+
+
 def _parse_grid(single, rng, flag_single: str, flag_range: str) -> list[float]:
     """One value from --x, or an inclusive START:STOP:STEP grid from --x-range."""
     if (single is None) == (rng is None):
@@ -197,19 +201,21 @@ def _curve_rows(scheme: str, r: float, rs_grid, source, args) -> list[str]:
         try:
             plan = GreedyQuantizedScheme(r, source, n_max=args.n_max)
         except InfeasibleError as exc:
-            return [_csv_row(scheme, r, rs, math.nan, None, None, False, str(exc))
-                    for rs in rs_grid]
+            return _infeasible_rows(scheme, r, rs_grid, None, str(exc))
         for rs in rs_grid:
             point = plan.evaluate(rs)
             meta = point.meta
             note = "" if meta["feasible"] else "no feasible modulus within key budget"
-            rows.append(_csv_row(scheme, r, rs, point.payoff.value, meta["t"], meta["n_mod"],
-                                 bool(meta["feasible"]), note))
+            rows.append(
+                _csv_row(
+                    scheme, r, rs, point.payoff.value, meta["t"], meta["n_mod"],
+                    bool(meta["feasible"]), note,
+                )
+            )
         return rows
     if scheme == "lp_quantized":
         if r == 0.0:
-            return [_csv_row(scheme, r, rs, math.nan, None, None, False, "rate must be positive")
-                    for rs in rs_grid]
+            return _infeasible_rows(scheme, r, rs_grid, None, "rate must be positive")
         step = step_size_for_entropy(source, r)
         return _lp_rows(source, r, step, rs_grid, args.lp_max_support, args.lp_mode, False)
 
@@ -297,8 +303,7 @@ def _lp_rows(source, r, step, rs_grid, max_support, mode, mixtures: bool) -> lis
     # The message-rate gate is the same at every key rate: settle it
     # before paying for up to 2**max_support candidates.
     if not covers_entropy(pmf, r):
-        return [_csv_row("lp_quantized", r, rs, math.nan, step, None, False,
-                         "rate below quantized entropy") for rs in rs_grid]
+        return _infeasible_rows("lp_quantized", r, rs_grid, step, "rate below quantized entropy")
     candidates = enumerate_subset_candidates(pmf, max_support, mode)
     rows = []
     for rs, sol in zip(rs_grid, sweep_secrecy_lp(pmf, r, rs_grid, candidates)):

@@ -52,7 +52,8 @@ class QuantizedPmf:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        pts, pr = _frozen(self.points, float), np.asarray(self.probs, dtype=float)
+        pts = _frozen(self.points, float)
+        pr = np.asarray(self.probs, dtype=float)
         if pts.ndim != 1 or pts.size == 0 or pts.shape != pr.shape:
             raise ValueError("points and probs must be equal-length 1-d arrays")
         if not np.isfinite(pts).all():
@@ -71,7 +72,8 @@ class QuantizedPmf:
         return float(np.dot(self.probs, self.points))
 
     def variance(self) -> float:
-        return float(np.dot(self.probs, (self.points - self.mean()) ** 2))
+        m = self.mean()
+        return float(np.dot(self.probs, (self.points - m) ** 2))
 
     def entropy_bits(self) -> float:
         return entropy_bits(self.probs)
@@ -236,7 +238,8 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
         candidates = enumerate_subset_candidates(pmf)
     if not candidates:
         raise ValueError("candidate set is empty")
-    k, n = pmf.points.size, len(candidates)
+    k = pmf.points.size
+    n = len(candidates)
     masks, ent, score = candidates.masks, candidates.entropy_bits, candidates.scores
     if (masks >> k).any():
         raise ValueError(f"candidate mask has a bit outside the {k}-point support")

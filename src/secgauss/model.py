@@ -142,8 +142,7 @@ def payoff(x: float, y: float, z: float, source: GaussianSource) -> float:
 
 def distortion_rate(rate_bits: float, source: GaussianSource) -> float:
     """Least mean squared error achievable at the given rate in bits."""
-    if not math.isfinite(rate_bits) or rate_bits < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate_bits}")
+    RatePair(rate_bits, 0.0)  # a ValueError for a non-finite or negative rate
     return source.variance * 2.0 ** (-2.0 * rate_bits)
 
 

@@ -87,7 +87,8 @@ class BinTable:
 
     def __post_init__(self) -> None:
         for name in ("indices", "prob", "centroid", "within_var"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            arr = getattr(self, name)
+            object.__setattr__(self, name, _frozen(arr))
         n = len(self.indices)
         if n % 2 != 1 or n < 3:
             raise ValueError("table must cover -k..k for some k >= 1")
@@ -172,9 +173,7 @@ def _class_moments(table: BinTable, labels: np.ndarray, columns=None):
     has_mass = mass > 0.0
     mean = np.divide(np.bincount(labels, weights=p * c), mass,
                      out=np.full(mass.size, table.source.mean), where=has_mass)
-    dev = c - mean.take(labels)
-    if not table.prob.all():  # the columns are the table's, whole, halved or tiled
-        dev[p == 0.0] = 0.0
+    dev = np.where(p > 0.0, c - mean.take(labels), 0.0)
     dev = np.multiply(p, np.add(v, np.square(dev, out=dev), out=dev), out=dev)
     var = np.divide(np.bincount(labels, weights=dev), mass, out=np.zeros(mass.size), where=has_mass)
     return mass, mean, var

@@ -172,8 +172,7 @@ def asymptotic_quantization_bound(rate_bits: float) -> PayoffValue:
     May be negative at small rates, where it is meaningless but still
     a valid lower bound.
     """
-    if not math.isfinite(rate_bits) or rate_bits < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate_bits}")
+    RatePair(rate_bits, 0.0)  # a ValueError for a non-finite or negative rate
     return PayoffValue(1.0 - 0.5 * math.pi * math.e * 2.0 ** (-2.0 * rate_bits))
 
 
@@ -278,8 +277,7 @@ def sign_split_key_requirement(rate_bits: float) -> float:
     """
     # Imported here: the package needs scipy for this quadrature alone.
     from scipy import integrate
-    if not math.isfinite(rate_bits) or rate_bits < 0.0:
-        raise ValueError(f"rate must be finite and >= 0, got {rate_bits}")
+    RatePair(rate_bits, 0.0)  # a ValueError for a non-finite or negative rate
     if rate_bits == 0.0:
         return 0.0
     rho2 = 1.0 - 2.0 ** (-2.0 * rate_bits)
@@ -366,8 +364,7 @@ class GreedyQuantizedScheme:
 
     def evaluate(self, key_rate_bits: float) -> PayoffPoint:
         """Best feasible divisor at one key rate, or the least-violating one."""
-        if not math.isfinite(key_rate_bits) or key_rate_bits < 0.0:
-            raise ValueError(f"key rate must be finite and >= 0, got {key_rate_bits}")
+        rates = RatePair(self.rate_bits, key_rate_bits)
         var = self.source.variance
         feasible = self._cond_entropy <= key_rate_bits + 1e-12
         payoffs = (self._eve_mmse - self.bob_mse) / var
@@ -390,7 +387,7 @@ class GreedyQuantizedScheme:
             "n_max": self.n_max,
         }
         return PayoffPoint(
-            rates=RatePair(self.rate_bits, key_rate_bits),
+            rates=rates,
             scheme_id="quantized_greedy",
             payoff=PayoffValue(float(payoffs[pick])),
             meta=meta,

@@ -168,6 +168,13 @@ def iterate_beale():
 
 
 class TestBealeCycling:
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        # The tolerance and pivot budget these tests always ran under: the
+        # Bland fallback must reach the optimum within 200 pivots.
+        monkeypatch.setattr(simplex, "_TOL", 1e-9)
+        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 200)
+
     def test_fallback_terminates_at_the_optimum(self):
         value, basis = iterate_beale()
         assert value == pytest.approx(1.25, abs=1e-12)
@@ -176,7 +183,6 @@ class TestBealeCycling:
     def test_pure_dantzig_cycles(self, monkeypatch):
         # Without the fallback the same pivots repeat until the limit.
         monkeypatch.setattr(simplex, "_STALL", 10**9)
-        monkeypatch.setattr(simplex, "_MAX_PIVOTS", 200)
         with pytest.raises(SolverError, match="pivot limit"):
             iterate_beale()
 
