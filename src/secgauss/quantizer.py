@@ -20,7 +20,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SolverError
-from .model import GaussianSource, _frozen, entropy_bits, truncated_moments
+from .model import GaussianSource, RatePair, _frozen, entropy_bits, truncated_moments
 
 __all__ = [
     "QuantizerSpec",
@@ -173,7 +173,9 @@ def _class_moments(table: BinTable, labels: np.ndarray, columns=None):
     has_mass = mass > 0.0
     mean = np.divide(np.bincount(labels, weights=p * c), mass,
                      out=np.full(mass.size, table.source.mean), where=has_mass)
-    dev = np.where(p > 0.0, c - mean.take(labels), 0.0)
+    dev = c - mean.take(labels)
+    if not p.all():  # rows without mass: at huge steps their squared gap would overflow
+        dev[p == 0.0] = 0.0
     dev = np.multiply(p, np.add(v, np.square(dev, out=dev), out=dev), out=dev)
     var = np.divide(np.bincount(labels, weights=dev), mass, out=np.zeros(mass.size), where=has_mass)
     return mass, mean, var
@@ -304,8 +306,7 @@ def step_size_for_entropy(source: GaussianSource, target_bits: float) -> float:
     bisected, and each step's table is built once.  The returned step is
     always on the feasible side.
     """
-    if not math.isfinite(target_bits) or target_bits < 0.0:
-        raise ValueError(f"target entropy must be finite and >= 0, got {target_bits}")
+    RatePair(target_bits, 0.0)  # a ValueError for a non-finite or negative target
 
     def entropy_at(t: float) -> float:
         return output_entropy(build_bin_table(source, QuantizerSpec(step=t)))
