@@ -111,7 +111,6 @@ def _source(args) -> GaussianSource:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma2", type=float, default=1.0, help="source variance (default 1.0)")
     parser.add_argument("--mu", type=float, default=0.0, help="source mean (default 0.0)")
-    parser.add_argument("--out", default=None, help="output path (default standard output)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,8 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--n-mod", type=int, default=None, help="also report modulus statistics")
 
     p_verify = sub.add_parser("verify", help="run a numerical verification suite")
-    _add_common(p_verify)
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
+    for p in sub.choices.values():  # all take --out; verify's suites fix their own sources
+        p.add_argument("--out", default=None, help="output path (default standard output)")
 
     return parser
 

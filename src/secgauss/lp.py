@@ -14,13 +14,13 @@ adding one support point to a smaller subset, and the solver builds its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import SolverError
-from .model import GaussianSource, PayoffValue, RatePair, _frozen, entropy_bits
+from .model import GaussianSource, PayoffValue, RatePair, _frozen, _pmf, entropy_bits
 from .quantizer import QuantizerSpec, build_bin_table, fold_bin_table
 from .simplex import linear_program_sweep
 
@@ -53,20 +53,15 @@ class QuantizedPmf:
 
     def __post_init__(self) -> None:
         pts = _frozen(self.points, float)
-        pr = np.asarray(self.probs, dtype=float)
+        pr = _pmf(self.probs)
         if pts.ndim != 1 or pts.size == 0 or pts.shape != pr.shape:
             raise ValueError("points and probs must be equal-length 1-d arrays")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
         if (np.diff(pts) <= 0.0).any():
             raise ValueError("points must be strictly increasing")
-        if (pr < -1e-12).any():
-            raise ValueError("probabilities must be nonnegative")
-        total = float(pr.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"probabilities sum to {total}, expected 1")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "probs", _frozen(np.clip(pr, 0.0, None)))
+        object.__setattr__(self, "probs", pr)
 
     def mean(self) -> float:
         return float(np.dot(self.probs, self.points))
@@ -98,7 +93,7 @@ class CandidateSet:
         ent, scores = _frozen(self.entropy_bits, float), _frozen(self.scores, float)
         if masks.ndim != 1 or not masks.shape == ent.shape == scores.shape:
             raise ValueError("candidate arrays must hold one entry per mask")
-        if (ent < -1e-12).any() or (scores < -1e-12).any():
+        if not ((ent >= -1e-12).all() and (scores >= -1e-12).all()):  # NaN fails too
             raise ValueError("entropy and score must be nonnegative")
         for name, column in zip(("masks", "entropy_bits", "scores"), (masks, ent, scores)):
             object.__setattr__(self, name, column)
@@ -114,15 +109,16 @@ class CandidateSet:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Optimal mixture: eavesdropper error, weights, and key-rate slack."""
+    """Optimal mixture: eavesdropper error, weights, and key-rate slack; NaN value if unsolved."""
 
     value: float
     weights: np.ndarray
-    feasible: bool
     slack_rs: float
+    feasible: bool = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _frozen(self.weights, float))
+        object.__setattr__(self, "feasible", not math.isnan(self.value))
 
 
 def build_quantized_pmf(
@@ -233,7 +229,7 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     """
     pairs = [RatePair(rate, float(rs)) for rs in key_rates]
     if not covers_entropy(pmf, rate):
-        return [LpSolution(math.nan, np.zeros(0), False, math.nan) for _ in pairs]
+        return [LpSolution(math.nan, np.zeros(0), math.nan) for _ in pairs]
     if candidates is None:
         candidates = enumerate_subset_candidates(pmf)
     if not candidates:
@@ -269,21 +265,19 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     solved = linear_program_sweep(cost, a, b, key, [p.key_rate for p in pairs])
     out = []
     for pair, (u, value) in zip(pairs, solved):
-        if np.max(np.abs(probs * (a[:key, :n] @ u[:n]) - probs)) > 1e-8:
+        if not np.max(np.abs(probs * (a[:key, :n] @ u[:n]) - probs)) <= 1e-8:  # NaN fails
             raise SolverError("LP solution violates the barycenter constraint")
         weights = u[:n] / scale[:n] * mass
         total = float(weights.sum())
-        if abs(total - 1.0) > 1e-8:
+        if not abs(total - 1.0) <= 1e-8:
             raise SolverError(f"LP weights sum to {total}, expected 1")
         used = float(np.dot(weights, ent))
-        if used > pair.key_rate + 1e-8:
+        if not used <= pair.key_rate + 1e-8:
             raise SolverError("LP solution violates the key-rate constraint")
-        out.append(LpSolution(max(value, 0.0), weights, True, pair.key_rate - used))
+        out.append(LpSolution(max(value, 0.0), weights, pair.key_rate - used))
     return out
 
 
 def lp_payoff(solution: LpSolution, source: GaussianSource) -> PayoffValue:
-    """Normalized payoff of a feasible LP solution."""
-    if not solution.feasible:
-        raise ValueError("payoff is undefined for an infeasible LP solution")
+    """Normalized payoff of an LP solution; an infeasible one's NaN value raises ValueError."""
     return PayoffValue(solution.value / source.variance)

@@ -128,6 +128,19 @@ def _frozen(values, dtype=None) -> np.ndarray:
     return out
 
 
+def _pmf(values) -> np.ndarray:
+    """Read-only float copy of a pmf: the value types' one probability rule, which NaN fails."""
+    p = np.array(values, dtype=float)
+    if not (p >= -1e-12).all():
+        raise ValueError("probabilities must be nonnegative")
+    total = float(p.sum())
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"probabilities sum to {total}, expected 1")
+    np.clip(p, 0.0, None, out=p)
+    p.setflags(write=False)
+    return p
+
+
 def payoff(x: float, y: float, z: float, source: GaussianSource) -> float:
     """Per-symbol payoff: eavesdropper loss minus decoder loss, normalized.
 
@@ -249,7 +262,7 @@ def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
 def entropy_bits(probs) -> float:
     """Shannon entropy in bits of a probability vector; 0*log(0) = 0."""
     p = np.asarray(probs, dtype=float)
-    if p.size and (p < -1e-12).any():
+    if not (p >= -1e-12).all():  # NaN fails this test too
         raise ValueError("probabilities must be nonnegative")
     # 0.0 - x rather than -x, so a point mass never prints as -0.
     return 0.0 - float(np.sum(p * np.log(np.where(p > 0.0, p, 1.0)))) / _LOG2

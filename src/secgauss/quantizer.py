@@ -14,13 +14,13 @@ the residues mod many moduli at once, stacked in cache-sized blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
 
 from .errors import SolverError
-from .model import GaussianSource, RatePair, _frozen, entropy_bits, truncated_moments
+from .model import GaussianSource, RatePair, _frozen, _pmf, entropy_bits, truncated_moments
 
 __all__ = [
     "QuantizerSpec",
@@ -72,31 +72,29 @@ class QuantizerSpec:
 class BinTable:
     """Per-bin law of the quantizer output for one source and step.
 
-    Rows run over indices -max_index..max_index.  `prob` sums to one
-    because tail mass is folded into the outermost bins; `centroid` and
-    `within_var` are the source's mean and variance conditional on the
-    bin (fold included).
+    Rows run over `indices` -max_index..max_index, set from the column
+    length.  `prob` sums to one because tail mass is folded into the
+    outermost bins; `centroid` and `within_var` are the source's mean
+    and variance conditional on the bin (fold included).
     """
 
-    indices: np.ndarray
     prob: np.ndarray
     centroid: np.ndarray
     within_var: np.ndarray
     source: GaussianSource
     step: float
+    indices: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for name in ("indices", "prob", "centroid", "within_var"):
-            arr = getattr(self, name)
-            object.__setattr__(self, name, _frozen(arr))
-        n = len(self.indices)
+        object.__setattr__(self, "prob", _pmf(self.prob))
+        for name in ("centroid", "within_var"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        n = len(self.prob)
         if n % 2 != 1 or n < 3:
             raise ValueError("table must cover -k..k for some k >= 1")
-        if not (len(self.prob) == len(self.centroid) == len(self.within_var) == n):
+        if not len(self.centroid) == len(self.within_var) == n:
             raise ValueError("table columns must have equal length")
-        total = float(self.prob.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise SolverError(f"bin probabilities sum to {total}, expected 1")
+        object.__setattr__(self, "indices", _frozen(np.arange(-(n // 2), n // 2 + 1)))
 
     @property
     def max_index(self) -> int:
@@ -137,9 +135,8 @@ def _mirrored(p, c, v, source: GaussianSource, step: float) -> BinTable:
     The mirror is taken about the source mean, exact by its symmetry;
     mass and variance carry over unchanged.
     """
-    indices = np.arange(-(len(p) - 1), len(p), dtype=np.int64)
     centroid = np.concatenate([(2.0 * source.mean - c)[:0:-1], c])
-    return BinTable(indices, np.concatenate([p[:0:-1], p]), centroid,
+    return BinTable(np.concatenate([p[:0:-1], p]), centroid,
                     np.concatenate([v[:0:-1], v]), source, step)
 
 

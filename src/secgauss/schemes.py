@@ -24,6 +24,7 @@ from .model import (
     PayoffValue,
     RatePair,
     _frozen,
+    _pmf,
     entropy_bits,
 )
 from .quantizer import (
@@ -120,16 +121,11 @@ class FiniteJoint:
             if arr.ndim != 1 or arr.size == 0 or not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be a non-empty finite 1-d array")
             object.__setattr__(self, name, arr)
-        p = np.asarray(self.pmf, dtype=float)
+        p = _pmf(self.pmf)
         want = (self.x_points.size, self.y_points.size, self.u_points.size)
         if p.shape != want:
             raise ValueError(f"pmf shape {p.shape} does not match supports {want}")
-        if (p < -1e-12).any():
-            raise ValueError("pmf must be nonnegative")
-        total = float(p.sum())
-        if abs(total - 1.0) > 1e-10:
-            raise ValueError(f"pmf sums to {total}, expected 1")
-        object.__setattr__(self, "pmf", _frozen(np.clip(p, 0.0, None)))
+        object.__setattr__(self, "pmf", p)
 
 
 @dataclass(frozen=True)

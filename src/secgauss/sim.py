@@ -116,15 +116,12 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
 
     # Bob's and Eve's estimate for each table row (index n at row n + k).
     k = table.max_index
-    lattice = np.arange(-k, k + 1)
-    bob_points = table.centroid if recon == "centroid" else source.mean + lattice * table.step
+    bob_points = table.centroid if recon == "centroid" else source.mean + table.indices * table.step
     if config.scheme == "sign_pad":
-        if rates.key_rate < 1.0:
-            raise InfeasibleError("sign_pad consumes one key bit per symbol; key_rate >= 1 required")
-        mag_prob, pair_mean = _class_moments(table, np.abs(lattice))[:2]
+        mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
         model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
         # Eve sees only the magnitude; condition on the {+u, -u} pair.
-        eve_points = pair_mean[np.abs(lattice)]
+        eve_points = pair_mean[np.abs(table.indices)]
     elif config.scheme == "no_key":
         model_rate, model_key = h_table, 0.0
         eve_points = table.centroid
@@ -132,10 +129,12 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         # The pad makes the whole message independent of the symbol.
         model_rate, model_key = h_table, h_table
         eve_points = np.full(2 * k + 1, source.mean)
-    if model_rate > rates.rate + _RATE_TOL:
-        raise InfeasibleError(
-            f"scheme needs {model_rate:.6f} bits/symbol but the rate budget is {rates.rate}"
-        )
+    for need, budget, name in ((model_rate, rates.rate, "rate"),
+                               (model_key, rates.key_rate, "key rate")):
+        if not need <= budget + _RATE_TOL:
+            raise InfeasibleError(
+                f"scheme needs {need:.6f} bits/symbol but the {name} budget is {budget}"
+            )
 
     # Chunked standard_normal draws equal one whole-sample draw.  Per-block
     # (count, mean, M2) of the payoff merge as in Chan, Golub & LeVeque (1979).

@@ -350,6 +350,18 @@ class TestVerify:
     def test_unknown_suite(self):
         assert run_cli(["verify", "--suite", "everything"]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--mu", "5"), ("--sigma2", "9")])
+    def test_source_flags_rejected(self, flag, value, capsys):
+        # The suites fix their own sources, so a source flag would be ignored.
+        assert run_cli(["verify", "--suite", "entropy_limit", flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_out_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "verify.txt"
+        assert run_cli(["verify", "--suite", "quantizer_bound", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith("PASS")
+
 
 # One small run of each command and suite that needs no quadrature.
 NO_SCIPY_ARGV = [

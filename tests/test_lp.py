@@ -15,6 +15,7 @@ from secgauss import (
     CandidateSet,
     GaussianSource,
     GreedyQuantizedScheme,
+    LpSolution,
     QuantizedPmf,
     QuantizerSpec,
     RatePair,
@@ -409,6 +410,13 @@ class TestLpPayoff:
         sol = solve_secrecy_lp(small_pmf, RatePair(0.5, 0.5))
         with pytest.raises(ValueError):
             lp_payoff(sol, STANDARD_SOURCE)
+
+    def test_feasible_is_set_from_the_value(self):
+        assert LpSolution(0.5, [1.0], 0.0).feasible is True
+        assert LpSolution(math.nan, [], math.nan).feasible is False
+        # Not an input, so it can never disagree with the value.
+        with pytest.raises(TypeError):
+            LpSolution(math.nan, [], True, math.nan)
 
 
 @pytest.fixture(scope="module")

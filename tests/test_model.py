@@ -334,6 +334,10 @@ class TestEntropyHelpers:
     def test_rounding_negatives_count_as_zero(self):
         assert entropy_bits([0.5, 0.5, -1e-13]) == 1.0
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            entropy_bits([math.nan, 0.5])
+
     def test_binary_entropy_points(self):
         assert entropy_bits([0.5, 0.5]) == 1.0
         assert entropy_bits([0.11, 0.89]) == pytest.approx(0.49992, abs=5e-6)
@@ -363,7 +367,7 @@ def _value_type_cases():
     """(type, the caller's arrays by field, the other fields) for each value type."""
     half = np.array([0.25, 0.5, 0.25])
     return {
-        "BinTable": (BinTable, {"indices": np.arange(-1, 2), "prob": half.copy(),
+        "BinTable": (BinTable, {"prob": half.copy(),
                                 "centroid": np.array([-1.5, 0.0, 1.5]),
                                 "within_var": np.full(3, 0.1)},
                      {"source": STANDARD_SOURCE, "step": 1.0}),
@@ -373,7 +377,7 @@ def _value_type_cases():
                                         "entropy_bits": np.array([0.0, 0.0, 1.0]),
                                         "scores": np.array([0.0, 0.0, 0.25])}, {}),
         "LpSolution": (LpSolution, {"weights": half.copy()},
-                       {"value": 0.5, "feasible": True, "slack_rs": 0.0}),
+                       {"value": 0.5, "slack_rs": 0.0}),
         "FiniteJoint": (FiniteJoint, {"x_points": np.array([-1.0, 1.0]),
                                       "y_points": np.array([-1.0, 1.0]),
                                       "u_points": np.array([0.0]),
@@ -391,3 +395,28 @@ def test_value_types_keep_read_only_copies(name):
         arr[...] = 7
         np.testing.assert_array_equal(getattr(value, field), kept[field])
         assert not getattr(value, field).flags.writeable, field
+
+
+# The field of each value type that holds probabilities (or, for
+# CandidateSet, nonnegative columns); NaN must fail its checks.
+_NONNEGATIVE_FIELDS = {"BinTable": "prob", "QuantizedPmf": "probs", "FiniteJoint": "pmf",
+                       "CandidateSet": "scores"}
+
+
+@pytest.mark.parametrize("name", sorted(_NONNEGATIVE_FIELDS))
+def test_value_types_reject_nan_probabilities(name):
+    cls, arrays, rest = _value_type_cases()[name]
+    arrays[_NONNEGATIVE_FIELDS[name]].flat[0] = math.nan
+    with pytest.raises(ValueError):
+        cls(**arrays, **rest)
+
+
+def test_pmf_rule_makes_one_clipped_read_only_copy():
+    values = np.array([0.5, 0.5 + 1e-13, -1e-13])
+    p = model._pmf(values)
+    assert p is not values and p.base is None
+    assert not p.flags.writeable and p.dtype == np.float64
+    np.testing.assert_array_equal(p, [0.5, 0.5 + 1e-13, 0.0])
+    for bad in ([0.5, 0.5, -1e-11], [0.5, 0.5 + 1e-9], [math.inf, 0.0], [math.nan, 1.0]):
+        with pytest.raises(ValueError):
+            model._pmf(bad)

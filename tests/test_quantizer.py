@@ -82,6 +82,20 @@ class TestBinTable:
         with pytest.raises(ValueError):
             unit_table.prob[0] = 0.5
 
+    def test_indices_set_from_the_columns(self, unit_table):
+        k = unit_table.max_index
+        table = BinTable(unit_table.prob, unit_table.centroid, unit_table.within_var,
+                         unit_table.source, unit_table.step)
+        assert table.max_index == k
+        np.testing.assert_array_equal(table.indices, np.arange(-k, k + 1))
+        with pytest.raises(ValueError):
+            table.indices[0] = 0
+        # A row column can no longer be passed, so it can no longer disagree.
+        with pytest.raises(TypeError):
+            BinTable(unit_table.prob, unit_table.centroid, unit_table.within_var,
+                     unit_table.source, unit_table.step, indices=np.arange(2 * k + 1))
+        assert bob_distortion(table, "lattice") == bob_distortion(unit_table, "lattice")
+
     def test_row_bounds(self, unit_table):
         with pytest.raises(ValueError):
             unit_table.row(unit_table.max_index + 1)
@@ -357,8 +371,7 @@ def ref_fold_bin_table(table, max_index):
             prob[k - j] = p
             centroid[k - j] = 2.0 * mu - c
             within_var[k - j] = v
-    indices = np.arange(-k, k + 1, dtype=np.int64)
-    return BinTable(indices, prob, centroid, within_var, table.source, table.step)
+    return BinTable(prob, centroid, within_var, table.source, table.step)
 
 
 def binary_entropy(p):
@@ -454,8 +467,7 @@ def symmetric_table(mu, weights, offset, spread):
     centroid = mu + np.concatenate([-offset[:0:-1], offset])
     within_var = np.concatenate([spread[:0:-1], spread])
     variance = float(prob @ (within_var + (centroid - mu) ** 2))
-    indices = np.arange(-(w.size - 1), w.size, dtype=np.int64)
-    return BinTable(indices, prob, centroid, within_var, GaussianSource(mu, variance), 1.0)
+    return BinTable(prob, centroid, within_var, GaussianSource(mu, variance), 1.0)
 
 
 # Each class of residues mod 1 and mod 5 is nearly all one bin, whose
@@ -468,7 +480,6 @@ _NEAR_POINT_MASS_TABLE = symmetric_table(0.0, [1.0, 2e-12, 0.0, 0.0, 0.0, 2e-12]
 # Folding to k = 1 squares a centroid offset of 0.9135239674620381, whose
 # square libm's pow rounds one ulp above the exact product d * d.
 _POW_ROUNDING_TABLE = BinTable(
-    np.arange(-6, 7, dtype=np.int64),
     np.array([0.17329951929302995, 0.0, 0.17225463380372533, 0.0, 1.4297557291688563e-05,
               0.1544315493459531, 0.0, 0.1544315493459531, 1.4297557291688563e-05, 0.0,
               0.17225463380372533, 0.0, 0.17329951929302995]),

@@ -22,7 +22,8 @@ from secgauss import (
     step_size_for_entropy,
 )
 from secgauss.quantizer import _class_moments
-from secgauss.sim import _BLOCK
+from secgauss import sim as sim_module
+from secgauss.sim import _BLOCK, _RATE_TOL
 
 SRC = STANDARD_SOURCE
 
@@ -150,6 +151,22 @@ class TestBudgetEnforcement:
         # step 0.5 carries ~3.06 bits of index entropy.
         with pytest.raises(InfeasibleError):
             run_sim(make_config(scheme="no_key", rate=2.0, rs=0.0), SRC)
+
+
+class TestOneBudgetRule:
+    def test_key_budget_shares_the_rate_tolerance(self):
+        # sign_pad needs exactly one key bit; a budget short of it by less
+        # than _RATE_TOL runs, as a rate budget would.
+        assert run_sim(make_config(rs=1.0 - 0.5 * _RATE_TOL, n=100), SRC).model_key_bits == 1.0
+        with pytest.raises(InfeasibleError, match="key rate budget"):
+            run_sim(make_config(rs=1.0 - 2.0 * _RATE_TOL, n=100), SRC)
+
+    def test_full_encryption_key_need_is_checked(self, monkeypatch):
+        # A step finer than the key budget allows (about 4.1 bits at step
+        # 0.25 against 2) is refused rather than assumed to fit.
+        monkeypatch.setattr(sim_module, "step_size_for_entropy", lambda source, bits: 0.25)
+        with pytest.raises(InfeasibleError, match="key rate budget is 2.0"):
+            run_sim(make_config(scheme="full_encryption", rate=10.0, rs=2.0, n=100), SRC)
 
 
 class TestConcordance:
