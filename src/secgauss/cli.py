@@ -12,10 +12,15 @@ import math
 import sys
 
 from .errors import InfeasibleError, SolverError
-from .lp import build_quantized_pmf, covers_entropy, enumerate_subset_candidates, sweep_secrecy_lp
+from .lp import (
+    DEFAULT_SUPPORT_CAP,
+    build_quantized_pmf,
+    covers_entropy,
+    enumerate_subset_candidates,
+    sweep_secrecy_lp,
+)
 from .model import GaussianSource, RatePair
 from .quantizer import (
-    QuantizerSpec,
     bob_distortion,
     build_bin_table,
     entropy_given_magnitude,
@@ -130,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--rs-range", default=None, help="key rates START:STOP:STEP")
     p_curve.add_argument("--n-max", type=int, default=None, help="greedy modulus sweep bound")
     p_curve.add_argument(
-        "--lp-max-support", type=int, default=15, help="fold the LP pmf to this support (odd)"
+        "--lp-max-support", type=int, default=DEFAULT_SUPPORT_CAP,
+        help="fold the LP pmf to this support (odd)",
     )
     p_curve.add_argument(
         "--lp-mode",
@@ -159,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=("continuous", "alphabet_restricted"), default="continuous"
     )
     p_lp.add_argument(
-        "--max-support", type=int, default=15, help="fold the pmf to this support (odd)"
+        "--max-support", type=int, default=DEFAULT_SUPPORT_CAP,
+        help="fold the pmf to this support (odd)",
     )
 
     p_stats = sub.add_parser("quantizer-stats", help="entropies and distortions of one table")
@@ -216,8 +223,8 @@ def _curve_rows(scheme: str, r: float, rs_grid, source, args) -> list[str]:
     if scheme == "lp_quantized":
         if r == 0.0:
             return _infeasible_rows(scheme, r, rs_grid, None, "rate must be positive")
-        step = step_size_for_entropy(source, r)
-        return _lp_rows(source, r, step, rs_grid, args.lp_max_support, args.lp_mode, False)
+        table = step_size_for_entropy(source, r)
+        return _lp_rows(table, r, rs_grid, args.lp_max_support, args.lp_mode, False)
 
     closed = {
         "weak": weak_eavesdropper_payoff,
@@ -238,16 +245,14 @@ def cmd_sim(args) -> int:
         raise ValueError("--seed is required; simulations must be reproducible")
     source = _source(args)
 
+    step = args.t
     if args.scheme == "full_encryption":
-        if args.t is not None:
-            raise ValueError("--t is derived for full_encryption; do not pass it")
         if args.r is None:
             raise ValueError("--r is required for full_encryption")
         r = args.r
         rs = args.rs if args.rs is not None else r
-        step = source.std  # placeholder; run_sim derives the real step
     else:
-        step = args.t if args.t is not None else source.std
+        step = source.std if step is None else step
         # Without --r the budget is the rate the scheme's table needs:
         # run_sim builds that table, so run uncapped and report its rate.
         r = args.r if args.r is not None else sys.float_info.max
@@ -260,9 +265,10 @@ def cmd_sim(args) -> int:
         scheme=args.scheme,
         scenario=args.scenario,
         rates=RatePair(r, rs),
-        quantizer=QuantizerSpec(step=step, reconstruction=recon),
+        step=step,
         n_symbols=args.n,
         seed=args.seed,
+        reconstruction=recon,
     )
     result = run_sim(config, source)
     if args.r is None:
@@ -297,13 +303,14 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
-def _lp_rows(source, r, step, rs_grid, max_support, mode, mixtures: bool) -> list[str]:
-    """Subset-LP rows at one step; `mixtures` adds D and the active mixture to notes."""
-    pmf = build_quantized_pmf(source, QuantizerSpec(step=step), max_support=max_support)
+def _lp_rows(table, r, rs_grid, max_support, mode, mixtures: bool) -> list[str]:
+    """Subset-LP rows on one bin table; `mixtures` adds D and the active mixture to notes."""
+    pmf = build_quantized_pmf(table, max_support=max_support)
     # The message-rate gate is the same at every key rate: settle it
     # before paying for up to 2**max_support candidates.
     if not covers_entropy(pmf, r):
-        return _infeasible_rows("lp_quantized", r, rs_grid, step, "rate below quantized entropy")
+        return _infeasible_rows("lp_quantized", r, rs_grid, table.step,
+                                "rate below quantized entropy")
     candidates = enumerate_subset_candidates(pmf, max_support, mode)
     rows = []
     for rs, sol in zip(rs_grid, sweep_secrecy_lp(pmf, r, rs_grid, candidates)):
@@ -312,22 +319,23 @@ def _lp_rows(source, r, step, rs_grid, max_support, mode, mixtures: bool) -> lis
             active = [f"{candidates.label(j)}:{sol.weights[j]:.12g}"
                       for j in (sol.weights > 1e-9).nonzero()[0]]
             note = f"D={sol.value:.12g};{note};active=" + ";".join(active)
-        rows.append(_csv_row("lp_quantized", r, rs, sol.value / source.variance, step, None,
-                             True, note))
+        rows.append(_csv_row("lp_quantized", r, rs, sol.value / table.source.variance, table.step,
+                             None, True, note))
     return rows
 
 
 def cmd_lp(args) -> int:
     rs_grid = _parse_grid(args.rs, args.rs_range, "--rs", "--rs-range")
     _check_rates([args.r], rs_grid)
-    rows = _lp_rows(_source(args), args.r, args.t, rs_grid, args.max_support, args.mode, True)
+    table = build_bin_table(_source(args), args.t)
+    rows = _lp_rows(table, args.r, rs_grid, args.max_support, args.mode, True)
     _emit(args.out, "\n".join([CSV_HEADER] + rows) + "\n")
     return EXIT_OK
 
 
 def cmd_quantizer_stats(args) -> int:
     source = _source(args)
-    table = build_bin_table(source, QuantizerSpec(step=args.t))
+    table = build_bin_table(source, args.t)
     stats = [
         ("step", args.t),
         ("max_index", table.max_index),

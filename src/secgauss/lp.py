@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverError
-from .model import GaussianSource, PayoffValue, RatePair, _frozen, _pmf, entropy_bits
-from .quantizer import QuantizerSpec, build_bin_table, fold_bin_table
+from .model import RatePair, _frozen, _pmf, entropy_bits
+from .quantizer import BinTable, fold_bin_table
 from .simplex import linear_program_sweep
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "enumerate_subset_candidates",
     "solve_secrecy_lp",
     "sweep_secrecy_lp",
-    "lp_payoff",
 ]
 
 DEFAULT_SUPPORT_CAP = 15
@@ -121,18 +120,14 @@ class LpSolution:
         object.__setattr__(self, "feasible", not math.isnan(self.value))
 
 
-def build_quantized_pmf(
-    source: GaussianSource,
-    spec: QuantizerSpec,
-    max_support: Optional[int] = None,
-) -> QuantizedPmf:
-    """Pmf of the centroid-reconstructed quantizer output.
+def build_quantized_pmf(table: BinTable, max_support: Optional[int] = None) -> QuantizedPmf:
+    """Pmf of the centroid-reconstructed output of a bin table.
 
     Zero-mass bins are dropped.  With `max_support` (odd), outer bins
     are folded together first so that the support fits the LP cap; the
     fold only coarsens the pmf, so the entropy never grows.
     """
-    table = build_bin_table(source, spec)
+    source = table.source
     if max_support is not None:
         if max_support < 1 or max_support % 2 == 0:
             raise ValueError(f"max_support must be a positive odd integer, got {max_support}")
@@ -276,8 +271,3 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
             raise SolverError("LP solution violates the key-rate constraint")
         out.append(LpSolution(max(value, 0.0), weights, pair.key_rate - used))
     return out
-
-
-def lp_payoff(solution: LpSolution, source: GaussianSource) -> PayoffValue:
-    """Normalized payoff of an LP solution; an infeasible one's NaN value raises ValueError."""
-    return PayoffValue(solution.value / source.variance)

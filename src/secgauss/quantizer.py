@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .errors import SolverError
 from .model import GaussianSource, RatePair, _frozen, _pmf, entropy_bits, truncated_moments
 
 __all__ = [
-    "QuantizerSpec",
     "BinTable",
     "build_bin_table",
     "fold_bin_table",
@@ -51,21 +49,11 @@ _RESIDUE_BLOCK = 8192  # table entries per block of stacked residue labellings, 
 _ENTROPY_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
-    """Step size, minimum index extent, and reconstruction rule."""
-
-    step: float
-    max_index: int = 1
-    reconstruction: Literal["lattice", "centroid"] = "lattice"
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.step) or self.step <= 0.0:
-            raise ValueError(f"step must be finite and positive, got {self.step}")
-        if int(self.max_index) != self.max_index or self.max_index < 1:
-            raise ValueError(f"max_index must be an integer >= 1, got {self.max_index}")
-        if self.reconstruction not in ("lattice", "centroid"):
-            raise ValueError(f"unknown reconstruction rule {self.reconstruction!r}")
+def _step(value) -> float:
+    """The one quantizer-step rule: finite and positive, as a float."""
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"step must be finite and positive, got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +96,15 @@ class BinTable:
         return index + k
 
 
-def build_bin_table(source: GaussianSource, spec: QuantizerSpec) -> BinTable:
+def build_bin_table(source: GaussianSource, step: float) -> BinTable:
     """Exact bin table for a symmetric uniform quantizer.
 
-    The index extent is grown beyond spec.max_index until the untruncated
-    tails carry at most 1e-12 probability; those tails are then folded
-    into the outermost bins so that the table is a true partition.
+    The index extent is the least k >= 1 whose untruncated tails carry
+    at most 1e-12 probability; those tails are then folded into the
+    outermost bins so that the table is a true partition.
     """
-    mu, sigma, t = source.mean, source.std, spec.step
-    need = _TAIL_STDS * sigma / t - 0.5
-    k_max = max(int(spec.max_index), int(math.ceil(need)), 1)
+    mu, sigma, t = source.mean, source.std, _step(step)
+    k_max = max(int(math.ceil(_TAIL_STDS * sigma / t - 0.5)), 1)
     if 2 * k_max + 1 > _MAX_BINS:
         raise ValueError(
             f"step {t} needs {2 * k_max + 1} bins, more than the {_MAX_BINS} supported"
@@ -295,44 +282,48 @@ def eve_mmse_given_magnitude(table: BinTable) -> float:
     return mmse
 
 
-def step_size_for_entropy(source: GaussianSource, target_bits: float) -> float:
-    """Smallest step (to within _ENTROPY_TOL bits) whose output entropy does not exceed target.
+def step_size_for_entropy(source: GaussianSource, target_bits: float) -> BinTable:
+    """Bin table of the smallest step (to within _ENTROPY_TOL bits) whose entropy fits the target.
 
     The output entropy depends on step/std alone and decreases as the
     step grows: the step is bracketed by doubling and halving, then
-    bisected, and each step's table is built once.  The returned step is
-    always on the feasible side.
+    bisected, and each step's table is built once.  Returns the table
+    built at the chosen step (its `.step`), always on the feasible side;
+    only it and the table being built are kept alive.
     """
     RatePair(target_bits, 0.0)  # a ValueError for a non-finite or negative target
 
-    def entropy_at(t: float) -> float:
-        return output_entropy(build_bin_table(source, QuantizerSpec(step=t)))
+    def fitting(t: float):
+        """(table at step t if its entropy fits the target, else None; the entropy)."""
+        table = build_bin_table(source, t)
+        h = output_entropy(table)
+        return (table if h <= target_bits else None), h
 
     hi = 8.0 * source.std * 2.0 ** (-target_bits)
     for _ in range(200):
-        h_hi = entropy_at(hi)
-        if h_hi <= target_bits:
+        best, h_hi = fitting(hi)
+        if best is not None:
             break
         hi *= 2.0
     else:
         raise SolverError("could not find a feasible step for the target entropy")
     lo = hi / 2.0
     for _ in range(60):
-        h_lo = entropy_at(lo)
-        if h_lo > target_bits:
+        table, h_lo = fitting(lo)
+        if table is None:
             break
-        hi, h_hi = lo, h_lo
+        best, hi, h_hi = table, lo, h_lo
         lo /= 2.0
     else:
         raise SolverError("could not bracket the target entropy from above")
 
     for _ in range(200):
         if h_hi >= target_bits - _ENTROPY_TOL or hi - lo <= 1e-13 * hi:
-            return hi
+            return best
         mid = 0.5 * (lo + hi)
-        h_mid = entropy_at(mid)
-        if h_mid <= target_bits:
-            hi, h_hi = mid, h_mid
+        table, h_mid = fitting(mid)
+        if table is not None:
+            best, hi, h_hi = table, mid, h_mid
         else:
             lo = mid
-    return hi
+    return best

@@ -28,9 +28,7 @@ from .model import (
     entropy_bits,
 )
 from .quantizer import (
-    QuantizerSpec,
     bob_distortion,
-    build_bin_table,
     entropy_given_residue,
     eve_mmse_given_residue,
     output_entropy,
@@ -50,7 +48,6 @@ __all__ = [
     "asymptotic_quantization_bound",
     "verify_jointly_gaussian_grid",
     "sign_split_key_requirement",
-    "greedy_quantized_scheme",
     "evaluate_finite_strategy",
 ]
 
@@ -346,8 +343,8 @@ class GreedyQuantizedScheme:
             raise InfeasibleError(f"message rate must be positive, got {rate_bits}")
         self.rate_bits = float(rate_bits)
         self.source = source
-        self.step = step_size_for_entropy(source, rate_bits)
-        self.table = build_bin_table(source, QuantizerSpec(step=self.step))
+        self.table = step_size_for_entropy(source, rate_bits)
+        self.step = self.table.step
         self.entropy_bits = output_entropy(self.table)
         self.bob_mse = bob_distortion(self.table, "lattice")
         full = 2 * self.table.max_index + 1
@@ -388,16 +385,6 @@ class GreedyQuantizedScheme:
             payoff=PayoffValue(float(payoffs[pick])),
             meta=meta,
         )
-
-
-def greedy_quantized_scheme(
-    rates: RatePair,
-    source: GaussianSource = STANDARD_SOURCE,
-    *,
-    n_max: Optional[int] = None,
-) -> PayoffPoint:
-    """One-shot evaluation of the greedy quantized scheme at a rate pair."""
-    return GreedyQuantizedScheme(rates.rate, source, n_max=n_max).evaluate(rates.key_rate)
 
 
 def evaluate_finite_strategy(joint: FiniteJoint, source: GaussianSource) -> FiniteStrategyReport:

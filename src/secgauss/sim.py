@@ -19,18 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import InfeasibleError
 from .model import GaussianSource, RatePair, entropy_bits
-from .quantizer import (
-    QuantizerSpec,
-    _class_moments,
-    build_bin_table,
-    output_entropy,
-    step_size_for_entropy,
-)
+from .quantizer import _class_moments, _step, build_bin_table, output_entropy, step_size_for_entropy
 
 __all__ = [
     "SIM_SCHEMES",
@@ -54,20 +49,31 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: scheme, eavesdropper scenario, rates, quantizer, size, seed."""
+    """One simulation run: scheme, eavesdropper scenario, rates, step, size, seed, Bob's rule.
+
+    `step` is None exactly for full_encryption, which derives it to fit min(rate, key_rate).
+    Bob reconstructs a bin at its `reconstruction`: lattice point or centroid.
+    """
 
     scheme: str
     scenario: str
     rates: RatePair
-    quantizer: QuantizerSpec
+    step: Optional[float]
     n_symbols: int
     seed: int
+    reconstruction: str = "lattice"
 
     def __post_init__(self) -> None:
         if self.scheme not in SIM_SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.scenario not in SIM_SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        if (self.step is None) != (self.scheme == "full_encryption"):
+            raise ValueError("full_encryption derives its step; every other scheme needs one")
+        if self.step is not None:
+            _step(self.step)
+        if self.reconstruction not in ("lattice", "centroid"):
+            raise ValueError(f"unknown reconstruction rule {self.reconstruction!r}")
         if int(self.n_symbols) != self.n_symbols or not 1 <= self.n_symbols <= _MAX_SYMBOLS:
             raise ValueError(
                 f"n_symbols must be an integer in [1, {_MAX_SYMBOLS}], got {self.n_symbols}"
@@ -100,18 +106,14 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     Rates are reported information-theoretically from the bin table (no
     entropy coder is simulated).  A scheme whose table needs more
     message or key rate than the config budgets is rejected as
-    inconsistent.  For full_encryption the configured quantizer step is
-    ignored: the step is derived so the index entropy fits
-    min(rate, key_rate).
+    inconsistent.
     """
     rates = config.rates
-    recon = config.quantizer.reconstruction
+    recon = config.reconstruction
     if config.scheme == "full_encryption":
-        budget = min(rates.rate, rates.key_rate)
-        step = step_size_for_entropy(source, budget)
-        table = build_bin_table(source, QuantizerSpec(step=step, reconstruction=recon))
+        table = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
     else:
-        table = build_bin_table(source, config.quantizer)
+        table = build_bin_table(source, config.step)
     h_table = output_entropy(table)
 
     # Bob's and Eve's estimate for each table row (index n at row n + k).

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .model import GaussianSource, RatePair, differential_entropy_bits
-from .quantizer import QuantizerSpec, bob_distortion, build_bin_table, output_entropy
+from .quantizer import bob_distortion, build_bin_table, output_entropy
 from .schemes import sign_split_key_requirement, verify_jointly_gaussian_grid
 
 __all__ = [
@@ -65,7 +65,7 @@ def entropy_limit_suite() -> list[Check]:
     gaps = []
     for denom in (16, 32, 64):
         t = source.std / denom
-        h = output_entropy(build_bin_table(source, QuantizerSpec(step=t)))
+        h = output_entropy(build_bin_table(source, t))
         gaps.append((denom, abs(h + math.log2(t / source.std) - target)))
     checks = []
     for (d1, g1), (d2, g2) in zip(gaps, gaps[1:]):
@@ -95,7 +95,7 @@ def quantizer_bound_suite() -> list[Check]:
     checks = []
     for r in (4, 6, 8):
         t = math.sqrt(2.0 * math.pi * math.e) * source.std * 2.0 ** (-r)
-        table = build_bin_table(source, QuantizerSpec(step=t))
+        table = build_bin_table(source, t)
         h = output_entropy(table)
         d = bob_distortion(table, "lattice")
         bound = 0.5 * math.pi * math.e * source.variance * 2.0 ** (-2 * r)

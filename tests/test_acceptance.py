@@ -15,7 +15,6 @@ import pytest
 from secgauss import (
     STANDARD_SOURCE,
     QuantizedPmf,
-    QuantizerSpec,
     RatePair,
     SimConfig,
     asymptotic_quantization_bound,
@@ -108,7 +107,7 @@ def test_criterion_3_high_rate_quantizer(criterion_report):
     details = []
     for r in (4.0, 6.0, 8.0):
         step = math.sqrt(2.0 * math.pi * math.e) * SRC.std * 2.0 ** (-r)
-        table = build_bin_table(SRC, QuantizerSpec(step=step))
+        table = build_bin_table(SRC, step)
         h = output_entropy(table)
         d = bob_distortion(table, "lattice")
         d_cap = 0.5 * math.pi * math.e * SRC.variance * 2.0 ** (-2.0 * r)
@@ -126,7 +125,7 @@ def test_criterion_4_entropy_limit(criterion_report):
     gaps = []
     for denom in (16.0, 32.0, 64.0):
         step = SRC.std / denom
-        table = build_bin_table(SRC, QuantizerSpec(step=step))
+        table = build_bin_table(SRC, step)
         h = output_entropy(table)
         gaps.append(abs(h + math.log2(step / SRC.std) - HALF_LOG2_2PIE))
     ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 0.01
@@ -167,7 +166,7 @@ def _brute_force_lp(pmf, rs):
 
 def test_criterion_5_lp_endpoints_and_oracle(criterion_report):
     """Endpoints, monotonicity, brute-force agreement, hand instance."""
-    pmf = build_quantized_pmf(SRC, QuantizerSpec(step=1.0), max_support=9)
+    pmf = build_quantized_pmf(build_bin_table(SRC, 1.0), max_support=9)
     cands = enumerate_subset_candidates(pmf, 9)
     h = pmf.entropy_bits()
     var = pmf.variance()
@@ -249,29 +248,25 @@ def test_criterion_7_simulation_concordance(criterion_report):
     zs = []
 
     step = 0.5
-    cfg = SimConfig("sign_pad", "weak", RatePair(6.0, 1.0),
-                    QuantizerSpec(step=step), n, seed)
+    cfg = SimConfig("sign_pad", "weak", RatePair(6.0, 1.0), step, n, seed)
     res = run_sim(cfg, SRC)
-    table = build_bin_table(SRC, QuantizerSpec(step=step))
+    table = build_bin_table(SRC, step)
     target = (eve_mmse_given_magnitude(table) - bob_distortion(table, "lattice")) / SRC.variance
     zs.append(abs(res.empirical_payoff - target) / res.std_error)
 
-    cfg_fe = SimConfig("full_encryption", "weak", RatePair(3.0, 3.0),
-                       QuantizerSpec(step=1.0), n, seed)
+    cfg_fe = SimConfig("full_encryption", "weak", RatePair(3.0, 3.0), None, n, seed)
     res_fe = run_sim(cfg_fe, SRC)
-    t_eff = step_size_for_entropy(SRC, 3.0)
-    table_fe = build_bin_table(SRC, QuantizerSpec(step=t_eff))
+    table_fe = step_size_for_entropy(SRC, 3.0)
     target_fe = (SRC.variance - bob_distortion(table_fe, "lattice")) / SRC.variance
     zs.append(abs(res_fe.empirical_payoff - target_fe) / res_fe.std_error)
 
-    cfg_nk = SimConfig("no_key", "weak", RatePair(6.0, 0.0),
-                       QuantizerSpec(step=step, reconstruction="centroid"), n, seed)
+    cfg_nk = SimConfig("no_key", "weak", RatePair(6.0, 0.0), step, n, seed,
+                       reconstruction="centroid")
     res_nk = run_sim(cfg_nk, SRC)
     no_key_exact = res_nk.empirical_payoff == 0.0 and res_nk.std_error == 0.0
 
     res_causal = run_sim(
-        SimConfig("sign_pad", "causal_source", RatePair(6.0, 1.0),
-                  QuantizerSpec(step=step), n, seed),
+        SimConfig("sign_pad", "causal_source", RatePair(6.0, 1.0), step, n, seed),
         SRC,
     )
     scenarios_agree = res_causal.eve_mse == res.eve_mse
@@ -292,8 +287,9 @@ def test_criterion_8_cross_module_identity(criterion_report):
         ("full_encryption", 2.0, "lattice"),
         ("no_key", 0.0, "centroid"),
     ):
-        cfg = SimConfig(scheme, "weak", RatePair(6.0, rs),
-                        QuantizerSpec(step=0.5, reconstruction=recon), 5_000, 17)
+        step = None if scheme == "full_encryption" else 0.5
+        cfg = SimConfig(scheme, "weak", RatePair(6.0, rs), step, 5_000, 17,
+                        reconstruction=recon)
         res = run_sim(cfg, SRC)
         worst_book = max(
             worst_book,

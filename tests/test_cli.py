@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import secgauss
 from secgauss import (
     STANDARD_SOURCE,
-    QuantizerSpec,
     RatePair,
     SimResult,
     bob_distortion,
@@ -180,9 +179,9 @@ class TestSim:
         # command must not build that table a second time to find it.
         calls = []
 
-        def spy(source, spec):
-            calls.append(spec.step)
-            return build_bin_table(source, spec)
+        def spy(source, step):
+            calls.append(step)
+            return build_bin_table(source, step)
 
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("secgauss")
@@ -294,7 +293,7 @@ class TestQuantizerStats:
         assert code == 0
         got = {r["quantity"]: float(r["value"])
                for r in parse_csv(capsys.readouterr().out)}
-        table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=0.5))
+        table = build_bin_table(STANDARD_SOURCE, 0.5)
         assert got["entropy_bits"] == pytest.approx(output_entropy(table), abs=1e-10)
         assert got["bob_mse_lattice"] == pytest.approx(
             bob_distortion(table, "lattice"), abs=1e-10
@@ -474,9 +473,9 @@ code = main(["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "1", "--n", 
         # entries; a 2**19 x 19 posterior matrix and its temporaries
         # peaked at 377 MB (Linux, x86-64).
         code = """
-from secgauss import QuantizerSpec, STANDARD_SOURCE, build_quantized_pmf
+from secgauss import STANDARD_SOURCE, build_bin_table, build_quantized_pmf
 from secgauss import enumerate_subset_candidates
-pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=0.3), max_support=19)
+pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=19)
 code = 0 if len(enumerate_subset_candidates(pmf, 19)) == 2**19 - 1 else 1
 """
         assert child_peak_mb(code) < 150.0

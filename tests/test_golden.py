@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from secgauss import (
-    STANDARD_SOURCE, QuantizerSpec, bob_distortion, build_bin_table, build_quantized_pmf,
+    STANDARD_SOURCE, bob_distortion, build_bin_table, build_quantized_pmf,
 )
 from secgauss.cli import main
 
@@ -98,7 +98,7 @@ def test_fine_table_mses_match_golden_relatively():
     # Both MSEs are near 1.9e-11, where FLOAT_TOL alone would let them drift by 5%.
     text = (GOLDEN_DIR / "quantizer_stats_fine.txt").read_text()
     golden = dict(line.split(",") for line in text.splitlines())
-    table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=1.5e-5))
+    table = build_bin_table(STANDARD_SOURCE, 1.5e-5)
     for rule in ("lattice", "centroid"):
         expected = float(golden[f"bob_mse_{rule}"])
         assert bob_distortion(table, rule) == pytest.approx(expected, rel=1e-9, abs=0.0)
@@ -205,7 +205,7 @@ def mixture_violations(rs: float, d: float, active: str) -> list[str]:
     Each `label:weight` names a subset of the support; its posterior,
     entropy and score are recomputed here from the pmf.
     """
-    pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=1.0), max_support=9)
+    pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0), max_support=9)
     labels, weights = zip(*(item.split(":") for item in active.split(";")))
     w = np.array([float(x) for x in weights])
     q = np.zeros((len(labels), pmf.probs.size))

@@ -17,11 +17,10 @@ from secgauss import (
     GreedyQuantizedScheme,
     LpSolution,
     QuantizedPmf,
-    QuantizerSpec,
     RatePair,
+    build_bin_table,
     build_quantized_pmf,
     enumerate_subset_candidates,
-    lp_payoff,
     solve_secrecy_lp,
     step_size_for_entropy,
     sweep_secrecy_lp,
@@ -33,7 +32,7 @@ from secgauss.cli import main as cli_main
 
 @pytest.fixture(scope="module")
 def unit_pmf():
-    return build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=1.0, max_index=7))
+    return build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -114,29 +113,24 @@ class TestBuildQuantizedPmf:
         assert unit_pmf.mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_fold_to_cap(self):
-        pmf = build_quantized_pmf(
-            STANDARD_SOURCE, QuantizerSpec(step=1.0, max_index=7), max_support=7
-        )
+        pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0), max_support=7)
         assert pmf.points.size == 7
-        full = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=1.0, max_index=7))
+        full = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0))
         # Folding merges outer mass; entropy and variance both shrink.
         assert pmf.entropy_bits() <= full.entropy_bits()
         assert pmf.variance() <= full.variance() + 1e-12
 
     def test_even_support_rejected(self):
         with pytest.raises(ValueError):
-            build_quantized_pmf(
-                STANDARD_SOURCE, QuantizerSpec(step=1.0), max_support=8
-            )
+            build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0), max_support=8)
 
     def test_integer_source_gives_the_float_pmf(self):
         # The fold fills arrays with the source mean; an int mean once
         # made them integer arrays, and the fold raised.
         source = GaussianSource(0, 1)
         assert type(source.mean) is float and type(source.variance) is float
-        spec = QuantizerSpec(step=1.0)
-        got = build_quantized_pmf(source, spec, max_support=5)
-        want = build_quantized_pmf(GaussianSource(0.0, 1.0), spec, max_support=5)
+        got = build_quantized_pmf(build_bin_table(source, 1.0), max_support=5)
+        want = build_quantized_pmf(build_bin_table(GaussianSource(0.0, 1.0), 1.0), max_support=5)
         assert got.points.tobytes() == want.points.tobytes()
         assert got.probs.tobytes() == want.probs.tobytes()
 
@@ -218,7 +212,7 @@ class TestEnumerateCandidates:
 def test_enumeration_matches_dense_reference(step, support, mean, mode):
     # The bit recurrence against one posterior row per subset.  At mean
     # 1e3 both sides' scores are within 8.3e-13 of 50-digit values.
-    pmf = build_quantized_pmf(GaussianSource(mean, 1.0), QuantizerSpec(step=step),
+    pmf = build_quantized_pmf(build_bin_table(GaussianSource(mean, 1.0), step),
                               max_support=support)
     cands = enumerate_subset_candidates(pmf, mode=mode)
     masks, _, ent, scores = dense_subset_candidates(pmf, mode)
@@ -231,7 +225,7 @@ def test_tiny_entropies_are_accurate():
     # Subsets holding the centre bin and one or two far bins have
     # entropies of 7.6e-11 to 1.5e-10 bits, where summing -q log q over a
     # renormalized row loses about six digits.
-    pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=2.0), max_support=9)
+    pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 2.0), max_support=9)
     cands = enumerate_subset_candidates(pmf, 9)
     for subset in ((0, 4), (4, 8), (0, 4, 8)):
         with mpmath.workdps(50):
@@ -401,16 +395,6 @@ class TestInvariances:
 
 
 class TestLpPayoff:
-    def test_normalizes_by_variance(self, small_pmf):
-        sol = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.5))
-        v = lp_payoff(sol, GaussianSource(0.0, 2.0))
-        assert float(v) == pytest.approx(sol.value / 2.0, abs=1e-12)
-
-    def test_infeasible_rejected(self, small_pmf):
-        sol = solve_secrecy_lp(small_pmf, RatePair(0.5, 0.5))
-        with pytest.raises(ValueError):
-            lp_payoff(sol, STANDARD_SOURCE)
-
     def test_feasible_is_set_from_the_value(self):
         assert LpSolution(0.5, [1.0], 0.0).feasible is True
         assert LpSolution(math.nan, [], math.nan).feasible is False
@@ -422,8 +406,7 @@ class TestLpPayoff:
 @pytest.fixture(scope="module")
 def support15():
     """R = 2.7 pmf folded to 15 points, its candidates, and LP values on a key-rate grid."""
-    step = step_size_for_entropy(STANDARD_SOURCE, 2.7)
-    pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=step), max_support=15)
+    pmf = build_quantized_pmf(step_size_for_entropy(STANDARD_SOURCE, 2.7), max_support=15)
     cands = enumerate_subset_candidates(pmf)
     h = pmf.entropy_bits()
     grid = np.append(np.linspace(0.0, h, 10), h + 0.5)
@@ -488,7 +471,7 @@ class TestValueCurveSupport15:
 @pytest.fixture(scope="module")
 def lp_sweep_instance():
     """The 17-rate `lp --t 0.6 --r 3 --max-support 11` instance and its cold values."""
-    pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=0.6), max_support=11)
+    pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.6), max_support=11)
     cands = enumerate_subset_candidates(pmf, 11)
     grid = [i * 0.0625 for i in range(17)]
     cold = {rs: solve_secrecy_lp(pmf, RatePair(3.0, rs), cands).value for rs in grid}
@@ -548,7 +531,7 @@ class TestWarmSweep:
         # return the cold answer at every rate.  (Whether the ascending
         # sweep also falls back, on leaving that basis, turns on the last
         # bits of the bin masses.)
-        pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=2.5), max_support=7)
+        pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 2.5), max_support=7)
         cands = enumerate_subset_candidates(pmf)
         rates = [2.0, 1.5, 1.0, 0.5, 0.0]
         cold = [solve_secrecy_lp(pmf, RatePair(20.0, rs), cands).value for rs in rates]
@@ -585,7 +568,7 @@ class TestWarmSweep:
         # hold only a few dense n-vectors at once: cost, scales, the current
         # solution and the pricing temporaries.  Solutions kept until the
         # sweep ends would add 17 more.
-        pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=0.3), max_support=13)
+        pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=13)
         cands = enumerate_subset_candidates(pmf, 13)
         rates = [i * 0.125 for i in range(17)]
         tracemalloc.start()
@@ -615,10 +598,10 @@ class TestDominatesGreedy:
         # mixture, and Bob's lattice decoding is no better than the
         # centroid the LP assumes, so the LP can only do better.
         plan = GreedyQuantizedScheme(rate)
-        pmf = build_quantized_pmf(STANDARD_SOURCE, QuantizerSpec(step=plan.step))
+        pmf = build_quantized_pmf(plan.table)
         cands = enumerate_subset_candidates(pmf)
         for rs in (0.0, 0.25, 0.5, 1.0):
             point = plan.evaluate(rs)
             assert point.meta["feasible"] and point.meta["t"] == plan.step
             lp = solve_secrecy_lp(pmf, RatePair(rate, rs), cands)
-            assert float(lp_payoff(lp, STANDARD_SOURCE)) >= point.payoff.value - 1e-9
+            assert lp.value / STANDARD_SOURCE.variance >= point.payoff.value - 1e-9

@@ -87,6 +87,8 @@ class TestRateTypes:
         assert float(PayoffValue(1.0)) == 1.0
         with pytest.raises(ValueError):
             PayoffValue(1.0 + 1e-6)
+        with pytest.raises(ValueError, match="NaN"):  # an infeasible LP's value
+            PayoffValue(math.nan)
 
     def test_payoff_value_accepts_negative(self):
         # Eve may beat Bob; only the upper cap is structural.

@@ -19,7 +19,6 @@ from secgauss import (
     STANDARD_SOURCE,
     BinTable,
     GaussianSource,
-    QuantizerSpec,
     SolverError,
     bob_distortion,
     build_bin_table,
@@ -47,7 +46,7 @@ HALF_LOG2_2PIE = 2.0470955851806411027
 
 @pytest.fixture(scope="module")
 def unit_table():
-    return build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=1.0, max_index=12))
+    return build_bin_table(STANDARD_SOURCE, 1.0)
 
 
 class TestBinTable:
@@ -100,14 +99,14 @@ class TestBinTable:
         with pytest.raises(ValueError):
             unit_table.row(unit_table.max_index + 1)
 
-    def test_wider_table_same_entropy(self):
-        narrow = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=1.0, max_index=12))
-        wide = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=1.0, max_index=40))
-        assert output_entropy(wide) == pytest.approx(output_entropy(narrow), abs=1e-12)
+    @pytest.mark.parametrize("step", [0.0, -1.0, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            build_bin_table(STANDARD_SOURCE, step)
 
     def test_shifted_source_symmetry(self):
         src = GaussianSource(0.3, 1.0)
-        table = build_bin_table(src, QuantizerSpec(step=1.0, max_index=10))
+        table = build_bin_table(src, 1.0)
         k = table.max_index
         for i in range(1, k + 1):
             assert table.prob[table.row(i)] == table.prob[table.row(-i)]
@@ -202,7 +201,7 @@ class TestDistortions:
     def test_empty_bins_add_nothing_at_a_huge_step(self):
         # Bin 0 holds all the mass; the empty outer bins keep centroids
         # near +-5e299, whose squared gaps would overflow to inf * 0.
-        table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=1e300))
+        table = build_bin_table(STANDARD_SOURCE, 1e300)
         assert table.prob.tolist() == [0.0, 1.0, 0.0]
         assert bob_distortion(table, "lattice") == 1.0
         assert eve_mmse_given_residue(table, 2) == 1.0
@@ -274,7 +273,7 @@ class TestCoverLimit:
         gaps = []
         for denom in (16, 32, 64):
             t = 1.0 / denom
-            table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=t))
+            table = build_bin_table(STANDARD_SOURCE, t)
             gap = abs(output_entropy(table) + math.log2(t) - HALF_LOG2_2PIE)
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2]
@@ -284,26 +283,25 @@ class TestCoverLimit:
 class TestStepSizeForEntropy:
     @pytest.mark.parametrize("target", [1.2, 2.0, 2.7, 4.0])
     def test_hits_target_from_below(self, target):
-        t = step_size_for_entropy(STANDARD_SOURCE, target)
-        h = output_entropy(build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=t)))
+        h = output_entropy(step_size_for_entropy(STANDARD_SOURCE, target))
         assert h <= target + 1e-9
         assert h >= target - 5e-4
 
     def test_monotone_in_target(self):
-        t_coarse = step_size_for_entropy(STANDARD_SOURCE, 1.5)
-        t_fine = step_size_for_entropy(STANDARD_SOURCE, 3.0)
+        t_coarse = step_size_for_entropy(STANDARD_SOURCE, 1.5).step
+        t_fine = step_size_for_entropy(STANDARD_SOURCE, 3.0).step
         assert t_fine < t_coarse
 
     def test_scales_with_sigma(self):
-        t1 = step_size_for_entropy(GaussianSource(0.0, 1.0), 2.0)
-        t2 = step_size_for_entropy(GaussianSource(0.0, 4.0), 2.0)
+        t1 = step_size_for_entropy(GaussianSource(0.0, 1.0), 2.0).step
+        t2 = step_size_for_entropy(GaussianSource(0.0, 4.0), 2.0).step
         assert t2 == pytest.approx(2.0 * t1, rel=1e-6)
 
     def test_entropy_nonincreasing_in_step(self):
         # The search bisects without checking this; it holds exactly on
         # a fine log grid, tables of up to 14263 bins included.
         steps = np.geomspace(1e-3, 16.0, 400)
-        h = [output_entropy(build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=float(t))))
+        h = [output_entropy(build_bin_table(STANDARD_SOURCE, float(t)))
              for t in steps]
         assert (np.diff(h) <= 0.0).all()
 
@@ -315,13 +313,20 @@ class TestStepSizeForEntropy:
     def test_builds_each_step_once(self, monkeypatch, target, step):
         built = []
 
-        def spy(source, spec):
-            built.append(spec.step)
-            return build_bin_table(source, spec)
+        def spy(source, t):
+            built.append(build_bin_table(source, t))
+            return built[-1]
 
         monkeypatch.setattr(quantizer, "build_bin_table", spy)
-        assert step_size_for_entropy(STANDARD_SOURCE, target) == step
-        assert len(built) == len(set(built)) <= 16
+        table = step_size_for_entropy(STANDARD_SOURCE, target)
+        assert table.step == step
+        steps = [b.step for b in built]
+        assert len(steps) == len(set(steps)) <= 16
+        # The search hands back a table it built, as a fresh build would make it.
+        assert any(b is table for b in built)
+        fresh = build_bin_table(STANDARD_SOURCE, table.step)
+        for column in ("indices", "prob", "centroid", "within_var"):
+            assert np.array_equal(getattr(table, column), getattr(fresh, column)), column
 
     def test_unreachable_target_rejected(self):
         with pytest.raises((ValueError, SolverError)):
@@ -583,8 +588,7 @@ def assert_array_calls_match_scalar(stat, table):
 @pytest.fixture(scope="module")
 def rate7_scalars():
     """The R = 7 table (443 bins) and both statistics at moduli 1..443, one call each."""
-    table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=step_size_for_entropy(
-        STANDARD_SOURCE, 7.0)))
+    table = step_size_for_entropy(STANDARD_SOURCE, 7.0)
     assert table.prob.size == 443
     moduli = range(1, table.prob.size + 1)
     return table, {stat.__name__: np.array([stat(table, n) for n in moduli])
@@ -636,11 +640,10 @@ def bin_edges(source, step, k, k_max):
     return source.mean + (k - 0.5) * step, hi
 
 
-def ref_build_bin_table(source, spec):
+def ref_build_bin_table(source, t):
     """Indices, masses and centroids of the table, one bin at a time."""
-    t = spec.step
     need = _SQRT2 * float(special.erfcinv(1e-12)) * source.std / t - 0.5
-    k_max = max(int(spec.max_index), int(math.ceil(need)), 1)
+    k_max = max(int(math.ceil(need)), 1)
     prob = np.zeros(2 * k_max + 1)
     centroid = np.zeros(2 * k_max + 1)
     for k in range(k_max + 1):
@@ -680,13 +683,11 @@ class TestBinTableMatchesReference:
         st.floats(1e-3, 3.0),
         st.floats(-5.0, 5.0).filter(lambda mu: mu != 0.0),
         st.floats(0.1, 4.0),
-        st.integers(1, 40),
     )
-    def test_array_table_matches_per_bin_loop(self, step, mu, variance, max_index):
+    def test_array_table_matches_per_bin_loop(self, step, mu, variance):
         source = GaussianSource(mu, variance)
-        spec = QuantizerSpec(step=step, max_index=max_index)
-        got = build_bin_table(source, spec)
-        indices, prob, centroid = ref_build_bin_table(source, spec)
+        got = build_bin_table(source, step)
+        indices, prob, centroid = ref_build_bin_table(source, step)
         assert np.array_equal(got.indices, indices)
         assert np.array_equal(got.prob, prob)
         np.testing.assert_allclose(got.centroid, centroid, rtol=0.0,
@@ -717,7 +718,7 @@ class TestBinTableMatchesReference:
     def test_table_rows_match_mpmath(self, step, mu, variance, where):
         # The centre bin, one inner bin, the last finite bin and the folded tail.
         source = GaussianSource(mu, variance)
-        table = build_bin_table(source, QuantizerSpec(step=step))
+        table = build_bin_table(source, step)
         k_max = table.max_index
         for k in {0, round(where * k_max), k_max - 1, k_max}:
             a, b = bin_edges(source, step, k, k_max)
@@ -729,7 +730,7 @@ class TestBinTableMatchesReference:
         # Inside the tails a bin's variance is step^2/12 up to a relative
         # -(3 m^2 + 2) step^2 / 60 at m standard deviations, under 1e-9 here.
         t = 3e-5
-        table = build_bin_table(STANDARD_SOURCE, QuantizerSpec(step=t))
+        table = build_bin_table(STANDARD_SOURCE, t)
         inner = slice(1, -1)
         mse = float(table.prob[inner] @ table.within_var[inner])
         assert mse / (float(table.prob[inner].sum()) * t * t / 12.0) == pytest.approx(
@@ -769,10 +770,10 @@ def ref_two_tail_moments(a, b, source):
             np.where(empty, 0.0, source.variance * var_std.reshape(mass.shape)))
 
 
-def ref_two_tail_table(source, spec):
+def ref_two_tail_table(source, t):
     """build_bin_table's table from the two-tail moments."""
-    mu, t = source.mean, spec.step
-    k_max = max(int(spec.max_index), int(math.ceil(quantizer._TAIL_STDS * source.std / t - 0.5)), 1)
+    mu = source.mean
+    k_max = max(int(math.ceil(quantizer._TAIL_STDS * source.std / t - 0.5)), 1)
     k = np.arange(k_max + 1)
     hi = np.where(k < k_max, mu + (k + 0.5) * t, math.inf)
     return quantizer._mirrored(*ref_two_tail_moments(mu + (k - 0.5) * t, hi, source), source, t)
@@ -798,22 +799,12 @@ class TestSharedEdgesKeepTheBits:
         st.floats(-4.0, math.log10(3.0)).map(lambda e: 10.0**e),
         st.sampled_from([0.0, 3.0, -1e3, 1e6]) | st.floats(-5.0, 5.0),
         st.floats(0.1, 4.0),
-        # Past 40 sigma the outer bins underflow to empty.
-        st.integers(1, 60) | st.integers(300, 900),
     )
-    def test_bin_table_columns(self, step, mu, variance, max_index):
+    def test_bin_table_columns(self, step, mu, variance):
         source = GaussianSource(mu, variance)
-        spec = QuantizerSpec(step=step * source.std, max_index=max_index)
-        got, ref = build_bin_table(source, spec), ref_two_tail_table(source, spec)
+        t = step * source.std
+        got, ref = build_bin_table(source, t), ref_two_tail_table(source, t)
         for column in ("indices", "prob", "centroid", "within_var"):
-            assert np.array_equal(getattr(got, column), getattr(ref, column)), column
-
-    def test_forced_extent_has_empty_outer_bins(self):
-        spec = QuantizerSpec(step=0.5, max_index=200)
-        got = build_bin_table(STANDARD_SOURCE, spec)
-        ref = ref_two_tail_table(STANDARD_SOURCE, spec)
-        assert (got.prob == 0.0).sum() > 100
-        for column in ("prob", "centroid", "within_var"):
             assert np.array_equal(getattr(got, column), getattr(ref, column)), column
 
     @settings(max_examples=120, deadline=None)

@@ -24,7 +24,6 @@ from secgauss import (
     RatePair,
     asymptotic_quantization_bound,
     evaluate_finite_strategy,
-    greedy_quantized_scheme,
     jointly_gaussian_payoff,
     optimal_high_key_payoff,
     sign_split_key_requirement,
@@ -358,12 +357,6 @@ class TestGreedyScheme:
         # Bob's lattice decoder slightly.
         assert float(point.payoff) < 0.0
         assert point.meta["n_mod"] == 2 * plan.table.max_index + 1
-
-    def test_wrapper_matches_class(self, plan):
-        point = greedy_quantized_scheme(RatePair(2.7, 0.45))
-        assert float(point.payoff) == pytest.approx(
-            float(plan.evaluate(0.45).payoff), abs=1e-12
-        )
 
     def test_restricted_search_flags_infeasible(self):
         plan = GreedyQuantizedScheme(2.7, n_max=3)

@@ -9,7 +9,6 @@ from secgauss import (
     STANDARD_SOURCE,
     GaussianSource,
     InfeasibleError,
-    QuantizerSpec,
     RatePair,
     SimConfig,
     SimResult,
@@ -30,19 +29,21 @@ SRC = STANDARD_SOURCE
 
 def make_config(scheme="sign_pad", scenario="weak", rate=4.0, rs=1.0,
                 step=0.5, n=20_000, seed=7, recon="lattice"):
+    # full_encryption derives its own step.
     return SimConfig(
         scheme=scheme,
         scenario=scenario,
         rates=RatePair(rate, rs),
-        quantizer=QuantizerSpec(step=step, reconstruction=recon),
+        step=None if scheme == "full_encryption" else step,
         n_symbols=n,
         seed=seed,
+        reconstruction=recon,
     )
 
 
 def pair_means(source):
     """A symmetric table and the mean over each of its {+u, -u} bin pairs."""
-    table = build_bin_table(source, QuantizerSpec(step=0.7))
+    table = build_bin_table(source, 0.7)
     return table, _class_moments(table, np.abs(table.indices))[1]
 
 
@@ -76,8 +77,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(n=0)
         with pytest.raises(ValueError):
-            SimConfig("sign_pad", "weak", RatePair(4.0, 1.0),
-                      QuantizerSpec(step=0.5), 10, -1)
+            SimConfig("sign_pad", "weak", RatePair(4.0, 1.0), 0.5, 10, -1)
+
+    def test_step_given_exactly_when_not_derived(self):
+        with pytest.raises(ValueError, match="full_encryption derives its step"):
+            SimConfig("full_encryption", "weak", RatePair(2.0, 2.0), 0.5, 10, 1)
+        for scheme in ("sign_pad", "no_key"):
+            with pytest.raises(ValueError, match="every other scheme needs one"):
+                SimConfig(scheme, "weak", RatePair(4.0, 1.0), None, 10, 1)
+        with pytest.raises(ValueError, match="step must be finite and positive"):
+            make_config(step=-1.0)
+
+    def test_bad_reconstruction(self):
+        with pytest.raises(ValueError, match="unknown reconstruction rule"):
+            make_config(recon="midpoint")
 
     def test_result_rejects_nan_payoff(self):
         with pytest.raises(ValueError):
@@ -118,7 +131,7 @@ class TestBookkeeping:
     def test_sign_pad_rates(self):
         cfg = make_config()
         r = run_sim(cfg, SRC)
-        table = build_bin_table(SRC, cfg.quantizer)
+        table = build_bin_table(SRC, cfg.step)
         k = table.max_index
         mag = np.empty(k + 1)
         mag[0] = table.prob[table.row(0)]
@@ -130,7 +143,7 @@ class TestBookkeeping:
     def test_no_key_rates(self):
         cfg = make_config(scheme="no_key", rs=0.0, recon="centroid")
         r = run_sim(cfg, SRC)
-        table = build_bin_table(SRC, cfg.quantizer)
+        table = build_bin_table(SRC, cfg.step)
         assert r.model_key_bits == 0.0
         assert r.model_rate_bits == pytest.approx(output_entropy(table), abs=1e-12)
 
@@ -164,7 +177,8 @@ class TestOneBudgetRule:
     def test_full_encryption_key_need_is_checked(self, monkeypatch):
         # A step finer than the key budget allows (about 4.1 bits at step
         # 0.25 against 2) is refused rather than assumed to fit.
-        monkeypatch.setattr(sim_module, "step_size_for_entropy", lambda source, bits: 0.25)
+        monkeypatch.setattr(sim_module, "step_size_for_entropy",
+                            lambda source, bits: build_bin_table(source, 0.25))
         with pytest.raises(InfeasibleError, match="key rate budget is 2.0"):
             run_sim(make_config(scheme="full_encryption", rate=10.0, rs=2.0, n=100), SRC)
 
@@ -173,7 +187,7 @@ class TestConcordance:
     def test_sign_pad_matches_analytic_payoff(self):
         cfg = make_config(n=100_000, seed=2024)
         r = run_sim(cfg, SRC)
-        table = build_bin_table(SRC, cfg.quantizer)
+        table = build_bin_table(SRC, cfg.step)
         d_bob = bob_distortion(table, "lattice")
         d_eve = eve_mmse_given_magnitude(table)
         target = (d_eve - d_bob) / SRC.variance
@@ -191,8 +205,7 @@ class TestConcordance:
         cfg = make_config(scheme="full_encryption", rate=3.0, rs=3.0,
                           n=100_000, seed=4242)
         r = run_sim(cfg, SRC)
-        step = step_size_for_entropy(SRC, 3.0)
-        table = build_bin_table(SRC, QuantizerSpec(step=step))
+        table = step_size_for_entropy(SRC, 3.0)
         d_bob = bob_distortion(table, "lattice")
         target = (SRC.variance - d_bob) / SRC.variance
         assert abs(r.empirical_payoff - target) <= 3.0 * r.std_error
@@ -221,12 +234,11 @@ class TestSmallSamples:
 def reference_run_sim(config, source):
     """The whole-sample run_sim that drew every symbol in one array."""
     rates = config.rates
-    recon = config.quantizer.reconstruction
+    recon = config.reconstruction
     if config.scheme == "full_encryption":
-        step = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
-        table = build_bin_table(source, QuantizerSpec(step=step, reconstruction=recon))
+        table = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
     else:
-        table = build_bin_table(source, config.quantizer)
+        table = build_bin_table(source, config.step)
     h_table = output_entropy(table)
     k = table.max_index
     mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
@@ -270,12 +282,11 @@ def reference_run_sim(config, source):
 def reference_points(config, source):
     """Table, model rates, and Bob's and Eve's estimate per table row, as run_sim forms them."""
     rates = config.rates
-    recon = config.quantizer.reconstruction
+    recon = config.reconstruction
     if config.scheme == "full_encryption":
-        step = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
-        table = build_bin_table(source, QuantizerSpec(step=step, reconstruction=recon))
+        table = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
     else:
-        table = build_bin_table(source, config.quantizer)
+        table = build_bin_table(source, config.step)
     h_table = output_entropy(table)
     k = table.max_index
     lattice = np.arange(-k, k + 1)
