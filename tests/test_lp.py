@@ -16,6 +16,7 @@ from secgauss import (
     GaussianSource,
     GreedyQuantizedScheme,
     LpSolution,
+    PayoffValue,
     QuantizedPmf,
     RatePair,
     build_bin_table,
@@ -395,6 +396,14 @@ class TestInvariances:
 
 
 class TestLpPayoff:
+    def test_infeasible_rejected(self, small_pmf):
+        # Key rate above the rate: no feasible strategy, so the value is
+        # NaN, and normalizing it into a payoff raises.
+        sol = solve_secrecy_lp(small_pmf, RatePair(0.5, 0.5))
+        assert sol.feasible is False
+        with pytest.raises(ValueError):
+            PayoffValue(sol.value / STANDARD_SOURCE.variance)
+
     def test_feasible_is_set_from_the_value(self):
         assert LpSolution(0.5, [1.0], 0.0).feasible is True
         assert LpSolution(math.nan, [], math.nan).feasible is False
