@@ -202,16 +202,12 @@ def _narrow_variance(mid: np.ndarray, half: np.ndarray) -> np.ndarray:
     return half * half * (sums[..., 2] / sums[..., 0] - shift * shift)
 
 
-def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
-    """Mass, mean and variance of the source conditioned on the interval (a, b].
+def _masses(a: np.ndarray, b: np.ndarray, source: GaussianSource):
+    """Checked masses on the intervals (a, b] of equal-shape float arrays, below 1e-300 set to 0.
 
-    Takes scalars or arrays of endpoints (broadcast against each other)
-    and returns floats or arrays to match.  Endpoints may be infinite.
-    Where the interval mass underflows to zero the conditional mean is
-    pinned to the endpoint nearest the source mean and the variance is
-    zero, which keeps downstream tables finite.
+    Also the raveled standardized endpoints, each distinct edge, and the
+    slice of those edges that holds beta (alpha is their head).
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.isnan(a).any() or np.isnan(b).any():
         raise ValueError("interval endpoints must not be NaN")
     bad = a >= b
@@ -222,14 +218,12 @@ def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
     alpha, beta = ((a - mu) / sigma).ravel(), ((b - mu) / sigma).ravel()
     n = alpha.size
 
-    # Each distinct edge's upper tail P(xi > |x|) and density are taken once:
-    # intervals that partition a range, as build_bin_table's do, share edges.
+    # Each distinct edge's upper tail P(xi > |x|) is taken once: intervals
+    # that partition a range, as build_bin_table's do, share edges.
     shared = n > 1 and np.array_equal(beta[:-1], alpha[1:])
     edges = np.append(alpha, beta[-1]) if shared else np.concatenate([alpha, beta])
     upper = slice(1 if shared else n, None)
-    tail, pdf = normal_cdf(-np.abs(edges)), normal_pdf(edges)
-    # x * pdf(x) vanishes at an infinite endpoint; drop it there, not inf * 0.
-    x_pdf = np.where(np.isfinite(edges), edges, 0.0) * pdf
+    tail = normal_cdf(-np.abs(edges))
 
     # The mass is qa - qb for alpha >= 0 and qb - qa for beta <= 0, never a
     # difference of values near 1; an interval straddling 0 sums two erfs.
@@ -238,7 +232,27 @@ def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
     mid = np.flatnonzero((alpha < 0.0) & (beta > 0.0))
     mass[mid] = [0.5 * (math.erf(hi / _SQRT2) + math.erf(-lo / _SQRT2))
                  for lo, hi in zip(alpha.take(mid).tolist(), beta.take(mid).tolist())]
-    empty = mass < 1e-300
+    mass[mass < 1e-300] = 0.0
+    return mass, alpha, beta, edges, upper
+
+
+def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
+    """Mass, mean and variance of the source conditioned on the interval (a, b].
+
+    Takes scalars or arrays of endpoints (broadcast against each other)
+    and returns floats or arrays to match.  Endpoints may be infinite.
+    Where the interval mass underflows to zero the conditional mean is
+    pinned to the endpoint nearest the source mean and the variance is
+    zero, which keeps downstream tables finite.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    mass, alpha, beta, edges, upper = _masses(a, b, source)
+    n = alpha.size
+    pdf = normal_pdf(edges)
+    # x * pdf(x) vanishes at an infinite endpoint; drop it there, not inf * 0.
+    x_pdf = np.where(np.isfinite(edges), edges, 0.0) * pdf
+
+    empty = mass == 0.0
     # Empty entries, if any, divide by 1 here and are replaced at the end.
     divisor = np.where(empty, 1.0, mass) if empty.any() else mass
     first = (pdf[:n] - pdf[upper]) / divisor
@@ -249,11 +263,11 @@ def truncated_moments(a, b, source: GaussianSource) -> TruncatedMoments:
         half = 0.5 * (beta.take(rows) - alpha.take(rows))
         var_std[rows] = _narrow_variance(alpha.take(rows) + half, half)
 
-    moments = (mass, mu + sigma * first, source.variance * var_std)
+    moments = [mass, source.mean + source.std * first, source.variance * var_std]
     if empty.any():
         # The endpoint nearest the mean; finite wherever the interval is empty.
         nearest = np.where(alpha > 0.0, a.ravel(), b.ravel())
-        moments = tuple(np.where(empty, fill, m) for fill, m in zip((0.0, nearest, 0.0), moments))
+        moments[1:] = (np.where(empty, fill, m) for fill, m in zip((nearest, 0.0), moments[1:]))
     if a.ndim == 0:
         return TruncatedMoments(*(float(m[0]) for m in moments))
     return TruncatedMoments(*(m.reshape(a.shape) for m in moments))

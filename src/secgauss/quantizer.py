@@ -4,11 +4,13 @@ Bins are indexed by the nearest-integer multiple of the step about the
 source mean, tails are folded into the outermost kept bins, and every
 bin carries its exact probability, centroid, and within-bin variance.
 All entropy and distortion summaries of a quantized source are computed
-from these tables.  Bins grouped by a function of the index (residue
-mod n, magnitude, or the outer bins merged by a fold) are merged by one
-routine, `_class_moments`, which gives each group's mass, mean and
-variance by the law of total variance in one vectorized pass, also for
-the residues mod many moduli at once, stacked in cache-sized blocks.
+from these tables, but for the step search's candidate entropies, which
+the same code takes from the bin masses alone.  Bins grouped by a
+function of the index (residue mod n, magnitude, or the outer bins
+merged by a fold) are merged by one routine, `_class_moments`, which
+gives each group's mass, mean and variance by the law of total variance
+in one vectorized pass, also for the residues mod many moduli at once,
+stacked in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .model import GaussianSource, RatePair, _frozen, _pmf, entropy_bits, truncated_moments
+from .model import GaussianSource, RatePair, _frozen, _masses, _pmf, entropy_bits, truncated_moments
 
 __all__ = [
     "BinTable",
@@ -49,10 +51,14 @@ _RESIDUE_BLOCK = 8192  # table entries per block of stacked residue labellings, 
 _ENTROPY_TOL = 1e-4
 
 
+class _StepError(ValueError):
+    """A step no table can have: not finite and positive, or too fine for _MAX_BINS bins."""
+
+
 def _step(value) -> float:
     """The one quantizer-step rule: finite and positive, as a float."""
     if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"step must be finite and positive, got {value}")
+        raise _StepError(f"step must be finite and positive, got {value}")
     return float(value)
 
 
@@ -103,17 +109,25 @@ def build_bin_table(source: GaussianSource, step: float) -> BinTable:
     at most 1e-12 probability; those tails are then folded into the
     outermost bins so that the table is a true partition.
     """
-    mu, sigma, t = source.mean, source.std, _step(step)
-    k_max = max(int(math.ceil(_TAIL_STDS * sigma / t - 0.5)), 1)
-    if 2 * k_max + 1 > _MAX_BINS:
-        raise ValueError(
-            f"step {t} needs {2 * k_max + 1} bins, more than the {_MAX_BINS} supported"
-        )
+    m = truncated_moments(*_bin_edges(source, step), source)
+    return _mirrored(m.mass, m.mean, m.variance, source, float(step))
 
+
+def _bin_edges(source: GaussianSource, step: float):
+    """Lower and upper edges of bins 0..k at `step`, the last bin open above."""
+    mu, t = source.mean, _step(step)
+    # Clamped, so a subnormal step's infinite extent is refused, not converted to an int.
+    k_max = max(math.ceil(min(_TAIL_STDS * source.std / t - 0.5, _MAX_BINS)), 1)
+    if 2 * k_max + 1 > _MAX_BINS:
+        raise _StepError(f"step {t} needs more than the {_MAX_BINS} supported bins")
     k = np.arange(k_max + 1)
-    hi = np.where(k < k_max, mu + (k + 0.5) * t, math.inf)
-    m = truncated_moments(mu + (k - 0.5) * t, hi, source)
-    return _mirrored(m.mass, m.mean, m.variance, source, t)
+    return mu + (k - 0.5) * t, np.where(k < k_max, mu + (k + 0.5) * t, math.inf)
+
+
+def _step_entropy(source: GaussianSource, step: float) -> float:
+    """`output_entropy(build_bin_table(source, step))` bit for bit, from the bin masses alone."""
+    p = _masses(*_bin_edges(source, step), source)[0]
+    return entropy_bits(_pmf(np.concatenate([p[:0:-1], p])))
 
 
 def _mirrored(p, c, v, source: GaussianSource, step: float) -> BinTable:
@@ -287,43 +301,30 @@ def step_size_for_entropy(source: GaussianSource, target_bits: float) -> BinTabl
 
     The output entropy depends on step/std alone and decreases as the
     step grows: the step is bracketed by doubling and halving, then
-    bisected, and each step's table is built once.  Returns the table
-    built at the chosen step (its `.step`), always on the feasible side;
-    only it and the table being built are kept alive.
+    bisected, each candidate's entropy taken from its bin masses alone
+    (`_step_entropy`).  One table is built, at the chosen step (its
+    `.step`), which is always on the feasible side.  A target that
+    needs more than _MAX_BINS bins raises a ValueError.
     """
     RatePair(target_bits, 0.0)  # a ValueError for a non-finite or negative target
-
-    def fitting(t: float):
-        """(table at step t if its entropy fits the target, else None; the entropy)."""
-        table = build_bin_table(source, t)
-        h = output_entropy(table)
-        return (table if h <= target_bits else None), h
-
     hi = 8.0 * source.std * 2.0 ** (-target_bits)
-    for _ in range(200):
-        best, h_hi = fitting(hi)
-        if best is not None:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("could not find a feasible step for the target entropy")
-    lo = hi / 2.0
-    for _ in range(60):
-        table, h_lo = fitting(lo)
-        if table is None:
-            break
-        best, hi, h_hi = table, lo, h_lo
-        lo /= 2.0
-    else:
-        raise SolverError("could not bracket the target entropy from above")
+    try:
+        # Both loops end: the entropy is 0 from about 75 std up, and halving
+        # the step soon needs more bins than _MAX_BINS.
+        while (h_hi := _step_entropy(source, hi)) > target_bits:
+            hi *= 2.0
+        lo = hi / 2.0
+        while (h_lo := _step_entropy(source, lo)) <= target_bits:
+            hi, h_hi, lo = lo, h_lo, lo / 2.0
+    except _StepError:
+        raise ValueError(f"an output entropy of {target_bits} bits needs more than "
+                         f"the {_MAX_BINS} supported bins") from None
 
-    for _ in range(200):
-        if h_hi >= target_bits - _ENTROPY_TOL or hi - lo <= 1e-13 * hi:
-            return best
+    while h_hi < target_bits - _ENTROPY_TOL and hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
-        table, h_mid = fitting(mid)
-        if table is not None:
-            best, hi, h_hi = table, mid, h_mid
+        h_mid = _step_entropy(source, mid)
+        if h_mid <= target_bits:
+            hi, h_hi = mid, h_mid
         else:
             lo = mid
-    return best
+    return build_bin_table(source, hi)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .model import GaussianSource, RatePair, differential_entropy_bits
-from .quantizer import bob_distortion, build_bin_table, output_entropy
+from .quantizer import _step_entropy, bob_distortion, build_bin_table, output_entropy
 from .schemes import sign_split_key_requirement, verify_jointly_gaussian_grid
 
 __all__ = [
@@ -65,28 +65,13 @@ def entropy_limit_suite() -> list[Check]:
     gaps = []
     for denom in (16, 32, 64):
         t = source.std / denom
-        h = output_entropy(build_bin_table(source, t))
-        gaps.append((denom, abs(h + math.log2(t / source.std) - target)))
-    checks = []
-    for (d1, g1), (d2, g2) in zip(gaps, gaps[1:]):
-        checks.append(
-            Check(
-                name=f"entropy_gap shrinks std/{d1} -> std/{d2}",
-                measured=g2,
-                expected=f"< {g1:.9g}",
-                passed=g2 < g1,
-            )
-        )
+        gaps.append((denom, abs(_step_entropy(source, t) + math.log2(t / source.std) - target)))
+    checks = [Check(name=f"entropy_gap shrinks std/{d1} -> std/{d2}", measured=g2,
+                    expected=f"< {g1:.9g}", passed=g2 < g1)
+              for (d1, g1), (d2, g2) in zip(gaps, gaps[1:])]
     final = gaps[-1][1]
-    checks.append(
-        Check(
-            name="entropy_gap at std/64",
-            measured=final,
-            expected="<= 0.01",
-            passed=final <= 0.01,
-        )
-    )
-    return checks
+    return checks + [Check(name="entropy_gap at std/64", measured=final, expected="<= 0.01",
+                           passed=final <= 0.01)]
 
 
 def quantizer_bound_suite() -> list[Check]:

@@ -286,6 +286,25 @@ class TestRateChecks:
         assert [(r["scheme"], r["feasible"], r["payoff"]) for r in rows] == [
             ("quantized_greedy", "false", "nan"), ("lp_quantized", "false", "nan")]
 
+    # A target past the bin limit names itself and the limit, not a step the
+    # user never gave; a mean that swallows the step still names the interval.
+    @pytest.mark.parametrize("argv, message", [
+        (["curve", "--schemes", "quantized_greedy", "--r", "30", "--rs", "1"],
+         "an output entropy of 30.0 bits needs more than the 1000000 supported bins"),
+        (["curve", "--schemes", "quantized_greedy", "--r", "1100", "--rs", "1"],
+         "an output entropy of 1100.0 bits needs more than the 1000000 supported bins"),
+        (["sim", "--scheme", "full_encryption", "--r", "1100", "--rs", "1100", "--seed", "1",
+          "--n", "10"], "an output entropy of 1100.0 bits needs more than the 1000000"),
+        (["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e17"],
+         "interval must satisfy a < b"),
+        (["quantizer-stats", "--t", "1e-320"],
+         "step 1e-320 needs more than the 1000000 supported bins"),
+    ])
+    def test_unreachable_step_is_a_usage_error(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
 
 class TestQuantizerStats:
     def test_matches_library(self, capsys):

@@ -6,6 +6,7 @@ variances are checked against mpmath at 50 digits as the tests run.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -299,11 +300,13 @@ class TestStepSizeForEntropy:
 
     def test_entropy_nonincreasing_in_step(self):
         # The search bisects without checking this; it holds exactly on
-        # a fine log grid, tables of up to 14263 bins included.
+        # a fine log grid, tables of up to 14263 bins included, for the
+        # tables' entropies and for the bin-mass entropies the search reads.
         steps = np.geomspace(1e-3, 16.0, 400)
-        h = [output_entropy(build_bin_table(STANDARD_SOURCE, float(t)))
-             for t in steps]
-        assert (np.diff(h) <= 0.0).all()
+        for entropy in (lambda source, t: output_entropy(build_bin_table(source, t)),
+                        quantizer._step_entropy):
+            h = [entropy(STANDARD_SOURCE, float(t)) for t in steps]
+            assert (np.diff(h) <= 0.0).all()
 
     # The searches behind the golden files' T columns; their steps stay exact.
     @pytest.mark.parametrize("target, step", [
@@ -311,22 +314,60 @@ class TestStepSizeForEntropy:
         (6.0, 0.06458663940429688), (7.0, 0.03228950500488281),
     ])
     def test_builds_each_step_once(self, monkeypatch, target, step):
-        built = []
+        # The candidates' entropies come from bin masses; one table is built, at the result.
+        built, evaluated = [], []
+        step_entropy = quantizer._step_entropy
 
-        def spy(source, t):
+        def build_spy(source, t):
             built.append(build_bin_table(source, t))
             return built[-1]
 
-        monkeypatch.setattr(quantizer, "build_bin_table", spy)
+        def entropy_spy(source, t):
+            evaluated.append(t)
+            return step_entropy(source, t)
+
+        monkeypatch.setattr(quantizer, "build_bin_table", build_spy)
+        monkeypatch.setattr(quantizer, "_step_entropy", entropy_spy)
         table = step_size_for_entropy(STANDARD_SOURCE, target)
         assert table.step == step
-        steps = [b.step for b in built]
-        assert len(steps) == len(set(steps)) <= 16
-        # The search hands back a table it built, as a fresh build would make it.
-        assert any(b is table for b in built)
+        assert len(built) == 1 and built[0] is table
+        assert len(evaluated) == len(set(evaluated)) <= 16
+        assert step in evaluated
         fresh = build_bin_table(STANDARD_SOURCE, table.step)
         for column in ("indices", "prob", "centroid", "within_var"):
             assert np.array_equal(getattr(table, column), getattr(fresh, column)), column
+
+    @settings(deadline=None)
+    @given(
+        st.floats(-3.0, math.log10(40.0)).map(lambda e: 10.0**e),
+        st.floats(-1e6, 1e6),
+        st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+    )
+    @example(1e-3, 0.0, 1.0)  # the 14263-bin fine end
+    @example(40.0, 1e6, 1e4)
+    def test_mass_entropy_is_the_table_entropy(self, step, mu, variance):
+        source = GaussianSource(mu, variance)
+        t = step * source.std
+        assert quantizer._step_entropy(source, t) == output_entropy(build_bin_table(source, t))
+
+    @pytest.mark.parametrize("mu, step", [
+        (1e17, 0.5), (0.0, 1e-6), (0.0, math.inf), (0.0, math.nan), (0.0, 0.0), (0.0, 1e-320),
+    ])
+    def test_mass_entropy_raises_as_the_table_does(self, mu, step):
+        source = GaussianSource(mu, 1.0)
+        with pytest.raises(ValueError) as built:
+            build_bin_table(source, step)
+        with pytest.raises(ValueError) as evaluated:
+            quantizer._step_entropy(source, step)
+        assert type(evaluated.value) is type(built.value)
+        assert str(evaluated.value) == str(built.value)
+
+    # Too fine a step, a subnormal one (R = 1050) and one rounded to 0 all name the target.
+    @pytest.mark.parametrize("target", [19.0, 30.0, 1050.0, 1100.0, 1e308])
+    def test_target_beyond_the_bin_limit_named(self, target):
+        message = f"an output entropy of {target} bits needs more than the 1000000 supported bins"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step_size_for_entropy(STANDARD_SOURCE, target)
 
     def test_unreachable_target_rejected(self):
         with pytest.raises((ValueError, SolverError)):
