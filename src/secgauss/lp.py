@@ -218,7 +218,8 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     instance is reported infeasible without solving.  When `candidates`
     is omitted the subset family is enumerated in `continuous` mode;
     pass `enumerate_subset_candidates(pmf, mode=...)` for another.
-    Supplied candidates are trusted as scored.  The program is built
+    Supplied candidates are trusted as scored, and must hold the singleton
+    of each point of positive mass, with entropy 0.  The program is built
     once and only the key rate changes, so each solve starts from the
     optimal basis of the one before.
     """
@@ -229,18 +230,22 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
         candidates = enumerate_subset_candidates(pmf)
     if not candidates:
         raise ValueError("candidate set is empty")
-    k = pmf.points.size
-    n = len(candidates)
+    k, n = pmf.points.size, len(candidates)
     masks, ent, score = candidates.masks, candidates.entropy_bits, candidates.scores
     if (masks >> k).any():
         raise ValueError(f"candidate mask has a bit outside the {k}-point support")
+    points = np.flatnonzero(pmf.probs > 0.0)
+    # The solver starts from each point's first singleton and the slack, the
+    # identity (feasible while singletons spend no key).  Found before the
+    # matrix is built, off the memory peak; reversed, the dict keeps the first.
+    single = np.flatnonzero((masks & (masks - 1)) == 0)[::-1]
+    first = dict(zip(masks[single].tolist(), single.tolist()))
+    start = [first.get(1 << i, -1) for i in points.tolist()] + [n]
 
     # Columns: v = w / P(S) for each candidate's weight w, plus one slack
     # for the entropy row, whose right-hand side (the key rate) the sweep
     # sets.  Barycenter row r then sums v over the subsets holding the
-    # r-th point of positive mass to 1: a 0/1 incidence system whose
-    # singleton columns and slack are unit columns, the solver's start.
-    points = np.flatnonzero(pmf.probs > 0.0)
+    # r-th point of positive mass to 1: a 0/1 incidence system.
     probs, key = pmf.probs[points], points.size
     a = np.zeros((key + 1, n + 1))
     for r, i in enumerate(points):
@@ -248,6 +253,10 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     mass = probs @ a[:key, :n]
     if not (mass > 0.0).all():
         raise ValueError("candidate subset has zero mass")
+    for i, j in zip(points, start):
+        if j < 0 or abs(ent[j]) > 1e-12:
+            why = "is missing" if j < 0 else f"has entropy {ent[j]}, not 0"
+            raise ValueError(f"the singleton subset of point {i} {why}; the LP starts from it")
     a[key, :n] = mass * ent
     a[key, n] = 1.0
     b = np.append(np.ones(key), 0.0)
@@ -257,7 +266,10 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     a /= scale
     cost = np.append(score * mass, 0.0) / scale
 
-    solved = linear_program_sweep(cost, a, b, key, [p.key_rate for p in pairs])
+    # No mixture spends more key than its largest candidate entropy, so a
+    # larger rate is capped there, which keeps the key row's roundoff small.
+    rates = np.minimum([p.key_rate for p in pairs], ent.max())
+    solved = linear_program_sweep(cost, a, b, start, key, rates)
     out = []
     for pair, (u, value) in zip(pairs, solved):
         if not np.max(np.abs(probs * (a[:key, :n] @ u[:n]) - probs)) <= 1e-8:  # NaN fails

@@ -7,10 +7,9 @@ all columns with one product ``y @ a`` and runs the ratio test on
 ``B^-1 a_col``.  The pricing that ends a solve is therefore fresh, and it
 is the solve's optimality certificate.
 
-A cold solve starts from the unit columns of A (a crash start, Bixby
-1992): row i starts on the first column equal to e_i if b[i] >= 0.  Only
-the other rows get artificial columns, and a phase 1 over them; the
-secrecy LP, whose singleton and key-slack columns are unit, needs none.
+A cold solve starts from a basis that the caller names, one column per
+row (for the secrecy LP, its singleton and key-slack columns); a start
+with a negative basic value is refused as infeasible.
 
 The entering column is the one with the most negative reduced cost
 (Dantzig), ties going to the smallest index.  Dantzig's rule alone can
@@ -48,12 +47,10 @@ _MAX_PIVOTS = 50_000
 
 
 class _Basis:
-    """Basic columns `cols` of the rows `rows` kept from ``a @ x = b``, inverted."""
+    """Basic columns `cols` of ``a @ x = b``, inverted."""
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, rows, cols) -> None:
-        self.rows, self.cols = list(rows), list(cols)
-        whole = len(self.rows) == b.size
-        self.a, self.rhs = (a, b) if whole else (a[self.rows], b[self.rows])
+    def __init__(self, a: np.ndarray, b: np.ndarray, cols) -> None:
+        self.a, self.rhs, self.cols = a, b, list(cols)
         self.invert()
 
     def invert(self) -> None:
@@ -64,17 +61,19 @@ class _Basis:
         self.x = self.inv @ self.rhs
 
 
-def linear_program_max(c, A, b) -> tuple[np.ndarray, float]:
-    """Maximize c @ x subject to A @ x = b and x >= 0.
+def linear_program_max(c, A, b, start) -> tuple[np.ndarray, float]:
+    """Maximize c @ x subject to A @ x = b and x >= 0, from the basis `start`.
 
-    Returns (x, value) at an optimal vertex.  Raises SolverError when the
-    program is infeasible, unbounded, or the pivot limit is hit.
+    `start` holds one column of A per row, and its basic solution must
+    be nonnegative.  Returns (x, value) at an optimal vertex.  Raises
+    SolverError when the start is infeasible, the program unbounded, or
+    the pivot limit is hit.
     """
-    c, a, b = _checked(c, A, b)
-    return _solution(c, _cold(a, b, -c))
+    c, a, b, start = _checked(c, A, b, start)
+    return _solution(c, _cold(a, b, start, -c))
 
 
-def linear_program_sweep(c, A, b, row: int, values) -> Iterator[tuple[np.ndarray, float]]:
+def linear_program_sweep(c, A, b, start, row: int, values) -> Iterator[tuple[np.ndarray, float]]:
     """`linear_program_max` with b[row] set to each of `values` in turn.
 
     Yields each (x, value) as it is solved, each program after the first
@@ -82,7 +81,7 @@ def linear_program_sweep(c, A, b, row: int, values) -> Iterator[tuple[np.ndarray
     those of separate solves up to rounding; a program with several
     optimal vertices may return another of them.
     """
-    c, a, b = _checked(c, A, b)
+    c, a, b, start = _checked(c, A, b, start)
     cost = -c
     values = np.array(values, dtype=float)
     if not (0 <= row < b.size and values.ndim == 1 and np.isfinite(values).all()):
@@ -91,12 +90,12 @@ def linear_program_sweep(c, A, b, row: int, values) -> Iterator[tuple[np.ndarray
     for value in values:
         b = b.copy()
         b[row] = value
-        basis = _warm(a, b, cost, basis) or _cold(a, b, cost)
+        basis = (_warm(a, b, cost, basis) if basis else None) or _cold(a, b, start, cost)
         yield _solution(c, basis)
 
 
-def _checked(c, A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c, A and b as float arrays; a float A or c is used as given, never copied or written to."""
+def _checked(c, A, b, start) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Float c, A and b (a float A or c used as given, never copied) and the start as a list."""
     A = np.asarray(A, dtype=float)
     b = np.array(b, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -107,7 +106,10 @@ def _checked(c, A, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("inconsistent LP dimensions")
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise ValueError("LP data must be finite")
-    return c, A, b
+    start = np.asarray(start)
+    if start.shape != (m,) or start.dtype.kind not in "iu" or ((start < 0) | (start >= n)).any():
+        raise ValueError("the start basis must name one column of A for each row")
+    return c, A, b, start.tolist()
 
 
 def _solution(c: np.ndarray, basis: _Basis) -> tuple[np.ndarray, float]:
@@ -117,63 +119,23 @@ def _solution(c: np.ndarray, basis: _Basis) -> tuple[np.ndarray, float]:
     return x, float(c @ x)
 
 
-def _cold(a: np.ndarray, b: np.ndarray, cost: np.ndarray) -> _Basis:
-    """Solve min cost @ x from the unit columns of `a`; phase 1 only for rows without one."""
-    m, n = a.shape
-    cols = _unit_columns(a)
-    cols[b < 0.0] = -1
-    rows, keep = np.flatnonzero(cols < 0), range(m)
-    if rows.size:
-        # Phase 1 over [a | artificials]: artificial j stands in for row
-        # rows[j] with the sign of its b, so the start is feasible.
-        art = np.zeros((m, rows.size))
-        art[rows, np.arange(rows.size)] = np.where(b[rows] < 0.0, -1.0, 1.0)
-        ext = np.concatenate([a, art], axis=1)
-        cols[rows] = n + np.arange(rows.size)
-        cost1 = np.append(np.zeros(n), np.ones(rows.size))
-        basis = _Basis(ext, b, keep, cols)
-        _iterate(basis, cost1)
-        residual = float(cost1[basis.cols] @ np.maximum(basis.x, 0.0))
-        if residual > _TOL * max(1.0, float(abs(b).sum())):
-            raise SolverError(f"LP infeasible: artificial residual {residual}")
-
-        # Drive leftover artificials out of the basis, dropping redundant rows.
-        keep = []
-        for i in range(m):
-            if basis.cols[i] >= n:
-                nz = np.flatnonzero(np.abs((basis.inv[i] @ ext)[:n]) > _TOL)
-                if not nz.size:
-                    continue
-                _pivot(basis, i, int(nz[0]))
-            keep.append(i)
-        cols = [basis.cols[i] for i in keep]
-
-    # Phase 2 on the columns of `a` alone.
-    basis = _Basis(a, b, keep, cols)
+def _cold(a: np.ndarray, b: np.ndarray, start: list[int], cost: np.ndarray) -> _Basis:
+    """Solve min cost @ x from the primal feasible basis `start`."""
+    basis = _Basis(a, b, start)
+    if (basis.x < -_TOL).any():
+        raise SolverError(f"LP infeasible from its start: basic value {basis.x.min()}")
     _iterate(basis, cost)
     return basis
 
 
-def _unit_columns(a: np.ndarray) -> np.ndarray:
-    """For each row i, the first column of `a` equal to e_i, or -1 where none is."""
-    unit = np.flatnonzero((np.count_nonzero(a, axis=0) == 1) & (a.sum(axis=0) == 1.0))
-    rows, first = np.unique(np.argmax(a[:, unit], axis=0), return_index=True)
-    start = np.full(a.shape[0], -1)
-    start[rows] = unit[first]
-    return start
-
-
-def _warm(a, b, cost, carried: _Basis | None) -> _Basis | None:
+def _warm(a, b, cost, carried: _Basis) -> _Basis | None:
     """Re-solve from the carried optimal basis; None where the cold solve must run."""
-    if carried is None:
-        return None
     try:
-        basis = _Basis(a, b, carried.rows, carried.cols)
+        basis = _Basis(a, b, carried.cols)
         _iterate(basis, cost)
     except SolverError:
         return None
-    # Every row, kept or dropped: a dropped row that the new b contradicts
-    # shows here, as does a basis too near singular to solve accurately.
+    # A basis too near singular to solve accurately shows here.
     residual = a[:, basis.cols] @ np.maximum(basis.x, 0.0) - b
     if np.abs(residual).max() > 10.0 * _TOL * max(1.0, float(np.abs(b).max())):
         return None

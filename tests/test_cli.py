@@ -251,6 +251,18 @@ class TestLp:
                         "--max-support", "8"])
         assert code == 2
 
+    def test_key_rate_past_every_entropy(self, capsys):
+        # Every key rate above the largest candidate entropy (log2(11)
+        # bits at most) has the same D and exits 0, however large: the
+        # solver must not see a key row with such a right-hand side.
+        d = []
+        for rs in ("10", "1e5", "1e308"):
+            assert run_cli(["lp", "--t", "0.6", "--r", "30", "--rs", rs,
+                            "--max-support", "11"]) == 0
+            (row,) = parse_csv(capsys.readouterr().out)
+            d.append(row["notes"].split(";")[0])
+        assert d == ["D=0.970487883166"] * 3
+
 
 class TestRateChecks:
     # A rate that RatePair refuses exits 2, whichever scheme or gate it would reach.

@@ -291,6 +291,45 @@ class TestCandidateSet:
         with pytest.raises(ValueError, match="outside the 5-point support"):
             solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=cands)
 
+    # The solver starts from the singletons, so each point of positive
+    # mass needs one, spending no key.
+    def test_rejects_a_missing_singleton(self, small_pmf):
+        cands = enumerate_subset_candidates(small_pmf)
+        keep = cands.masks != 4
+        cands = CandidateSet(cands.masks[keep], cands.entropy_bits[keep], cands.scores[keep])
+        with pytest.raises(ValueError, match="singleton subset of point 2 is missing"):
+            solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=cands)
+
+    def test_rejects_a_singleton_that_spends_key(self, small_pmf):
+        cands = enumerate_subset_candidates(small_pmf)
+        ent = np.where(cands.masks == 2, 0.5, cands.entropy_bits)
+        cands = CandidateSet(cands.masks, ent, cands.scores)
+        with pytest.raises(ValueError, match="singleton subset of point 1 has entropy 0.5"):
+            solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), candidates=cands)
+
+    @pytest.mark.parametrize("order", ["ascending", "reversed", "repeated"])
+    def test_start_is_the_first_singletons_and_the_slack(self, small_pmf, monkeypatch, order):
+        cands = enumerate_subset_candidates(small_pmf)
+        columns = (cands.masks, cands.entropy_bits, cands.scores)
+        if order == "reversed":
+            cands = CandidateSet(*(column[::-1] for column in columns))
+        elif order == "repeated":
+            cands = CandidateSet(*(np.concatenate([column, column]) for column in columns))
+        original = lp_module.linear_program_sweep
+        starts = []
+
+        def spy(c, a, b, start, row, values):
+            starts.append(list(start))
+            return original(c, a, b, start, row, values)
+
+        monkeypatch.setattr(lp_module, "linear_program_sweep", spy)
+        sweep_secrecy_lp(small_pmf, 5.0, [0.6], cands)
+        # Singleton 2**i is column 2**i - 1 in ascending order and 31 - 2**i
+        # reversed; the slack is the last column.
+        first = {"ascending": [0, 1, 3, 7, 15], "reversed": [30, 29, 27, 23, 15],
+                 "repeated": [0, 1, 3, 7, 15]}[order]
+        assert starts == [first + [len(cands)]]
+
 
 class TestSolveEndpoints:
     def test_zero_key_rate_is_zero(self, small_pmf):
@@ -305,6 +344,16 @@ class TestSolveEndpoints:
         beyond = solve_secrecy_lp(small_pmf, RatePair(5.0, h + 2.0))
         assert beyond.value == pytest.approx(small_pmf.variance(), abs=1e-9)
         assert beyond.slack_rs > 1.0
+
+    def test_key_rate_past_every_candidate_entropy(self, small_pmf):
+        # No mixture spends more key than its largest candidate entropy, so
+        # these rates share one value; the slack is against the rate given.
+        cands = enumerate_subset_candidates(small_pmf)
+        rates = [cands.entropy_bits.max(), 10.0, 1e5, 1e308]
+        swept = sweep_secrecy_lp(small_pmf, 5.0, rates, cands)
+        for rs, sol in zip(rates, swept):
+            assert sol.value == pytest.approx(small_pmf.variance(), abs=1e-9), rs
+            assert sol.slack_rs == rs - float(sol.weights @ cands.entropy_bits), rs
 
     def test_message_rate_gate(self, small_pmf):
         sol = solve_secrecy_lp(small_pmf, RatePair(1.0, 0.5))
@@ -454,13 +503,14 @@ class TestValueCurveSupport15:
         # tolerances: after crossover the interior point lands within
         # 1e-13 of our value here, the dual simplex up to 2e-9 off.  Key
         # rate 0.25 and grid points 3, 6 and 10, solved as one warm
-        # sweep; the last lies above H(pmf).
+        # sweep.  The last lies above every candidate entropy, so the sweep
+        # hands the solver the largest instead; HiGHS solves the rate given.
         pmf, cands, grid, _ = support15
         original = lp_module.linear_program_sweep
         seen = []
 
-        def spy(c, a, b, row, values, **kwargs):
-            solved = list(original(c, a, b, row, values, **kwargs))
+        def spy(c, a, b, start, row, values):
+            solved = list(original(c, a, b, start, row, values))
             seen.append((c, a, b, row, values, solved))
             return solved
 
@@ -468,7 +518,8 @@ class TestValueCurveSupport15:
         rates = (0.25, float(grid[3]), float(grid[6]), float(grid[10]))
         sweep_secrecy_lp(pmf, 2.7, rates, cands)
         (c, a, b, row, values, solved), = seen
-        assert list(values) == list(rates)
+        assert list(values) == [min(rs, cands.entropy_bits.max()) for rs in rates]
+        assert values[-1] < rates[-1]
         for rs, (_, value) in zip(rates, solved):
             b = b.copy()
             b[row] = rs
@@ -560,9 +611,8 @@ class TestWarmSweep:
 
     def test_curve_solve_starts_from_the_singletons(self, monkeypatch, capsys):
         # The support-15 lp_quantized solve of the benchmark's first
-        # variant: the cold solve starts from the singleton and key-slack
-        # columns, so its one round of pivots is phase 2 (from the
-        # artificials it took two rounds and 106 pivots).
+        # variant: the cold solve is one round of pivots from the singleton
+        # and key-slack columns, all of them primal.
         pivots = count_calls(monkeypatch, simplex, "_pivot")
         rounds = count_calls(monkeypatch, simplex, "_iterate")
         code = cli_main(["curve", "--schemes", "lp_quantized", "--r", "2.7", "--rs", "0.25"])
