@@ -60,6 +60,18 @@ SIGN_SPLIT_BITS = {
     10.0: 0.9991382218345025,
 }
 
+# The same function at rates off the suite grid, recorded before the
+# integrand was flattened into one closure; the rewrite keeps these bits too.
+SIGN_SPLIT_OFF_GRID_BITS = {
+    0.1: 0.0897595756632592,
+    0.75: 0.45749844538598183,
+    1.5: 0.684530895215908,
+    3.0: 0.8895437816362873,
+    6.0: 0.9862112614587849,
+    12.0: 0.9997845554751624,
+    20.0: 0.9999991584198291,
+}
+
 
 class TestClosedForms:
     def test_weak_value(self):
@@ -303,6 +315,10 @@ class TestSignSplit:
 
     @pytest.mark.parametrize("r,bits", sorted(SIGN_SPLIT_BITS.items()))
     def test_recorded_bits_at_suite_grid(self, r, bits):
+        assert sign_split_key_requirement(r) == bits
+
+    @pytest.mark.parametrize("r,bits", sorted(SIGN_SPLIT_OFF_GRID_BITS.items()))
+    def test_recorded_bits_off_the_suite_grid(self, r, bits):
         assert sign_split_key_requirement(r) == bits
 
     def test_monotone_and_below_one(self):
