@@ -54,7 +54,9 @@ __all__ = [
 SCHEME_IDS = ("weak", "jointly_gaussian", "optimal_high_key", "quantized_greedy", "lp_quantized")
 
 _LN2 = math.log(2.0)
+_exp, _log1p = math.exp, math.log1p  # bound once for the sign-split integrand's ~40k calls
 _GRID_SEED = 512  # columns of largest bound that `verify_jointly_gaussian_grid` tests first
+_GRID_BLOCK = 8192  # columns per block of the grid's bounds: 64 KB temporaries, reused
 _MAX_SWEEP = 250_000_000  # n_max * table width: entries the greedy's residue sweep may label
 
 
@@ -190,6 +192,9 @@ def verify_jointly_gaussian_grid(
     index among these per-(b, c) maxima is the least maximizer.  It runs
     first on the `_GRID_SEED` columns (b, c) of largest bound = g at top,
     then on those whose bound reaches the best g found (on all if none).
+    top and bound are computed in blocks of `_GRID_BLOCK` columns, so each
+    temporary stays near 64 KB and is reused rather than faulted in afresh;
+    every entry is the same expression, so the blocks move no bit.
 
     Exactness.  The 1e-12 slacks and rounding move the test's roots in a,
     and the computed a+, by under sqrt(2e-12) < 2e-6 each, so for step >
@@ -205,10 +210,13 @@ def verify_jointly_gaussian_grid(
         raise ValueError(f"grid step must divide 1, got {step}")
     r, rs = rates.rate, rates.key_rate
     axis_pos, axis_full, xu, yu, xu2, yu2, peak = _grid_columns(step, n)
-    d_need = np.maximum(peak * 2.0 ** (-2.0 * rs), (1.0 - yu2) * 2.0 ** (-2.0 * r)).clip(1e-15)
-    a_plus = xu * yu + np.sqrt(np.maximum(peak - d_need, 0.0))
-    top = np.minimum(np.floor(a_plus / step).astype(int) + 1, axis_pos.size - 1)
-    bound = np.square(axis_pos[np.maximum(top, 0)]) - xu2
+    key_scale, rate_scale = 2.0 ** (-2.0 * rs), 2.0 ** (-2.0 * r)
+    top, bound = np.empty(xu.size, dtype=int), np.empty(xu.size)
+    for s in (slice(lo, lo + _GRID_BLOCK) for lo in range(0, xu.size, _GRID_BLOCK)):
+        d_need = np.maximum(peak[s] * key_scale, (1.0 - yu2[s]) * rate_scale).clip(1e-15)
+        a_plus = xu[s] * yu[s] + np.sqrt(np.maximum(peak[s] - d_need, 0.0))
+        top[s] = np.minimum(np.floor(a_plus / step).astype(int) + 1, axis_pos.size - 1)
+        bound[s] = np.square(axis_pos[np.maximum(top[s], 0)]) - xu2[s]
 
     def scan(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Highest passing a index of top, top-1, top-2 per column (-1 if none), and its g."""
@@ -254,10 +262,12 @@ def _grid_columns(step: float, n: int) -> tuple:
 
 def _binary_entropy_of_logit(z: float) -> float:
     """H_binary(sigmoid(z)) in bits, stable for |z| up to overflow."""
-    # softplus(+-z) = max(+-z, 0) + log1p(exp(-|z|)), as np.logaddexp(0, +-z).
-    tail = math.log1p(math.exp(-abs(z)))
-    p = 1.0 / (1.0 + math.exp(-z)) if z > -700 else 0.0
-    return (p * (max(-z, 0.0) + tail) + (1.0 - p) * (max(z, 0.0) + tail)) / _LN2
+    # softplus(+-z) = max(+-z, 0) + log1p(exp(-|z|)), as np.logaddexp(0, +-z);
+    # each conditional picks what max() would, NaN included.
+    tail = _log1p(_exp(-abs(z)))
+    p = 1.0 / (1.0 + _exp(-z)) if z > -700 else 0.0
+    return (p * ((0.0 if z > 0.0 else -z) + tail)
+            + (1.0 - p) * ((0.0 if z < 0.0 else z) + tail)) / _LN2
 
 
 def sign_split_key_requirement(rate_bits: float) -> float:
@@ -281,9 +291,6 @@ def sign_split_key_requirement(rate_bits: float) -> float:
     s = math.sqrt(1.0 - rho2)
     s2 = 1.0 - rho2
 
-    def pdf(x: float) -> float:
-        return _INV_SQRT_2PI * math.exp(-0.5 * (x * x))
-
     def sign_entropy_given(y: float) -> float:
         # Conditional entropy of the sign given Y = y, as an integral in
         # the posterior log-odds z ~ N(a, b^2).
@@ -295,17 +302,17 @@ def sign_split_key_requirement(rate_bits: float) -> float:
         hi = min(46.0, a + 9.0 * b)
         if lo >= hi:
             return 0.0
-        val, _ = integrate.quad(
-            lambda z: _binary_entropy_of_logit(z) * pdf((z - a) / b) / b,
-            lo,
-            hi,
-            epsabs=1e-7,
-            limit=200,
-        )
+
+        def weighted_entropy(z: float) -> float:
+            # H(sigmoid(z)) times the N(a, b^2) density, written out inline.
+            u = (z - a) / b
+            return _binary_entropy_of_logit(z) * (_INV_SQRT_2PI * _exp(-0.5 * (u * u))) / b
+
+        val, _ = integrate.quad(weighted_entropy, lo, hi, epsabs=1e-7, limit=200)
         return val
 
     def outer(y: float) -> float:
-        return pdf(y) * sign_entropy_given(y)
+        return _INV_SQRT_2PI * _exp(-0.5 * (y * y)) * sign_entropy_given(y)
 
     # The log-odds spike leaves the integration window near this y; split
     # the outer integral there so quad sees smooth pieces on both sides.

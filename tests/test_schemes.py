@@ -231,6 +231,21 @@ class TestGridCertificate:
         rates = RatePair(r, rs)
         assert verify_jointly_gaussian_grid(rates, 0.05) == reference_grid_certificate(rates, 0.05)
 
+    # 201 * 401 + 1 is more than the column count of the finest step, 0.005.
+    @pytest.mark.parametrize("block", [1, 7, 8191, 201 * 401 + 1])
+    def test_block_size_keeps_the_bits(self, monkeypatch, block):
+        # The bounds are computed blockwise, each entry by one expression, so
+        # any block size (ragged last block, one column, all columns at
+        # once) must give the default's bits.  Block 1 skips step 0.005,
+        # where its 80,601 one-column blocks would take over a second.
+        cases = [(RatePair(r, rs), step) for r, rs in [(0.5, 0.25), (1.0, 1.0), (0.0, 1.3)]
+                 for step in (0.05, 0.02)]
+        if block > 1:
+            cases.append((RatePair(2.0, 2.0), 0.005))
+        default = [verify_jointly_gaussian_grid(rates, step) for rates, step in cases]
+        monkeypatch.setattr(schemes_module, "_GRID_BLOCK", block)
+        assert [verify_jointly_gaussian_grid(rates, step) for rates, step in cases] == default
+
     @pytest.mark.parametrize("r, rs", sorted(THM2_GRID_RESULTS))
     def test_thm2_grid_pairs_match_recorded_reference(self, r, rs):
         g, triple = verify_jointly_gaussian_grid(RatePair(r, rs), step=0.005)
