@@ -153,25 +153,30 @@ def _iterate(basis: _Basis, cost: np.ndarray) -> None:
     """
     dual_slack = 10.0 * _TOL * max(1.0, float(np.abs(cost).max()))
     stalled = dual_stalled = 0
+    m, n = basis.a.shape
+    # Work arrays of one solve, filled in place by every pivot; prices[0]
+    # is spent once `red` is formed, so the dual ratio test works in it.
+    duals, prices = np.empty((2, m)), np.empty((2, n))
+    red, mask = np.empty(n), np.empty(n, dtype=bool)
     for _ in range(_MAX_PIVOTS):
         y = cost[basis.cols] @ basis.inv
         row = int(np.argmin(basis.x))
         if basis.x[row] < -_TOL:
-            prices = np.stack([y, basis.inv[row]]) @ basis.a
-            red = cost - prices[0]
+            duals[0], duals[1] = y, basis.inv[row]
+            np.subtract(cost, np.matmul(duals, basis.a, out=prices)[0], out=red)
             if red.min() < -dual_slack:
                 raise SolverError("simplex basis is neither primal nor dual feasible")
-            col, step = _dual_ratio_test(red, prices[1])
+            col, step = _dual_ratio_test(red, prices[1], prices[0], mask)
             dual_stalled = dual_stalled + 1 if step <= 0.0 else 0
             if dual_stalled >= _STALL:
                 raise SolverError("dual simplex stalled on degenerate pivots")
             _pivot(basis, row, col)
             continue
-        red = cost - y @ basis.a
+        np.subtract(cost, np.matmul(y, basis.a, out=prices[0]), out=red)
         if stalled < _STALL:  # Dantzig: most negative reduced cost
             col = int(np.argmin(red))
         else:  # Bland: smallest improving index (0 if there is none)
-            col = int(np.argmax(red < -_TOL))
+            col = int(np.argmax(np.less(red, -_TOL, out=mask)))
         if red[col] >= -_TOL:
             return
         column = basis.inv @ basis.a[:, col]
@@ -191,22 +196,28 @@ def _iterate(basis: _Basis, cost: np.ndarray) -> None:
     raise SolverError(f"simplex hit the {_MAX_PIVOTS}-pivot limit")
 
 
-def _dual_ratio_test(red: np.ndarray, alpha: np.ndarray) -> tuple[int, float]:
+def _dual_ratio_test(red, alpha, work, mask) -> tuple[int, float]:
     """Entering column and step of a dual pivot on the row `alpha` of B^-1 a.
 
     Harris's two passes (1973): the steps red_j / -alpha_j of the columns
     with alpha_j < 0 are bounded by the least step that would take some
     reduced cost below -_TOL, and within that bound the largest |alpha_j|
     enters, ties to the smallest index, keeping the next basis further
-    from singular.
+    from singular.  Both passes run over all n columns: `red` and `alpha`
+    are overwritten, and `work` (float) and `mask` (bool) are buffers of
+    their length.  A column with alpha_j >= 0 gets pivot +0, so both its
+    steps are inf or NaN: it cannot lower the bound, and it can enter only
+    when no pivot is positive, which the final check refuses.
     """
-    cols = np.flatnonzero(alpha < 0.0)
-    if cols.size:
-        slack, pivots = np.maximum(red[cols], 0.0), -alpha[cols]
-        near = np.flatnonzero(slack / pivots <= ((slack + _TOL) / pivots).min())
-        k = near[np.argmax(pivots[near])]
-        if pivots[k] > _TOL:
-            return int(cols[k]), float(slack[k] / pivots[k])
+    np.less(alpha, 0.0, out=mask)
+    slack, pivots = np.maximum(red, 0.0, out=red), np.negative(alpha, out=alpha)
+    np.copyto(pivots, 0.0, where=np.logical_not(mask, out=mask))
+    with np.errstate(all="ignore"):  # zero pivots give inf or NaN, tiny ones overflow
+        bound = np.divide(np.add(slack, _TOL, out=work), pivots, out=work).min()
+        np.less_equal(np.divide(slack, pivots, out=work), bound, out=mask)
+    k = int(np.argmax(np.multiply(pivots, mask, out=pivots)))
+    if pivots[k] > _TOL:
+        return k, float(work[k])
     raise SolverError("dual ratio test found no entering column")
 
 

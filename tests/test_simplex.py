@@ -6,7 +6,9 @@ from scipy.optimize import linprog
 
 from secgauss import simplex
 from secgauss.errors import SolverError
-from secgauss.simplex import _Basis, _iterate, linear_program_max, linear_program_sweep
+from secgauss.simplex import (
+    _Basis, _dual_ratio_test, _iterate, linear_program_max, linear_program_sweep,
+)
 
 
 def slack_instance(rng, m, n, budget):
@@ -222,3 +224,64 @@ class TestStartBasis:
             linear_program_max(c, a, b, start)
         with pytest.raises(ValueError, match="start basis"):
             list(linear_program_sweep(c, a, b, start, 1, [1.0]))
+
+
+def gathered_dual_ratio_test(red, alpha):
+    """The dual ratio test on the gathered columns with alpha < 0, as it was
+    written before it ran over full-length buffers; kept as its reference."""
+    cols = np.flatnonzero(alpha < 0.0)
+    if cols.size:
+        slack, pivots = np.maximum(red[cols], 0.0), -alpha[cols]
+        with np.errstate(over="ignore"):  # the -5e-324 pivots below
+            near = np.flatnonzero(slack / pivots <= ((slack + simplex._TOL) / pivots).min())
+        k = near[np.argmax(pivots[near])]
+        if pivots[k] > simplex._TOL:
+            return int(cols[k]), float(slack[k] / pivots[k])
+    raise SolverError("dual ratio test found no entering column")
+
+
+def buffered_dual_ratio_test(red, alpha):
+    # Copies of the inputs, which it overwrites, and buffers of junk.
+    n = red.size
+    return _dual_ratio_test(red.copy(), alpha.copy(), np.full(n, np.nan), np.ones(n, dtype=bool))
+
+
+class TestDualRatioTest:
+    # Few distinct values, so that |alpha| and the step red / -alpha tie
+    # exactly, with signed zeros, pivots at and below _TOL, and slacks
+    # within the dual feasibility slack below zero.
+    ALPHAS = [-2.0, -1.0, -0.5, -0.25, -1e-10, -1e-11, -5e-324, -0.0, 0.0, 0.5, 1.0]
+    REDS = [0.0, -0.0, -1e-12, 1e-10, 0.25, 0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_column_and_step_as_the_gathered_test(self, seed):
+        rng = np.random.default_rng(seed)
+        entered = refused = 0
+        for _ in range(250):
+            n = int(rng.integers(1, 40))
+            red, alpha = rng.choice(self.REDS, n), rng.choice(self.ALPHAS, n)
+            try:
+                expected = gathered_dual_ratio_test(red, alpha)
+            except SolverError:
+                refused += 1
+                with pytest.raises(SolverError, match="no entering column"):
+                    buffered_dual_ratio_test(red, alpha)
+                continue
+            entered += 1
+            assert buffered_dual_ratio_test(red, alpha) == expected
+        assert entered > 100 and refused > 0
+
+    def test_continuous_values(self):
+        rng = np.random.default_rng(99)
+        for _ in range(200):
+            red, alpha = np.abs(rng.normal(size=300)), rng.normal(size=300)
+            assert buffered_dual_ratio_test(red, alpha) == gathered_dual_ratio_test(red, alpha)
+
+    @pytest.mark.parametrize("alpha", [[0.0, 1.0, -0.0, 2.0], [-1e-10, -1e-11, 0.0, -5e-324]],
+                             ids=["no-negative-alpha", "every-pivot-within-tol"])
+    def test_no_entering_column(self, alpha):
+        alpha = np.array(alpha)
+        for red in (np.zeros(4), np.array([1.0, 0.0, 2.0, 0.5])):
+            for test in (gathered_dual_ratio_test, buffered_dual_ratio_test):
+                with pytest.raises(SolverError, match="no entering column"):
+                    test(red, alpha)
