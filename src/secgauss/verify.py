@@ -41,21 +41,12 @@ class Check:
 
 def gaussian_grid_suite(step: float = 0.005) -> list[Check]:
     """Grid certificates for the jointly Gaussian payoff at twelve rate pairs."""
-    checks = []
-    for r in (0.5, 1.0, 2.0):
-        for rs in (0.25, 0.5, 1.0, 2.0):
-            target = 1.0 - 2.0 ** (-2.0 * min(r, rs))
-            g_max, _ = verify_jointly_gaussian_grid(RatePair(r, rs), step)
-            ok = abs(g_max - target) <= 2.0 * step
-            checks.append(
-                Check(
-                    name=f"grid_payoff r={r:g} rs={rs:g}",
-                    measured=g_max,
-                    expected=f"{target:.9g} within {2.0 * step:g}",
-                    passed=ok,
-                )
-            )
-    return checks
+    return [Check(name=f"grid_payoff r={r:g} rs={rs:g}", measured=g,
+                  expected=f"{target:.9g} within {2.0 * step:g}",
+                  passed=abs(g - target) <= 2.0 * step)
+            for r in (0.5, 1.0, 2.0) for rs in (0.25, 0.5, 1.0, 2.0)
+            for target, (g, _) in [(1.0 - 2.0 ** (-2.0 * min(r, rs)),
+                                    verify_jointly_gaussian_grid(RatePair(r, rs), step))]]
 
 
 def entropy_limit_suite() -> list[Check]:
@@ -77,65 +68,29 @@ def entropy_limit_suite() -> list[Check]:
 def quantizer_bound_suite() -> list[Check]:
     """Entropy and distortion of the rate-matched step at R in {4, 6, 8} bits."""
     source = GaussianSource(0.0, 1.0)
-    checks = []
-    for r in (4, 6, 8):
-        t = math.sqrt(2.0 * math.pi * math.e) * source.std * 2.0 ** (-r)
-        table = build_bin_table(source, t)
-        h = output_entropy(table)
-        d = bob_distortion(table, "lattice")
-        bound = 0.5 * math.pi * math.e * source.variance * 2.0 ** (-2 * r)
-        checks.append(
-            Check(
-                name=f"entropy fits rate R={r}",
-                measured=h,
-                expected=f"<= {r + 0.01}",
-                passed=h <= r + 0.01,
-            )
-        )
-        checks.append(
-            Check(
-                name=f"lattice distortion bound R={r}",
-                measured=d,
-                expected=f"<= {bound:.9g}",
-                passed=d <= bound,
-            )
-        )
-    return checks
+    return [check for r in (4, 6, 8)
+            for table in [build_bin_table(source, math.sqrt(2.0 * math.pi * math.e)
+                                          * source.std * 2.0 ** (-r))]
+            for h, d, bound in [(output_entropy(table), bob_distortion(table, "lattice"),
+                                 0.5 * math.pi * math.e * source.variance * 2.0 ** (-2 * r))]
+            for check in (Check(name=f"entropy fits rate R={r}", measured=h,
+                                expected=f"<= {r + 0.01}", passed=h <= r + 0.01),
+                          Check(name=f"lattice distortion bound R={r}", measured=d,
+                                expected=f"<= {bound:.9g}", passed=d <= bound))]
 
 
 def sign_split_suite() -> list[Check]:
     """Bounds and monotonicity of the sign-information integral."""
     grid = (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     values = [sign_split_key_requirement(r) for r in grid]
-    checks = []
-    for r, v in zip(grid, values):
-        checks.append(
-            Check(
-                name=f"sign_info in range r={r:g}",
-                measured=v,
-                expected="in [0, 1)",
-                passed=0.0 <= v < 1.0,
-            )
-        )
-    mono = all(b >= a - 1e-4 for a, b in zip(values, values[1:]))
-    checks.append(
-        Check(
-            name="sign_info nondecreasing",
-            measured=min(b - a for a, b in zip(values, values[1:])),
-            expected=">= -1e-4 smallest increment",
-            passed=mono,
-        )
-    )
-    high = sign_split_key_requirement(10.0)
-    checks.append(
-        Check(
-            name="sign_info saturates at r=10",
-            measured=high,
-            expected=">= 0.99",
-            passed=high >= 0.99,
-        )
-    )
-    return checks
+    pairs, high = list(zip(values, values[1:])), sign_split_key_requirement(10.0)
+    return [Check(name=f"sign_info in range r={r:g}", measured=v, expected="in [0, 1)",
+                  passed=0.0 <= v < 1.0) for r, v in zip(grid, values)] + [
+        Check(name="sign_info nondecreasing", measured=min(b - a for a, b in pairs),
+              expected=">= -1e-4 smallest increment",
+              passed=all(b >= a - 1e-4 for a, b in pairs)),
+        Check(name="sign_info saturates at r=10", measured=high, expected=">= 0.99",
+              passed=high >= 0.99)]
 
 
 # The CLI suite ids are a fixed external contract; "thm2_grid" is the

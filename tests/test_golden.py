@@ -21,6 +21,7 @@ from secgauss import (
     STANDARD_SOURCE, bob_distortion, build_bin_table, build_quantized_pmf,
 )
 from secgauss.cli import main
+from secgauss.verify import SUITES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 FLOAT_TOL = 1e-12
@@ -92,6 +93,14 @@ def test_cli_output_matches_golden(name, capsys):
     assert code == 0
     expected = (GOLDEN_DIR / f"{name}.txt").read_text()
     assert mismatches(expected, actual) == []
+
+
+def test_verify_all_is_every_suite_golden_in_order(capsys):
+    # `verify --suite all`, the command the crosscheck benchmark workload
+    # times, prints each suite's golden, concatenated in sorted(SUITES) order.
+    assert main(["verify", "--suite", "all"]) == 0
+    expected = "".join((GOLDEN_DIR / f"verify_{name}.txt").read_text() for name in sorted(SUITES))
+    assert mismatches(expected, capsys.readouterr().out) == []
 
 
 def test_fine_table_mses_match_golden_relatively():
