@@ -5,7 +5,9 @@ of columns, so no tableau is kept.  Every change of basis inverts the
 small basis matrix afresh from the original data; every iteration prices
 all columns with one product ``y @ a`` and runs the ratio test on
 ``B^-1 a_col``.  The pricing that ends a solve is therefore fresh, and it
-is the solve's optimality certificate.
+is the solve's optimality certificate.  The n-length arrays of a pivot
+(the 2 x n price block, the reduced costs and a mask) are buffers that
+`_iterate` allocates once per solve and every pivot fills in place.
 
 A cold solve starts from a basis that the caller names, one column per
 row (for the secrecy LP, its singleton and key-slack columns); a start

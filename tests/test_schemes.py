@@ -312,7 +312,20 @@ def reference_binary_entropy_of_logit(z):
     return float(p * sp_neg + (1.0 - p) * sp_pos) / math.log(2.0)
 
 
+def max_form_binary_entropy_of_logit(z):
+    """H_binary(sigmoid(z)) in bits with max() for the softplus parts, as first written."""
+    tail = math.log1p(math.exp(-abs(z)))
+    p = 1.0 / (1.0 + math.exp(-z)) if z > -700 else 0.0
+    return (p * (max(-z, 0.0) + tail) + (1.0 - p) * (max(z, 0.0) + tail)) / math.log(2.0)
+
+
 class TestSignSplit:
+    def test_logit_entropy_keeps_the_max_form_bits(self):
+        specials = [0.0, -0.0, 5e-324, -5e-324, 700.0, -700.0, math.inf, -math.inf, math.nan]
+        for z in np.linspace(-800.0, 800.0, 16001).tolist() + specials:
+            got, ref = _binary_entropy_of_logit(z), max_form_binary_entropy_of_logit(z)
+            assert got == ref or (math.isnan(got) and math.isnan(ref)), z
+
     def test_logit_entropy_matches_numpy_form(self):
         edges = [0.0, 46.0, 699.0, 699.999, 700.0, 700.001, 701.0, 745.0, 746.0, 800.0]
         grid = np.concatenate([np.linspace(-800.0, 800.0, 16001), edges, np.negative(edges),
