@@ -393,7 +393,7 @@ class TestVerify:
         assert out.read_text().startswith("PASS")
 
 
-# One small run of each command and suite that needs no quadrature.
+# One small run of each command, and every verify suite.
 NO_SCIPY_ARGV = [
     ["curve", "--schemes", "weak,quantized_greedy,lp_quantized", "--r", "1.5",
      "--rs-range", "0:1:0.5", "--lp-max-support", "5"],
@@ -401,38 +401,31 @@ NO_SCIPY_ARGV = [
     ["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "0", "--n", "1000"],
     ["sim", "--scheme", "full_encryption", "--r", "2", "--seed", "0", "--n", "1000"],
     ["quantizer-stats", "--t", "0.5", "--n-mod", "3"],
-    ["verify", "--suite", "thm2_grid"],
-    ["verify", "--suite", "entropy_limit"],
-    ["verify", "--suite", "quantizer_bound"],
+    ["verify", "--suite", "sign_split"],
+    ["verify", "--suite", "all"],
 ]
 
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # Gaussian masses come from math.erfc, so importing the CLI and running
-    # any command loads no scipy module; only the sign-split suite imports
-    # scipy.integrate (and with it scipy.optimize and scipy.sparse) for its
-    # quadrature.  The simplex inverts its small bases with numpy.
+    # With None for scipy in sys.modules any import of it fails, so every
+    # command exiting 0 shows that the package runs without scipy: Gaussian
+    # masses come from math.erfc, the simplex inverts its small bases with
+    # numpy, and the sign-split quadrature is a numpy Gauss-Legendre rule.
     code = f"""
 import contextlib, io, sys
+sys.modules["scipy"] = None
 from secgauss.cli import main
 
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-print(loaded())
 for argv in {NO_SCIPY_ARGV!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-print(loaded())
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["verify", "--suite", "sign_split"]) == 0
-print("scipy.integrate" in loaded())
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
     env = dict(os.environ, PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]", "True"]
+    assert proc.stdout.splitlines() == ["['scipy']"]
 
 
 def run_cli_capped(argv):

@@ -2,7 +2,8 @@
 and the greedy quantized scheme.
 
 Sign-split references were frozen from an mpmath double quadrature of
-the posterior-entropy integral (absolute error below 1e-6).
+the posterior-entropy integral (absolute error below 1e-6), and again at
+32 digits from an independent form of it (see SIGN_SPLIT_BITS).
 """
 
 import math
@@ -31,7 +32,7 @@ from secgauss import (
     weak_eavesdropper_payoff,
 )
 from secgauss import schemes as schemes_module
-from secgauss.schemes import _binary_entropy_of_logit
+from secgauss.schemes import _binary_entropy_of_logits
 
 WEAK_AT_2P7 = 0.97631692864827502996  # 1 - 2^-5.4, mpmath
 PI_E_HALF = 4.2698671113367835327
@@ -46,10 +47,37 @@ SIGN_SPLIT_REFS = {
     8.0: 0.99655288,
 }
 
-# sign_split_key_requirement at the `verify --suite sign_split` grid, as
-# computed by the 0-d numpy integrand this module's quadrature started
-# from; rewrites of the integrand must keep these bits.
+# I(X; V | U) at the `verify --suite sign_split` grid and off it, to 20
+# digits, from mpmath at 32 digits in a form independent of the module's:
+# I = 1 - 2c int_0^inf phi(c b) h(b) db with c = s / (2 rho), where
+# h(b) = E log2(1 + exp(-Z)), Z ~ N(b^2/2, b^2), equals the mean of
+# H(sigmoid(Z)) because Z is a consistent log-likelihood ratio.  The inner
+# integral is tanh-sinh over the whole line (no window); the outer is
+# 24-node Gauss-Legendre panels in b on [0, 40], of width 1 and of width 2,
+# which agree to 25 digits.  The quadrature must match within 1e-13.
 SIGN_SPLIT_BITS = {
+    0.0: 0.0,
+    0.25: 0.19979454581810566192,
+    0.5: 0.34442059323481291593,
+    1.0: 0.54855682492202886402,
+    2.0: 0.77817972944075788998,
+    4.0: 0.94482768567536005024,
+    8.0: 0.99655288311854593138,
+    10.0: 0.99913822183799949012,
+}
+SIGN_SPLIT_OFF_GRID_BITS = {
+    0.1: 0.08975957566325935454,
+    0.75: 0.45749844538130631085,
+    1.5: 0.68453089521301298735,
+    3.0: 0.88954378163531694499,
+    6.0: 0.98621126151474856465,
+    12.0: 0.99978455547603672393,
+    20.0: 0.99999915841983257485,
+}
+
+# The same rates as computed by the nested QUADPACK quadrature this
+# module used before, kept as a record; its own error reached 5.6e-11.
+QUADPACK_BITS = {
     0.0: 0.0,
     0.25: 0.19979454582570488,
     0.5: 0.3444205932347648,
@@ -59,10 +87,7 @@ SIGN_SPLIT_BITS = {
     8.0: 0.9965528831045577,
     10.0: 0.9991382218345025,
 }
-
-# The same function at rates off the suite grid, recorded before the
-# integrand was flattened into one closure; the rewrite keeps these bits too.
-SIGN_SPLIT_OFF_GRID_BITS = {
+QUADPACK_OFF_GRID_BITS = {
     0.1: 0.0897595756632592,
     0.75: 0.45749844538598183,
     1.5: 0.684530895215908,
@@ -71,6 +96,7 @@ SIGN_SPLIT_OFF_GRID_BITS = {
     12.0: 0.9997845554751624,
     20.0: 0.9999991584198291,
 }
+PINNED_SIGN_SPLIT = SIGN_SPLIT_BITS | SIGN_SPLIT_OFF_GRID_BITS
 
 
 class TestClosedForms:
@@ -319,20 +345,32 @@ def max_form_binary_entropy_of_logit(z):
     return (p * (max(-z, 0.0) + tail) + (1.0 - p) * (max(z, 0.0) + tail)) / math.log(2.0)
 
 
+def logit_entropy_values(zs):
+    """The array form at each z; exp overflows to inf and inf * 0 gives NaN as the scalars do."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _binary_entropy_of_logits(np.array(zs)).tolist()
+
+
+def close_or_both_nan(got, ref):
+    return abs(got - ref) <= 1e-15 or (math.isnan(got) and math.isnan(ref))
+
+
 class TestSignSplit:
     def test_logit_entropy_keeps_the_max_form_bits(self):
         specials = [0.0, -0.0, 5e-324, -5e-324, 700.0, -700.0, math.inf, -math.inf, math.nan]
-        for z in np.linspace(-800.0, 800.0, 16001).tolist() + specials:
-            got, ref = _binary_entropy_of_logit(z), max_form_binary_entropy_of_logit(z)
-            assert got == ref or (math.isnan(got) and math.isnan(ref)), z
+        zs = np.linspace(-800.0, 800.0, 16001).tolist() + specials
+        for z, got in zip(zs, logit_entropy_values(zs)):
+            assert close_or_both_nan(got, max_form_binary_entropy_of_logit(z)), z
+            with np.errstate(invalid="ignore"):
+                assert close_or_both_nan(got, reference_binary_entropy_of_logit(z)), z
 
     def test_logit_entropy_matches_numpy_form(self):
         edges = [0.0, 46.0, 699.0, 699.999, 700.0, 700.001, 701.0, 745.0, 746.0, 800.0]
         grid = np.concatenate([np.linspace(-800.0, 800.0, 16001), edges, np.negative(edges),
                                np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
-        for z in grid.tolist():
+        for z, got in zip(grid.tolist(), logit_entropy_values(grid)):
             ref = reference_binary_entropy_of_logit(z)
-            assert abs(_binary_entropy_of_logit(z) - ref) <= 1e-15, z
+            assert abs(got - ref) <= 1e-15, z
 
     def test_zero_rate(self):
         assert sign_split_key_requirement(0.0) == 0.0
@@ -341,13 +379,31 @@ class TestSignSplit:
     def test_reference_values(self, r, ref):
         assert sign_split_key_requirement(r) == pytest.approx(ref, abs=1e-4)
 
-    @pytest.mark.parametrize("r,bits", sorted(SIGN_SPLIT_BITS.items()))
+    @pytest.mark.parametrize("r,bits", sorted(QUADPACK_BITS.items()))
     def test_recorded_bits_at_suite_grid(self, r, bits):
-        assert sign_split_key_requirement(r) == bits
+        value = sign_split_key_requirement(r)
+        assert abs(value - SIGN_SPLIT_BITS[r]) <= 1e-13
+        assert abs(value - bits) <= 1e-10
 
-    @pytest.mark.parametrize("r,bits", sorted(SIGN_SPLIT_OFF_GRID_BITS.items()))
+    @pytest.mark.parametrize("r,bits", sorted(QUADPACK_OFF_GRID_BITS.items()))
     def test_recorded_bits_off_the_suite_grid(self, r, bits):
-        assert sign_split_key_requirement(r) == bits
+        value = sign_split_key_requirement(r)
+        assert abs(value - SIGN_SPLIT_OFF_GRID_BITS[r]) <= 1e-13
+        assert abs(value - bits) <= 1e-10
+
+    def test_doubling_the_nodes_moves_no_pinned_value(self, monkeypatch):
+        base = {r: sign_split_key_requirement(r) for r in PINNED_SIGN_SPLIT}
+        monkeypatch.setattr(schemes_module, "_Y_PANELS", 2 * schemes_module._Y_PANELS)
+        monkeypatch.setattr(schemes_module, "_T_PANELS", 2 * schemes_module._T_PANELS)
+        for r, value in base.items():
+            assert abs(sign_split_key_requirement(r) - value) <= 1e-14, r
+
+    @pytest.mark.parametrize("block", [256, 4096, 65536])
+    def test_blocks_move_only_the_summation_order(self, monkeypatch, block):
+        base = {r: sign_split_key_requirement(r) for r in PINNED_SIGN_SPLIT}
+        monkeypatch.setattr(schemes_module, "_QUAD_BLOCK", block)
+        for r, value in base.items():
+            assert abs(sign_split_key_requirement(r) - value) <= 1e-15, r
 
     def test_monotone_and_below_one(self):
         grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
@@ -355,6 +411,17 @@ class TestSignSplit:
         for lo, hi in zip(vals, vals[1:]):
             assert hi >= lo - 1e-6
         assert all(0.0 <= v < 1.0 for v in vals)
+
+    def test_monotone_and_below_one_on_a_fine_grid(self):
+        vals = [sign_split_key_requirement(r) for r in np.linspace(0.0, 12.0, 241).tolist()]
+        assert all(0.0 <= v < 1.0 for v in vals)
+        assert all(hi >= lo - 1e-13 for lo, hi in zip(vals, vals[1:]))
+
+    def test_extreme_rates(self):
+        # 2^(-2r) rounds to 1 at r = 1e-300, leaving no correlation to
+        # integrate, and to 0 at r = 30, a saturated rate.
+        assert sign_split_key_requirement(1e-300) == 0.0
+        assert sign_split_key_requirement(30.0) == math.nextafter(1.0, 0.0)
 
     def test_saturation(self):
         assert sign_split_key_requirement(10.0) >= 0.99
