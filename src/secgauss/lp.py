@@ -129,8 +129,8 @@ def build_quantized_pmf(table: BinTable, max_support: Optional[int] = None) -> Q
     """
     source = table.source
     if max_support is not None:
-        if max_support < 1 or max_support % 2 == 0:
-            raise ValueError(f"max_support must be a positive odd integer, got {max_support}")
+        if max_support < 3 or max_support % 2 == 0:
+            raise ValueError(f"max_support must be an odd integer >= 3, got {max_support}")
         table = fold_bin_table(table, (max_support - 1) // 2)
     keep = table.prob > 0.0
     pmf = QuantizedPmf(table.centroid[keep], table.prob[keep])

@@ -54,7 +54,7 @@ SCHEME_IDS = ("weak", "jointly_gaussian", "optimal_high_key", "quantized_greedy"
 
 _LN2 = math.log(2.0)
 _GRID_SEED = 512  # columns of largest bound that `verify_jointly_gaussian_grid` tests first
-_GRID_BLOCK = 8192  # columns per block of the grid's bounds: 64 KB temporaries, reused
+_GRID_BLOCK = 8192  # grid entries per block of whole rows of bounds: 64 KB temporaries
 _Y_PANELS, _T_PANELS = 6, 16  # Gauss-Legendre panels of the sign-split quadrature's two integrals
 _QUAD_BLOCK = 8192  # tensor nodes per block of that quadrature: 64 KB temporaries
 _MAX_SWEEP = 250_000_000  # n_max * table width: entries the greedy's residue sweep may label
@@ -192,9 +192,12 @@ def verify_jointly_gaussian_grid(
     index among these per-(b, c) maxima is the least maximizer.  It runs
     first on the `_GRID_SEED` columns (b, c) of largest bound = g at top,
     then on those whose bound reaches the best g found (on all if none).
-    top and bound are computed in blocks of `_GRID_BLOCK` columns, so each
-    temporary stays near 64 KB and is reused rather than faulted in afresh;
-    every entry is the same expression, so the blocks move no bit.
+    Sign flips (a,b,c) -> (|a|,|b|,c*sign(ab)) preserve g, det and both
+    constraints, so nonnegative a, b suffice; axis entry k is k*step.
+    bound, the only full-grid array, is filled in blocks of whole rows
+    (b values) of about `_GRID_BLOCK` entries, so temporaries stay near
+    64 KB; the scans recompute top on their own columns, and nothing is
+    cached across calls.  Each entry is one expression whatever the block.
 
     Exactness.  The 1e-12 slacks and rounding move the test's roots in a,
     and the computed a+, by under sqrt(2e-12) < 2e-6 each, so for step >
@@ -209,18 +212,32 @@ def verify_jointly_gaussian_grid(
     if abs(n * step - 1.0) > 1e-9:
         raise ValueError(f"grid step must divide 1, got {step}")
     r, rs = rates.rate, rates.key_rate
-    axis_pos, axis_full, xu, yu, xu2, yu2, peak = _grid_columns(step, n)
-    key_scale, rate_scale = 2.0 ** (-2.0 * rs), 2.0 ** (-2.0 * r)
-    top, bound = np.empty(xu.size, dtype=int), np.empty(xu.size)
-    for s in (slice(lo, lo + _GRID_BLOCK) for lo in range(0, xu.size, _GRID_BLOCK)):
-        d_need = np.maximum(peak[s] * key_scale, (1.0 - yu2[s]) * rate_scale).clip(1e-15)
-        a_plus = xu[s] * yu[s] + np.sqrt(np.maximum(peak[s] - d_need, 0.0))
-        top[s] = np.minimum(np.floor(a_plus / step).astype(int) + 1, axis_pos.size - 1)
-        bound[s] = np.square(axis_pos[np.maximum(top[s], 0)]) - xu2[s]
+    axis_pos = np.minimum(np.arange(n + 1) * step, 1.0)
+    axis_full = np.clip(np.arange(-n, n + 1) * step, -1.0, 1.0)
+    c_free = 1.0 - axis_full * axis_full
+    key_scale, rate_floor = 2.0 ** (-2.0 * rs), c_free * 2.0 ** (-2.0 * r)
+
+    def top_of(x, x2, y, free, floor):
+        """(1-b^2)(1-c^2) and top at b = x, c = y; free = 1-c^2, floor = free*2^(-2R)."""
+        peak = (1.0 - x2) * free
+        d_need = np.maximum(peak * key_scale, floor).clip(1e-15)
+        a_plus = x * y + np.sqrt(np.maximum(peak - d_need, 0.0))
+        return peak, np.minimum(np.floor(a_plus / step).astype(int) + 1, n)
+
+    bound = np.empty((n + 1, axis_full.size))
+    rows = max(_GRID_BLOCK // axis_full.size, 1)
+    for lo in range(0, n + 1, rows):
+        x = axis_pos[lo:lo + rows, None]
+        x2 = x * x
+        _, top = top_of(x, x2, axis_full, c_free, rate_floor)
+        np.subtract(np.square(axis_pos[np.maximum(top, 0)]), x2, out=bound[lo:lo + rows])
 
     def scan(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Highest passing a index of top, top-1, top-2 per column (-1 if none), and its g."""
-        x, y, x2, y2, p, t = xu[cols], yu[cols], xu2[cols], yu2[cols], peak[cols], top[cols]
+        i, j = np.divmod(cols, axis_full.size)
+        x, y = axis_pos[i], axis_full[j]
+        x2, y2 = x * x, y * y
+        p, t = top_of(x, x2, y, c_free[j], rate_floor[j])
         best = np.full(cols.size, -1)
         for k in (t, t - 1, t - 2):
             a = axis_pos[np.maximum(k, 0)]
@@ -233,31 +250,13 @@ def verify_jointly_gaussian_grid(
         return best, np.where(best >= 0, np.square(axis_pos[np.maximum(best, 0)]) - x2, -math.inf)
 
     # Never empty: (a, b) = (0, 0) with |c| < 1 gives det = 1 - c^2 and both needs 0.
-    _, seed_g = scan(np.argpartition(bound, -_GRID_SEED)[-_GRID_SEED:])
+    _, seed_g = scan(np.argpartition(bound, -_GRID_SEED, axis=None)[-_GRID_SEED:])
     cols = np.flatnonzero(bound >= seed_g.max())
     best, g = scan(cols)
     pick = np.lexsort((best, -g))[0]  # largest g, then least a index, then least flat (b, c)
     i, j = divmod(int(cols[pick]), axis_full.size)
     triple = CorrelationTriple(float(axis_pos[best[pick]]), float(axis_pos[i]), float(axis_full[j]))
     return float(g[pick]), triple
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_columns(step: float, n: int) -> tuple:
-    """Read-only axes and flat (b, c) columns of the grid of `step` = 1/n; no rate moves them.
-
-    Sign flips (a,b,c) -> (|a|,|b|,c*sign(ab)) preserve g, the determinant and
-    both constraints, so nonnegative a, b suffice.  Entry k of an axis is k*step,
-    so the rho_yu axis is exactly symmetric about 0; the clip keeps its ends at +-1.
-    """
-    axis_pos = np.minimum(np.arange(n + 1) * step, 1.0)
-    axis_full = np.clip(np.arange(-n, n + 1) * step, -1.0, 1.0)
-    xu, yu = (v.ravel() for v in np.meshgrid(axis_pos, axis_full, indexing="ij"))
-    xu2, yu2 = xu * xu, yu * yu
-    columns = (axis_pos, axis_full, xu, yu, xu2, yu2, (1.0 - xu2) * (1.0 - yu2))
-    for col in columns:
-        col.setflags(write=False)
-    return columns
 
 
 @functools.lru_cache(maxsize=4)

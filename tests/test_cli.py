@@ -251,6 +251,17 @@ class TestLp:
                         "--max-support", "8"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["lp", "--t", "0.6", "--r", "3", "--rs", "0.5", "--max-support", "1"],
+        ["curve", "--schemes", "lp_quantized", "--r", "2.7", "--rs", "0.25",
+         "--lp-max-support", "1"],
+    ])
+    def test_support_one_rejected_by_its_flag_name(self, capsys, argv):
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: max_support")
+
     def test_key_rate_past_every_entropy(self, capsys):
         # Every key rate above the largest candidate entropy (log2(11)
         # bits at most) has the same D and exits 0, however large: the
@@ -590,9 +601,9 @@ _FLAGS = {
 }
 # Flags whose defaults would run long: always passed, from small values.
 _ALWAYS = {
-    "curve": ("--lp-max-support", ["3", "5", "2", "-1", "21"]),
+    "curve": ("--lp-max-support", ["3", "5", "1", "2", "-1", "21"]),
     "sim": ("--n", ["1", "1000", "0", "-5", str(10**8), "x"]),
-    "lp": ("--max-support", ["3", "5", "2", "41"]),
+    "lp": ("--max-support", ["3", "5", "1", "2", "41"]),
 }
 
 # The commands that once failed numerically: a mean of 1e6 sigma, a step

@@ -125,6 +125,17 @@ class TestBuildQuantizedPmf:
         with pytest.raises(ValueError):
             build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0), max_support=8)
 
+    @pytest.mark.parametrize("cap", [1, -1, 0])
+    def test_support_below_three_rejected_by_name(self, cap):
+        # A cap of 1 once reached the fold with a half-width of 0, whose
+        # message named the fold's own parameter rather than max_support.
+        with pytest.raises(ValueError, match=r"^max_support must be an odd integer >= 3"):
+            build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0), max_support=cap)
+
+    def test_smallest_cap_folds_to_three_points(self):
+        pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.6), max_support=3)
+        assert pmf.points.size == 3
+
     def test_integer_source_gives_the_float_pmf(self):
         # The fold fills arrays with the source mean; an int mean once
         # made them integer arrays, and the fold raised.
@@ -664,3 +675,49 @@ class TestDominatesGreedy:
             assert point.meta["feasible"] and point.meta["t"] == plan.step
             lp = solve_secrecy_lp(pmf, RatePair(rate, rs), cands)
             assert lp.value / STANDARD_SOURCE.variance >= point.payoff.value - 1e-9
+
+
+@pytest.fixture(scope="module")
+def support9_mixtures():
+    """The support-9 pmf of step 0.6, its candidates, and one sweep over three key rates."""
+    pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.6), max_support=9)
+    cands = enumerate_subset_candidates(pmf, 9)
+    rates = (0.25, 0.75, 1.5)
+    return pmf, cands, dict(zip(rates, sweep_secrecy_lp(pmf, 3.0, rates, cands)))
+
+
+class TestMixtureMonteCarlo:
+    """The LP's optimal mixture played out as a randomized disclosure.
+
+    A symbol at point i reveals the subset S it falls in with probability
+    w_S / P(S); the barycenter rows make these sum to 1 over the S that
+    hold i.  Eve plays the pmf's mean on S, and the key hides which point
+    of S it is.  Seeds were fixed before the first run.
+    """
+
+    @pytest.mark.parametrize("rs, seed", [(0.25, 21), (0.75, 22), (1.5, 23)])
+    def test_draws_reach_the_value_and_key_use(self, support9_mixtures, rs, seed):
+        pmf, cands, sols = support9_mixtures
+        sol = sols[rs]
+        active = np.flatnonzero(sol.weights > 0.0)
+        k = pmf.points.size
+        member = (cands.masks[active] >> np.arange(k)[:, None] & 1).astype(float)
+        mass = pmf.probs @ member
+        reveal = member * (sol.weights[active] / mass)  # P(S | point i), row i
+        np.testing.assert_allclose(reveal.sum(axis=1), 1.0, rtol=0.0, atol=1e-8)
+        eve_point = (pmf.probs * pmf.points) @ member / mass
+
+        rng = np.random.default_rng(seed)
+        n = 2**18
+        point = rng.choice(k, size=n, p=pmf.probs)
+        cum = np.cumsum(reveal, axis=1)
+        u = rng.random(n) * cum[:, -1][point]
+        subset = np.minimum((cum[point] <= u[:, None]).sum(axis=1), active.size - 1)
+
+        err = np.square(pmf.points[point] - eve_point[subset])
+        std_error = err.std(ddof=1) / math.sqrt(n)
+        assert abs(err.mean() - sol.value) <= 4.0 * std_error
+        ent = cands.entropy_bits[active]
+        key_use = float(np.dot(sol.weights[active], ent))  # at most rs, as the solver checks
+        freq = np.bincount(subset, minlength=active.size) / n
+        assert float(np.dot(freq, ent)) == pytest.approx(key_use, abs=0.01)

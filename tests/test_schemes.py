@@ -7,6 +7,7 @@ the posterior-entropy integral (absolute error below 1e-6), and again at
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from secgauss import (
     PayoffValue,
     RatePair,
     asymptotic_quantization_bound,
+    entropy_given_residue,
     evaluate_finite_strategy,
     jointly_gaussian_payoff,
     optimal_high_key_payoff,
@@ -31,6 +33,7 @@ from secgauss import (
     verify_jointly_gaussian_grid,
     weak_eavesdropper_payoff,
 )
+from secgauss import quantizer as quantizer_module
 from secgauss import schemes as schemes_module
 from secgauss.schemes import _binary_entropy_of_logits
 
@@ -260,10 +263,12 @@ class TestGridCertificate:
     # 201 * 401 + 1 is more than the column count of the finest step, 0.005.
     @pytest.mark.parametrize("block", [1, 7, 8191, 201 * 401 + 1])
     def test_block_size_keeps_the_bits(self, monkeypatch, block):
-        # The bounds are computed blockwise, each entry by one expression, so
-        # any block size (ragged last block, one column, all columns at
-        # once) must give the default's bits.  Block 1 skips step 0.005,
-        # where its 80,601 one-column blocks would take over a second.
+        # The bounds are computed in blocks of whole rows, each entry by one
+        # expression, so any block size (ragged last block, one row, all rows
+        # at once) must give the default's bits.  A block smaller than a row
+        # means one row: block 1 at step 0.005 gives 201 one-row blocks of
+        # 401 columns, not 80,601 one-column blocks.  Block 1 skips that
+        # step all the same.
         cases = [(RatePair(r, rs), step) for r, rs in [(0.5, 0.25), (1.0, 1.0), (0.0, 1.3)]
                  for step in (0.05, 0.02)]
         if block > 1:
@@ -299,25 +304,21 @@ class TestGridCertificate:
         with pytest.raises(ValueError, match="divide 1"):
             verify_jointly_gaussian_grid(RatePair(1.0, 1.0), step=0.03)
 
-    def test_cached_columns_follow_the_step(self):
-        # The step-only columns are cached for one step at a time: switching
-        # steps back and forth must give what a call with no cache gives.
-        pairs = [(RatePair(1.0, 0.5), 0.005), (RatePair(2.0, 0.25), 0.01),
-                 (RatePair(0.5, 2.0), 0.005), (RatePair(2.0, 2.0), 0.005)]
-        fresh = []
-        for rates, step in pairs:
-            schemes_module._grid_columns.cache_clear()
-            fresh.append(verify_jointly_gaussian_grid(rates, step))
-        schemes_module._grid_columns.cache_clear()
-        assert [verify_jointly_gaussian_grid(rates, step) for rates, step in pairs] == fresh
-        # Only the last call repeats its predecessor's step.
-        assert schemes_module._grid_columns.cache_info().hits == 1
-
-    def test_cached_columns_are_read_only(self):
-        verify_jointly_gaussian_grid(RatePair(1.0, 1.0), 0.05)
-        for column in schemes_module._grid_columns(0.05, 20):
-            with pytest.raises(ValueError, match="read-only"):
-                column[0] = 0.5
+    def test_one_call_holds_one_bound_array_and_keeps_nothing(self):
+        # bound is the only full-grid array; top is recomputed per scan and
+        # nothing is cached, so the peak stays near one float per grid entry
+        # and the call gives back all it allocated.
+        n = 200
+        limit = 2.5 * 8 * (n + 1) * (2 * n + 1)
+        verify_jointly_gaussian_grid(RatePair(1.0, 0.5), 0.05)  # numpy's first-call setup
+        tracemalloc.start()
+        try:
+            verify_jointly_gaussian_grid(RatePair(2.0, 2.0), 0.005)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"peak {peak} bytes, limit {limit:.0f}"
+        assert retained < 64 * 1024, f"{retained} bytes retained"
 
     @pytest.mark.parametrize("step", [0.05, 0.02, 0.01, 0.005])
     def test_axes_are_integer_multiples_of_the_step(self, step):
@@ -518,6 +519,41 @@ class TestGreedyScheme:
         point = plan.evaluate(1.5)
         assert point.scheme_id == "quantized_greedy"
         assert float(point.payoff) <= 1.0 - 2.0 ** (-2.0 * 2.7) + 1e-9
+
+
+def plug_in_entropy_bits(labels):
+    """Entropy in bits of the empirical law of nonnegative integer labels."""
+    p = np.bincount(labels) / labels.size
+    p = p[p > 0.0]
+    return float(-np.dot(p, np.log2(p)))
+
+
+class TestGreedyMonteCarlo:
+    """The greedy scheme played out on draws: payoff and key use as planned.
+
+    Bob reconstructs at the lattice point; Eve sees the index mod the
+    plan's divisor and plays that residue class's mean.  Seeds were fixed
+    before the first run.
+    """
+
+    @pytest.mark.parametrize("rs, seed", [(0.05, 11), (0.25, 12), (0.5, 13), (0.75, 14)])
+    def test_draws_reach_the_planned_payoff_and_key(self, plan, rs, seed):
+        point = plan.evaluate(rs)
+        assert point.meta["feasible"]
+        table, n_mod = plan.table, point.meta["n_mod"]
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(2**18)  # the standard source of `plan`
+        k = table.max_index
+        index = np.clip(np.rint(x / table.step), -k, k).astype(np.int64)
+        residue = np.mod(index, n_mod)
+        _, class_mean, _ = quantizer_module._class_moments(table, np.mod(table.indices, n_mod))
+        samples = np.square(class_mean[residue] - x) - np.square(index * table.step - x)
+        std_error = samples.std(ddof=1) / math.sqrt(samples.size)
+        assert abs(samples.mean() - float(point.payoff)) <= 4.0 * std_error
+        need = entropy_given_residue(table, n_mod)  # at most rs, as the plan is feasible
+        # The residue is a function of the index: H(index | residue) = H(index) - H(residue).
+        plug_in = plug_in_entropy_bits(index + k) - plug_in_entropy_bits(residue)
+        assert plug_in == pytest.approx(need, abs=0.01)
 
 
 class TestPayoffPoint:
