@@ -123,14 +123,17 @@ class LpSolution:
 def build_quantized_pmf(table: BinTable, max_support: Optional[int] = None) -> QuantizedPmf:
     """Pmf of the centroid-reconstructed output of a bin table.
 
-    Zero-mass bins are dropped.  With `max_support` (odd), outer bins
-    are folded together first so that the support fits the LP cap; the
-    fold only coarsens the pmf, so the entropy never grows.
+    Zero-mass bins are dropped.  With `max_support` (odd, 3 to 19), outer
+    bins are folded together first so that the support fits the LP cap;
+    the fold only coarsens the pmf, so the entropy never grows.
     """
     source = table.source
     if max_support is not None:
         if max_support < 3 or max_support % 2 == 0:
             raise ValueError(f"max_support must be an odd integer >= 3, got {max_support}")
+        if max_support > _MAX_SUPPORT:
+            raise ValueError(
+                f"support cap {max_support} exceeds the largest supported, {_MAX_SUPPORT}")
         table = fold_bin_table(table, (max_support - 1) // 2)
     keep = table.prob > 0.0
     pmf = QuantizedPmf(table.centroid[keep], table.prob[keep])

@@ -53,7 +53,6 @@ __all__ = [
 SCHEME_IDS = ("weak", "jointly_gaussian", "optimal_high_key", "quantized_greedy", "lp_quantized")
 
 _LN2 = math.log(2.0)
-_GRID_SEED = 512  # columns of largest bound that `verify_jointly_gaussian_grid` tests first
 _GRID_BLOCK = 8192  # grid entries per block of whole rows of bounds: 64 KB temporaries
 _Y_PANELS, _T_PANELS = 6, 16  # Gauss-Legendre panels of the sign-split quadrature's two integrals
 _QUAD_BLOCK = 8192  # tensor nodes per block of that quadrature: 64 KB temporaries
@@ -190,21 +189,21 @@ def verify_jointly_gaussian_grid(
     feasibility test is tried at the three grid points from
     top = floor(a+/step) + 1 down; g grows with a, so the least (a, b, c)
     index among these per-(b, c) maxima is the least maximizer.  It runs
-    first on the `_GRID_SEED` columns (b, c) of largest bound = g at top,
-    then on those whose bound reaches the best g found (on all if none).
+    first on the row b = 0, home of the continuous optimum (a, 0, 0), for a
+    level, then on the columns (b, c) whose bound = g at top >= level.
     Sign flips (a,b,c) -> (|a|,|b|,c*sign(ab)) preserve g, det and both
     constraints, so nonnegative a, b suffice; axis entry k is k*step.
-    bound, the only full-grid array, is filled in blocks of whole rows
-    (b values) of about `_GRID_BLOCK` entries, so temporaries stay near
-    64 KB; the scans recompute top on their own columns, and nothing is
-    cached across calls.  Each entry is one expression whatever the block.
+    bound, the only grid-sized array, covers the leading rows with 1 - b^2
+    >= level, in blocks of whole rows (b values) of about `_GRID_BLOCK`
+    entries (64 KB temporaries; each entry one expression whatever the
+    block); the scans recompute top, and nothing is cached across calls.
 
     Exactness.  The 1e-12 slacks and rounding move the test's roots in a,
     and the computed a+, by under sqrt(2e-12) < 2e-6 each, so for step >
     4e-6 the largest passing index is within one of floor(a+/step).
     Finer grids (over 1e11 points) cannot be allocated.  No column passes
-    above top and rounding is monotone, so bound >= g exactly: a skipped
-    column has g below an attained value and can neither hold nor tie it.
+    above top, a <= 1 and rounding is monotone, so g <= bound <= 1 - b^2
+    exactly: a skipped row or column has g below an attained value.
     """
     if not 0.0 < step <= 0.05:
         raise ValueError(f"grid step must lie in (0, 0.05], got {step}")
@@ -224,14 +223,6 @@ def verify_jointly_gaussian_grid(
         a_plus = x * y + np.sqrt(np.maximum(peak - d_need, 0.0))
         return peak, np.minimum(np.floor(a_plus / step).astype(int) + 1, n)
 
-    bound = np.empty((n + 1, axis_full.size))
-    rows = max(_GRID_BLOCK // axis_full.size, 1)
-    for lo in range(0, n + 1, rows):
-        x = axis_pos[lo:lo + rows, None]
-        x2 = x * x
-        _, top = top_of(x, x2, axis_full, c_free, rate_floor)
-        np.subtract(np.square(axis_pos[np.maximum(top, 0)]), x2, out=bound[lo:lo + rows])
-
     def scan(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Highest passing a index of top, top-1, top-2 per column (-1 if none), and its g."""
         i, j = np.divmod(cols, axis_full.size)
@@ -250,8 +241,15 @@ def verify_jointly_gaussian_grid(
         return best, np.where(best >= 0, np.square(axis_pos[np.maximum(best, 0)]) - x2, -math.inf)
 
     # Never empty: (a, b) = (0, 0) with |c| < 1 gives det = 1 - c^2 and both needs 0.
-    _, seed_g = scan(np.argpartition(bound, -_GRID_SEED, axis=None)[-_GRID_SEED:])
-    cols = np.flatnonzero(bound >= seed_g.max())
+    level = scan(np.arange(axis_full.size))[1].max()  # the row b = 0
+    bound = np.empty((np.count_nonzero(1.0 - axis_pos * axis_pos >= level), axis_full.size))
+    rows = max(_GRID_BLOCK // axis_full.size, 1)
+    for lo in range(0, len(bound), rows):
+        x = axis_pos[lo:min(lo + rows, len(bound)), None]
+        x2 = x * x
+        _, top = top_of(x, x2, axis_full, c_free, rate_floor)
+        np.subtract(np.square(axis_pos[np.maximum(top, 0)]), x2, out=bound[lo:lo + rows])
+    cols = np.flatnonzero(bound >= level)
     best, g = scan(cols)
     pick = np.lexsort((best, -g))[0]  # largest g, then least a index, then least flat (b, c)
     i, j = divmod(int(cols[pick]), axis_full.size)

@@ -152,8 +152,7 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         xs *= source.std
         xs += source.mean
         np.divide(np.subtract(xs, source.mean, out=t), table.step, out=t)
-        np.clip(np.rint(t, out=t), -k, k, out=t)
-        r[:] = np.add(t, k, out=t)
+        r[:] = np.add(np.rint(t, out=t), k, out=t)  # take's "clip" mode clamps it to 0..2k
         for points, sq in ((bob_points, b), (eve_points, e)):
             np.square(np.subtract(np.take(points, r, out=sq, mode="clip"), xs, out=sq), out=sq)
         bob_total += float(b.sum())

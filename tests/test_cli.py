@@ -262,6 +262,15 @@ class TestLp:
         assert captured.out == ""
         assert captured.err.startswith("error: max_support")
 
+    def test_support_above_the_largest_rejected_below_the_entropy(self, capsys):
+        # At r = 1 the pmf's entropy exceeds the rate: the cap must be
+        # checked before the message-rate gate, which would print an
+        # infeasible row and exit 0.
+        assert run_cli(["lp", "--t", "0.3", "--r", "1", "--rs", "0.5", "--max-support", "41"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: support cap 41 exceeds the largest supported, 19")
+
     def test_key_rate_past_every_entropy(self, capsys):
         # Every key rate above the largest candidate entropy (log2(11)
         # bits at most) has the same D and exits 0, however large: the

@@ -132,6 +132,10 @@ class TestBuildQuantizedPmf:
         with pytest.raises(ValueError, match=r"^max_support must be an odd integer >= 3"):
             build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0), max_support=cap)
 
+    def test_support_above_the_largest_rejected(self):
+        with pytest.raises(ValueError, match=r"^support cap 41 exceeds the largest supported, 19$"):
+            build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.0), max_support=41)
+
     def test_smallest_cap_folds_to_three_points(self):
         pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.6), max_support=3)
         assert pmf.points.size == 3

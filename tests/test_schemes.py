@@ -244,19 +244,19 @@ class TestGridCertificate:
 
     @pytest.mark.parametrize("r, rs", sorted(THM2_GRID_RESULTS))
     def test_coarsest_grid_has_more_columns_than_the_seed(self, r, rs):
-        # Step 0.05, the coarsest accepted, gives 21 * 41 = 861 columns: the
-        # seed must fit in them and leave some to prune.
-        assert schemes_module._GRID_SEED < 21 * 41
+        # Step 0.05, the coarsest accepted, gives 21 * 41 = 861 columns; the
+        # seed, the row rho_xu = 0 that sets the level, is 41 of them and
+        # leaves the rest to prune.
         rates = RatePair(r, rs)
         assert verify_jointly_gaussian_grid(rates, 0.05) == reference_grid_certificate(rates, 0.05)
 
     @pytest.mark.parametrize("r, rs", [(0.0, 0.0), (0.0, 1.3), (1.3, 0.0), (1.0, 1.0)])
-    def test_one_column_seed_matches_the_reference(self, monkeypatch, r, rs):
-        # With a one-column seed, the column of largest bound fails its
-        # test at the first three pairs, so the scan falls back to every
-        # column; at (1, 1) it passes and prunes.  Both must give the
-        # reference's result.
-        monkeypatch.setattr(schemes_module, "_GRID_SEED", 1)
+    def test_one_column_seed_matches_the_reference(self, r, rs):
+        # The pairs where a one-column seed once failed its test and fell
+        # back to every column (the first three) or passed and pruned (1, 1).
+        # With a zero rate the seed row's level is 0, so every row gets a
+        # bound and every column whose bound is >= 0 is scanned; at (1, 1)
+        # the level prunes.  Both must give the reference's result.
         rates = RatePair(r, rs)
         assert verify_jointly_gaussian_grid(rates, 0.05) == reference_grid_certificate(rates, 0.05)
 
@@ -319,6 +319,21 @@ class TestGridCertificate:
             tracemalloc.stop()
         assert peak < limit, f"peak {peak} bytes, limit {limit:.0f}"
         assert retained < 64 * 1024, f"{retained} bytes retained"
+
+    def test_bounds_only_the_rows_that_can_reach_the_level(self):
+        # At (2, 2) the level from the row rho_xu = 0 is 0.931225, so only
+        # the 53 rows with 1 - rho_xu^2 >= level get a bound: the peak stays
+        # below 1.5 full-grid arrays, where a full bound array alone is one.
+        n = 200
+        limit = 1.5 * 8 * (n + 1) * (2 * n + 1)
+        verify_jointly_gaussian_grid(RatePair(1.0, 0.5), 0.05)  # numpy's first-call setup
+        tracemalloc.start()
+        try:
+            verify_jointly_gaussian_grid(RatePair(2.0, 2.0), 0.005)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, f"peak {peak} bytes, limit {limit:.0f}"
 
     @pytest.mark.parametrize("step", [0.05, 0.02, 0.01, 0.005])
     def test_axes_are_integer_multiples_of_the_step(self, step):
