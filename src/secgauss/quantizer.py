@@ -7,10 +7,10 @@ All entropy and distortion summaries of a quantized source are computed
 from these tables, but for the step search's candidate entropies, which
 the same code takes from the bin masses alone.  Bins grouped by a
 function of the index (residue mod n, magnitude, or the outer bins
-merged by a fold) are merged by one routine, `_class_moments`, which
-gives each group's mass, mean and variance by the law of total variance
-in one vectorized pass, also for the residues mod many moduli at once,
-stacked in cache-sized blocks.
+merged by a fold) are merged by one routine, `_class_moments`: each
+group's mass and mean, and each bin's spread about its group mean, whose
+sum is Eve's error, in one vectorized pass, also for the residues mod
+many moduli at once, stacked in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -152,34 +152,33 @@ def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
 
     # Fold the nonnegative half, then mirror it so the result is exactly symmetric.
     half = [col[k_old:] for col in (table.prob, table.centroid, table.within_var)]
-    merged = _class_moments(table, np.minimum(table.indices[k_old:], int(max_index)), half)
-    return _mirrored(*merged, table.source, table.step)
+    labels = np.minimum(table.indices[k_old:], int(max_index))
+    mass, mean, spread = _class_moments(table, labels, half)
+    # The law of total variance: class spread / class mass, a massless class 0.
+    var = np.divide(np.bincount(labels, weights=spread), mass, out=np.zeros(mass.size),
+                    where=mass > 0.0)
+    return _mirrored(mass, mean, var, table.source, table.step)
 
 
 def _class_moments(table: BinTable, labels: np.ndarray, columns=None):
-    """Mass, mean and variance of each class of bins.
+    """Mass and mean of each class of bins, and each row's spread about its class mean.
 
     `labels` gives the nonnegative integer class of each row of `columns`
-    (prob, centroid, within_var; the table's by default); entry u of each
-    array is over the rows labelled u, summed in row order.  The variance
-    is the law of total variance, (sum p*v + sum p*(c - class mean)**2) /
-    class mass, so no square of a mean is ever subtracted.  A class
-    without mass gets the source mean and zero variance; a row without mass adds exactly 0.
+    (prob, centroid, within_var; the table's by default); mass and mean are
+    summed in row order.  A row's spread is p*(v + (c - class mean)**2),
+    exactly 0 without mass; a class without mass has the source mean.
     """
     p, c, v = columns or (table.prob, table.centroid, table.within_var)
     mass = np.bincount(labels, weights=p)
-    has_mass = mass > 0.0
     mean = np.divide(np.bincount(labels, weights=p * c), mass,
-                     out=np.full(mass.size, table.source.mean), where=has_mass)
+                     out=np.full(mass.size, table.source.mean), where=mass > 0.0)
     dev = c - mean.take(labels)
     if not p.all():  # rows without mass: at huge steps their squared gap would overflow
         dev[p == 0.0] = 0.0
-    dev = np.multiply(p, np.add(v, np.square(dev, out=dev), out=dev), out=dev)
-    var = np.divide(np.bincount(labels, weights=dev), mass, out=np.zeros(mass.size), where=has_mass)
-    return mass, mean, var
+    return mass, mean, np.multiply(p, np.add(v, np.square(dev, out=dev), out=dev), out=dev)
 
 
-def _conditional_entropy(table: BinTable, labels: np.ndarray, sizes=(), columns=None) -> list:
+def _conditional_entropy(table: BinTable, labels: np.ndarray, columns=None) -> list:
     """Entropy in bits of the output given its class: -sum_i p_i log2(p_i / P(class of i)).
 
     One per table-long labelling stacked in `labels`, with `columns` (prob,) to
@@ -199,16 +198,15 @@ def _conditional_entropy(table: BinTable, labels: np.ndarray, sizes=(), columns=
     return (0.0 - np.vecdot(p.reshape(rows), ratio.reshape(rows)) / math.log(2.0)).tolist()
 
 
-def _eve_mmse(table: BinTable, labels: np.ndarray, sizes, columns=None) -> list:
-    """Least mean squared error of an estimator that sees only the class, per labelling."""
-    mass, _, var = _class_moments(table, labels, columns)
-    w = table.prob.size
-    return [float(mass[j * w:j * w + n].dot(var[j * w:j * w + n])) for j, n in enumerate(sizes)]
+def _eve_mmse(table: BinTable, labels: np.ndarray, columns=None) -> list:
+    """Least mean squared error given the class: the summed spread of each stacked labelling."""
+    spread = _class_moments(table, labels, columns)[2]
+    return spread.reshape(-1, table.prob.size).sum(axis=1).tolist()
 
 
 def _residue_sweep(table: BinTable, moduli, columns, stat):
-    """`stat(table, labels, sizes, columns)` over blocks of residue labellings of `moduli`,
-    stacked to _RESIDUE_BLOCK entries: labelling j's `sizes[j]` classes start at j * width."""
+    """`stat(table, labels, columns)` over blocks of residue labellings of `moduli`, stacked
+    to _RESIDUE_BLOCK entries: labelling j's classes start at j * width."""
     f = np.asarray(moduli, dtype=float)
     if not np.all((f >= 1.0) & (f == np.floor(f)) & (f < math.inf)):
         raise ValueError(f"modulus must be an integer >= 1, got {moduli}")
@@ -220,7 +218,7 @@ def _residue_sweep(table: BinTable, moduli, columns, stat):
     for block in np.split(caps, range(rows, caps.size, rows)):
         labels = np.mod(table.indices, block[:, None])
         labels[1:] += np.arange(table.prob.size, labels.size, table.prob.size)[:, None]
-        out += stat(table, labels.ravel(), block.tolist(), [c[:labels.size] for c in tiled])
+        out += stat(table, labels.ravel(), [c[:labels.size] for c in tiled])
     return out[0] if f.ndim == 0 else np.array(out, dtype=float).reshape(f.shape)
 
 
@@ -289,7 +287,7 @@ def eve_mmse_given_magnitude(table: BinTable) -> float:
     value must equal the source variance; that identity is asserted.
     """
     _require_symmetric(table)
-    mmse = _eve_mmse(table, np.abs(table.indices), [table.max_index + 1])[0]
+    mmse = _eve_mmse(table, np.abs(table.indices))[0]
     expected = table.source.variance
     if abs(mmse - expected) > 1e-9 * max(1.0, expected):
         raise SolverError(f"magnitude-only MMSE {mmse} differs from the source variance {expected}")

@@ -39,14 +39,13 @@ class Check:
         return f"{status} {self.name}: measured={self.measured:.9g} expected {self.expected}"
 
 
-def gaussian_grid_suite(step: float = 0.005) -> list[Check]:
-    """Grid certificates for the jointly Gaussian payoff at twelve rate pairs."""
+def gaussian_grid_suite() -> list[Check]:
+    """Grid certificates at step 0.005 for the jointly Gaussian payoff at twelve rate pairs."""
     return [Check(name=f"grid_payoff r={r:g} rs={rs:g}", measured=g,
-                  expected=f"{target:.9g} within {2.0 * step:g}",
-                  passed=abs(g - target) <= 2.0 * step)
+                  expected=f"{target:.9g} within 0.01", passed=abs(g - target) <= 0.01)
             for r in (0.5, 1.0, 2.0) for rs in (0.25, 0.5, 1.0, 2.0)
             for target, (g, _) in [(1.0 - 2.0 ** (-2.0 * min(r, rs)),
-                                    verify_jointly_gaussian_grid(RatePair(r, rs), step))]]
+                                    verify_jointly_gaussian_grid(RatePair(r, rs), 0.005))]]
 
 
 def entropy_limit_suite() -> list[Check]:

@@ -13,6 +13,7 @@ from subset_reference import dense_subset_candidates
 from secgauss import (
     STANDARD_SOURCE,
     CandidateSet,
+    FiniteJoint,
     GaussianSource,
     GreedyQuantizedScheme,
     LpSolution,
@@ -22,6 +23,7 @@ from secgauss import (
     build_bin_table,
     build_quantized_pmf,
     enumerate_subset_candidates,
+    evaluate_finite_strategy,
     solve_secrecy_lp,
     step_size_for_entropy,
     sweep_secrecy_lp,
@@ -725,3 +727,31 @@ class TestMixtureMonteCarlo:
         key_use = float(np.dot(sol.weights[active], ent))  # at most rs, as the solver checks
         freq = np.bincount(subset, minlength=active.size) / n
         assert float(np.dot(freq, ent)) == pytest.approx(key_use, abs=0.01)
+
+
+class TestMixtureRegionOracle:
+    """The LP's optimal mixtures scored by the finite-strategy evaluator, which shares no code
+    with the LP: X = Y = the support point and U = the disclosed subset, with
+    pmf[i, i, S] = w_S * p_i / P(S) for each point i of each active subset S.
+    """
+
+    def test_golden_instance_matches_key_use_and_value(self):
+        # The instance of tests/golden/lp.txt: t = 1, R = 5, support 9, rs 0:2:0.25.
+        table = build_bin_table(STANDARD_SOURCE, 1.0)
+        pmf = build_quantized_pmf(table, max_support=9)
+        cands = enumerate_subset_candidates(pmf, 9)
+        k = pmf.points.size
+        key_rates = [0.25 * i for i in range(9)]
+        for rs, sol in zip(key_rates, sweep_secrecy_lp(pmf, 5.0, key_rates, cands)):
+            active = np.flatnonzero(sol.weights > 0.0)
+            member = (cands.masks[active] >> np.arange(k)[:, None] & 1).astype(float)
+            joint = np.zeros((k, k, active.size))
+            joint[np.arange(k), np.arange(k)] = (member * pmf.probs[:, None]
+                                                 * (sol.weights[active] / (pmf.probs @ member)))
+            report = evaluate_finite_strategy(
+                FiniteJoint(pmf.points, pmf.points, np.arange(active.size), joint), table.source)
+            key_use = float(np.dot(sol.weights, cands.entropy_bits))
+            assert report.i_xy_given_u == pytest.approx(key_use, abs=1e-12), rs
+            assert float(report.payoff) == pytest.approx(
+                sol.value / table.source.variance, abs=1e-12), rs
+            assert report.i_x_uy == pytest.approx(pmf.entropy_bits(), abs=1e-12), rs

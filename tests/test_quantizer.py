@@ -580,6 +580,14 @@ class TestClassStatisticsMatchReference:
             assert np.array_equal(got.centroid, ref.centroid)
             assert np.array_equal(got.within_var, ref.within_var)
 
+    def test_eve_mmse_at_rate7_width(self, rate7_scalars):
+        # The drawn tables above have at most 13 bins; greedy_sweep runs 221-443.
+        table, _ = rate7_scalars
+        tol = 1e-12 * max(1.0, second_moment(table))
+        moduli = [1, 2, 3, 7, 64, 221, 222, 442, 443]
+        for n, got in zip(moduli, eve_mmse_given_residue(table, np.array(moduli))):
+            assert got == pytest.approx(ref_eve_mmse_given_residue(table, n), abs=tol), n
+
     @pytest.mark.parametrize("stat", [entropy_given_residue, eve_mmse_given_residue])
     # One entry, N - 1, N, N + 1, 2N and 3N entries for the N = 443 bins at R = 7.
     @pytest.mark.parametrize("block", [1, 442, 443, 444, 886, 1329])

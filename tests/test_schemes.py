@@ -571,6 +571,37 @@ class TestGreedyMonteCarlo:
         assert plug_in == pytest.approx(need, abs=0.01)
 
 
+@pytest.fixture(scope="module")
+def plan_rate6():
+    return GreedyQuantizedScheme(6.0)
+
+
+class TestGreedyRegionOracle:
+    """Greedy plans scored by the finite-strategy evaluator, which shares no code with the
+    residue sweep: X = the bin centroid, Y = its lattice point, U = the index mod the plan's
+    divisor.  I(X;Y|U) is then the plan's key need, and the within-bin variances cancel
+    between Eve's error and Bob's, so the payoff is the plan's.
+    """
+
+    @pytest.mark.parametrize("plan_name", ["plan", "plan_rate6"])
+    def test_plans_match_key_need_and_payoff(self, request, plan_name):
+        plan = request.getfixturevalue(plan_name)
+        table = plan.table
+        width = table.prob.size
+        lattice = table.source.mean + table.indices * table.step
+        for rs in (0.05, 0.25, 0.5, 0.75):
+            point = plan.evaluate(rs)
+            n_mod = point.meta["n_mod"]
+            joint = np.zeros((width, width, n_mod))
+            joint[np.arange(width), np.arange(width), np.mod(table.indices, n_mod)] = table.prob
+            report = evaluate_finite_strategy(
+                FiniteJoint(table.centroid, lattice, np.arange(n_mod), joint), table.source)
+            need = rs - point.meta["slack_bits"]
+            assert report.i_xy_given_u == pytest.approx(need, abs=1e-12), rs
+            assert float(report.payoff) == pytest.approx(float(point.payoff), abs=1e-12), rs
+            assert report.i_x_uy == pytest.approx(plan.entropy_bits, abs=1e-12), rs
+
+
 class TestPayoffPoint:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
