@@ -12,13 +12,7 @@ import math
 import sys
 
 from .errors import InfeasibleError, SolverError
-from .lp import (
-    DEFAULT_SUPPORT_CAP,
-    build_quantized_pmf,
-    covers_entropy,
-    enumerate_subset_candidates,
-    sweep_secrecy_lp,
-)
+from .lp import build_quantized_pmf, covers_entropy, enumerate_subset_candidates, sweep_secrecy_lp
 from .model import GaussianSource, RatePair
 from .quantizer import (
     bob_distortion,
@@ -46,6 +40,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
+
+# Default of --max-support and --lp-max-support: the support the LP pmf is folded to.
+DEFAULT_SUPPORT_CAP = 15
 
 # Longest START:STOP:STEP grid accepted, far beyond any useful sweep; the
 # length is checked before the grid is built.
@@ -211,14 +208,9 @@ def _curve_rows(scheme: str, r: float, rs_grid, source, args) -> list[str]:
             return _infeasible_rows(scheme, r, rs_grid, None, str(exc))
         for rs in rs_grid:
             point = plan.evaluate(rs)
-            meta = point.meta
-            note = "" if meta["feasible"] else "no feasible modulus within key budget"
-            rows.append(
-                _csv_row(
-                    scheme, r, rs, point.payoff.value, meta["t"], meta["n_mod"],
-                    bool(meta["feasible"]), note,
-                )
-            )
+            note = "" if point.feasible else "no feasible modulus within key budget"
+            rows.append(_csv_row(scheme, r, rs, point.payoff.value, plan.step, point.n_mod,
+                                 point.feasible, note))
         return rows
     if scheme == "lp_quantized":
         if r == 0.0:
@@ -258,9 +250,6 @@ def cmd_sim(args) -> int:
         r = args.r if args.r is not None else sys.float_info.max
         rs = args.rs if args.rs is not None else (1.0 if args.scheme == "sign_pad" else 0.0)
 
-    # Under no_key Eve decodes the message exactly, so Bob's best play
-    # is the same centroid estimate and the payoff is exactly zero.
-    recon = "centroid" if args.scheme == "no_key" else "lattice"
     config = SimConfig(
         scheme=args.scheme,
         scenario=args.scenario,
@@ -268,7 +257,6 @@ def cmd_sim(args) -> int:
         step=step,
         n_symbols=args.n,
         seed=args.seed,
-        reconstruction=recon,
     )
     result = run_sim(config, source)
     if args.r is None:
@@ -311,7 +299,7 @@ def _lp_rows(table, r, rs_grid, max_support, mode, mixtures: bool) -> list[str]:
     if not covers_entropy(pmf, r):
         return _infeasible_rows("lp_quantized", r, rs_grid, table.step,
                                 "rate below quantized entropy")
-    candidates = enumerate_subset_candidates(pmf, max_support, mode)
+    candidates = enumerate_subset_candidates(pmf, mode)
     rows = []
     for rs, sol in zip(rs_grid, sweep_secrecy_lp(pmf, r, rs_grid, candidates)):
         note = f"support={pmf.points.size}"

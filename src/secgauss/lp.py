@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverError
-from .model import RatePair, _frozen, _pmf, entropy_bits
+from .model import RatePair, _frozen, _pmf, _whole, entropy_bits
 from .quantizer import BinTable, fold_bin_table
 from .simplex import linear_program_sweep
 
@@ -34,8 +34,7 @@ __all__ = [
     "sweep_secrecy_lp",
 ]
 
-DEFAULT_SUPPORT_CAP = 15
-# Largest support cap accepted; above it the 2**k subset masks are
+# Largest support enumerated; above it the 2**k subset masks are
 # refused before any is built.  Peak RSS of `lp --t 0.3 --r 9 --rs 0.5`:
 # 40 MB at support 15, 63 MB at 17, 162 MB at 19.
 _MAX_SUPPORT = 19
@@ -129,7 +128,7 @@ def build_quantized_pmf(table: BinTable, max_support: Optional[int] = None) -> Q
     """
     source = table.source
     if max_support is not None:
-        if max_support < 3 or max_support % 2 == 0:
+        if not _whole(max_support) or max_support < 3 or max_support % 2 == 0:
             raise ValueError(f"max_support must be an odd integer >= 3, got {max_support}")
         if max_support > _MAX_SUPPORT:
             raise ValueError(
@@ -143,18 +142,14 @@ def build_quantized_pmf(table: BinTable, max_support: Optional[int] = None) -> Q
     return pmf
 
 
-def enumerate_subset_candidates(
-    pmf: QuantizedPmf,
-    k_cap: int = DEFAULT_SUPPORT_CAP,
-    mode: str = "continuous",
-) -> CandidateSet:
+def enumerate_subset_candidates(pmf: QuantizedPmf, mode: str = "continuous") -> CandidateSet:
     """All subset restrictions of the pmf, in ascending bitmask order.
 
     Candidate for subset S: the pmf renormalized on S.  Mixtures of
     these realize every "reveal which subset the symbol fell in"
-    disclosure.  Subsets of zero mass are left out.  Supports larger
-    than k_cap are refused outright rather than approximated, and so is
-    a k_cap above `_MAX_SUPPORT`, before any mask is built.
+    disclosure.  Subsets of zero mass are left out.  A support of more
+    than `_MAX_SUPPORT` points is refused outright rather than
+    approximated, before any mask is built.
 
     A candidate's score is the least squared error of an eavesdropper
     who knows its posterior: the variance in `continuous` mode; in
@@ -163,13 +158,10 @@ def enumerate_subset_candidates(
     """
     if mode not in _SCORE_MODES:
         raise ValueError(f"unknown score mode {mode!r}")
-    if k_cap > _MAX_SUPPORT:
-        raise ValueError(f"support cap {k_cap} exceeds the largest supported, {_MAX_SUPPORT}")
     k = int(pmf.points.size)
-    if k > k_cap:
-        raise ValueError(
-            f"support size {k} exceeds the cap {k_cap}; fold the pmf or raise the cap"
-        )
+    if k > _MAX_SUPPORT:
+        raise ValueError(f"support size {k} exceeds the largest supported, {_MAX_SUPPORT};"
+                         " fold the pmf (build_quantized_pmf's max_support)")
     pts, probs = pmf.points, pmf.probs
     # Entry S describes the subset with bitmask S.  The subsets whose
     # highest point is j are R + {j} for every R below 2**j; each merges

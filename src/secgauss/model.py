@@ -141,6 +141,14 @@ def _pmf(values) -> np.ndarray:
     return p
 
 
+def _whole(value) -> bool:
+    """Whether `value` is a whole number: the integer inputs' one rule, which inf and NaN fail."""
+    try:
+        return int(value) == value
+    except (OverflowError, ValueError):
+        return False
+
+
 def payoff(x: float, y: float, z: float, source: GaussianSource) -> float:
     """Per-symbol payoff: eavesdropper loss minus decoder loss, normalized.
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .model import GaussianSource, RatePair, _frozen, _masses, _pmf, entropy_bits, truncated_moments
+from .model import (GaussianSource, RatePair, _frozen, _masses, _pmf, _whole, entropy_bits,
+                    truncated_moments)
 
 __all__ = [
     "BinTable",
@@ -143,7 +144,7 @@ def _mirrored(p, c, v, source: GaussianSource, step: float) -> BinTable:
 
 def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
     """Merge all bins with |index| >= max_index into the +-max_index bins."""
-    if int(max_index) != max_index or max_index < 1:
+    if not _whole(max_index) or max_index < 1:
         raise ValueError(f"max_index must be an integer >= 1, got {max_index}")
     k_old = table.max_index
     if max_index >= k_old:

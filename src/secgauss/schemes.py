@@ -24,6 +24,7 @@ from .model import (
     RatePair,
     _frozen,
     _pmf,
+    _whole,
     entropy_bits,
 )
 from .quantizer import (
@@ -61,16 +62,20 @@ _MAX_SWEEP = 250_000_000  # n_max * table width: entries the greedy's residue sw
 
 @dataclass(frozen=True)
 class PayoffPoint:
-    """One evaluated point of a scheme's rate-payoff curve."""
+    """The greedy scheme at one key rate: its payoff and the divisor it discloses the index by.
+
+    `feasible` is whether the residue mod `n_mod` fits the key rate, and
+    `slack_bits` is the key rate minus the residue's key need (negative
+    when infeasible).
+    """
 
     rates: RatePair
-    scheme_id: str
     payoff: PayoffValue
-    meta: Optional[dict] = None
+    n_mod: int
+    feasible: bool
+    slack_bits: float
 
     def __post_init__(self) -> None:
-        if self.scheme_id not in SCHEME_IDS:
-            raise ValueError(f"unknown scheme_id {self.scheme_id!r}")
         # No scheme beats perfect secrecy at its message rate.
         cap = 1.0 - 2.0 ** (-2.0 * self.rates.rate)
         if self.payoff.value > cap + 1e-9:
@@ -334,7 +339,7 @@ class GreedyQuantizedScheme:
         *,
         n_max: Optional[int] = None,
     ) -> None:
-        if n_max is not None and (int(n_max) != n_max or n_max < 1):
+        if n_max is not None and (not _whole(n_max) or n_max < 1):
             raise ValueError(f"n_max must be an integer >= 1, got {n_max}")
         RatePair(rate_bits, 0.0)  # a ValueError for a non-finite or negative rate
         if rate_bits == 0.0:
@@ -359,30 +364,16 @@ class GreedyQuantizedScheme:
         var = self.source.variance
         feasible = self._cond_entropy <= key_rate_bits + 1e-12
         payoffs = (self._eve_mmse - self.bob_mse) / var
-        if feasible.any():
+        ok = bool(feasible.any())
+        if ok:
             masked = np.where(feasible, payoffs, -math.inf)
             # Payoffs within 1e-12 tie (n = 1 and n = 2 are equal at low rate
             # but for rounding), and ties go to the smallest divisor.
             pick = int(np.argmax(masked >= masked.max() - 1e-12))
-            ok = True
         else:
             pick = int(np.argmin(self._cond_entropy - key_rate_bits))
-            ok = False
-        meta = {
-            "t": self.step,
-            "n_mod": pick + 1,
-            "feasible": ok,
-            "slack_bits": float(key_rate_bits - self._cond_entropy[pick]),
-            "entropy_bits": self.entropy_bits,
-            "reconstruction": "lattice",
-            "n_max": self.n_max,
-        }
-        return PayoffPoint(
-            rates=rates,
-            scheme_id="quantized_greedy",
-            payoff=PayoffValue(float(payoffs[pick])),
-            meta=meta,
-        )
+        return PayoffPoint(rates, PayoffValue(float(payoffs[pick])), pick + 1, ok,
+                           float(key_rate_bits - self._cond_entropy[pick]))
 
 
 def evaluate_finite_strategy(joint: FiniteJoint, source: GaussianSource) -> FiniteStrategyReport:

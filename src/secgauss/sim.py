@@ -1,12 +1,13 @@
 """Seeded Monte Carlo of the quantize-encrypt-estimate game.
 
 Each scheme quantizes the source symbol by symbol, one-time-pads part
-of the index, and sends the rest in clear.  Bob reconstructs per the
-configured rule (lattice point or bin centroid); the eavesdropper plays
-her exact conditional-mean estimate given what she can see.  An i.i.d.
-source and per-symbol schemes make all causal histories uninformative,
-so the three eavesdropper scenarios differ in bookkeeping only; the
-simulator accepts them and verifies nothing depends on them.
+of the index, and sends the rest in clear.  Bob reconstructs at the bin
+centroid under no_key and at the lattice point otherwise; the
+eavesdropper plays her exact conditional-mean estimate given what she
+can see.  An i.i.d. source and per-symbol schemes make all causal
+histories uninformative, so the three eavesdropper scenarios differ in
+bookkeeping only; the simulator accepts them and verifies nothing
+depends on them.
 
 Randomness: numpy Generator over the PCG64 bit generator, seeded from
 the config; source symbols via its standard_normal transform.  The
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleError
-from .model import GaussianSource, RatePair, entropy_bits
+from .model import GaussianSource, RatePair, _whole, entropy_bits
 from .quantizer import _class_moments, _step, build_bin_table, output_entropy, step_size_for_entropy
 
 __all__ = [
@@ -49,10 +50,9 @@ _BLOCK = 1 << 14
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: scheme, eavesdropper scenario, rates, step, size, seed, Bob's rule.
+    """One simulation run: scheme, eavesdropper scenario, rates, step, size and seed.
 
     `step` is None exactly for full_encryption, which derives it to fit min(rate, key_rate).
-    Bob reconstructs a bin at its `reconstruction`: lattice point or centroid.
     """
 
     scheme: str
@@ -61,7 +61,6 @@ class SimConfig:
     step: Optional[float]
     n_symbols: int
     seed: int
-    reconstruction: str = "lattice"
 
     def __post_init__(self) -> None:
         if self.scheme not in SIM_SCHEMES:
@@ -72,13 +71,11 @@ class SimConfig:
             raise ValueError("full_encryption derives its step; every other scheme needs one")
         if self.step is not None:
             _step(self.step)
-        if self.reconstruction not in ("lattice", "centroid"):
-            raise ValueError(f"unknown reconstruction rule {self.reconstruction!r}")
-        if int(self.n_symbols) != self.n_symbols or not 1 <= self.n_symbols <= _MAX_SYMBOLS:
+        if not _whole(self.n_symbols) or not 1 <= self.n_symbols <= _MAX_SYMBOLS:
             raise ValueError(
                 f"n_symbols must be an integer in [1, {_MAX_SYMBOLS}], got {self.n_symbols}"
             )
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        if not _whole(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
 
@@ -109,16 +106,16 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     inconsistent.
     """
     rates = config.rates
-    recon = config.reconstruction
     if config.scheme == "full_encryption":
         table = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
     else:
         table = build_bin_table(source, config.step)
     h_table = output_entropy(table)
 
-    # Bob's and Eve's estimate for each table row (index n at row n + k).
+    # Bob's and Eve's estimate for each table row (index n at row n + k);
+    # Bob's is the lattice point but under no_key.
     k = table.max_index
-    bob_points = table.centroid if recon == "centroid" else source.mean + table.indices * table.step
+    bob_points = source.mean + table.indices * table.step
     if config.scheme == "sign_pad":
         mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
         model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
@@ -126,7 +123,9 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         eve_points = pair_mean[np.abs(table.indices)]
     elif config.scheme == "no_key":
         model_rate, model_key = h_table, 0.0
-        eve_points = table.centroid
+        # Eve decodes the message exactly, so Bob's best play is the same
+        # centroid estimate and the payoff is exactly zero.
+        eve_points = bob_points = table.centroid
     else:
         # The pad makes the whole message independent of the symbol.
         model_rate, model_key = h_table, h_table

@@ -167,7 +167,7 @@ def _brute_force_lp(pmf, rs):
 def test_criterion_5_lp_endpoints_and_oracle(criterion_report):
     """Endpoints, monotonicity, brute-force agreement, hand instance."""
     pmf = build_quantized_pmf(build_bin_table(SRC, 1.0), max_support=9)
-    cands = enumerate_subset_candidates(pmf, 9)
+    cands = enumerate_subset_candidates(pmf)
     h = pmf.entropy_bits()
     var = pmf.variance()
 
@@ -224,7 +224,7 @@ def test_criterion_6_greedy_beats_gaussian(criterion_report):
     for rs in np.arange(0.05, 1.0, 0.05):
         rs = float(rs)
         point = plan.evaluate(rs)
-        if not point.meta["feasible"]:
+        if not point.feasible:
             continue
         within_cap = within_cap and point.payoff.value <= cap + 1e-6
         if point.payoff.value > jointly_gaussian_payoff(RatePair(r, rs)).value:
@@ -260,8 +260,7 @@ def test_criterion_7_simulation_concordance(criterion_report):
     target_fe = (SRC.variance - bob_distortion(table_fe, "lattice")) / SRC.variance
     zs.append(abs(res_fe.empirical_payoff - target_fe) / res_fe.std_error)
 
-    cfg_nk = SimConfig("no_key", "weak", RatePair(6.0, 0.0), step, n, seed,
-                       reconstruction="centroid")
+    cfg_nk = SimConfig("no_key", "weak", RatePair(6.0, 0.0), step, n, seed)
     res_nk = run_sim(cfg_nk, SRC)
     no_key_exact = res_nk.empirical_payoff == 0.0 and res_nk.std_error == 0.0
 
@@ -282,14 +281,9 @@ def test_criterion_7_simulation_concordance(criterion_report):
 def test_criterion_8_cross_module_identity(criterion_report):
     """Bookkeeping is exact and closed forms match their direct formulas."""
     worst_book = 0.0
-    for scheme, rs, recon in (
-        ("sign_pad", 1.0, "lattice"),
-        ("full_encryption", 2.0, "lattice"),
-        ("no_key", 0.0, "centroid"),
-    ):
+    for scheme, rs in (("sign_pad", 1.0), ("full_encryption", 2.0), ("no_key", 0.0)):
         step = None if scheme == "full_encryption" else 0.5
-        cfg = SimConfig(scheme, "weak", RatePair(6.0, rs), step, 5_000, 17,
-                        reconstruction=recon)
+        cfg = SimConfig(scheme, "weak", RatePair(6.0, rs), step, 5_000, 17)
         res = run_sim(cfg, SRC)
         worst_book = max(
             worst_book,

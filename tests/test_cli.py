@@ -223,11 +223,11 @@ class TestLp:
         # 2**19 - 1 candidates of support 19 must never be built.
         calls = []
 
-        def spy(pmf, k_cap, mode):
-            calls.append(k_cap)
-            if k_cap > 9:
+        def spy(pmf, mode):
+            calls.append(pmf.points.size)
+            if pmf.points.size > 9:
                 raise AssertionError("candidates enumerated for an infeasible message rate")
-            return enumerate_subset_candidates(pmf, k_cap, mode)
+            return enumerate_subset_candidates(pmf, mode)
 
         monkeypatch.setattr(secgauss.cli, "enumerate_subset_candidates", spy)
         code = run_cli(["lp", "--t", "0.3", "--r", "1", "--rs-range", "0:1:0.5",
@@ -520,7 +520,7 @@ code = main(["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "1", "--n", 
 from secgauss import STANDARD_SOURCE, build_bin_table, build_quantized_pmf
 from secgauss import enumerate_subset_candidates
 pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=19)
-code = 0 if len(enumerate_subset_candidates(pmf, 19)) == 2**19 - 1 else 1
+code = 0 if len(enumerate_subset_candidates(pmf)) == 2**19 - 1 else 1
 """
         assert child_peak_mb(code) < 150.0
 

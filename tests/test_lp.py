@@ -200,14 +200,25 @@ class TestEnumerateCandidates:
         cands = enumerate_subset_candidates(small_pmf)
         assert len(cands) == 2**5 - 1
 
-    def test_cap_enforced(self, small_pmf):
-        with pytest.raises(ValueError):
-            enumerate_subset_candidates(small_pmf, k_cap=4)
+    def test_cap_enforced(self):
+        k = lp_module._MAX_SUPPORT + 1
+        pmf = QuantizedPmf(np.arange(float(k)), np.full(k, 1.0 / k))
+        with pytest.raises(ValueError, match=f"support size {k} .* fold the pmf"):
+            enumerate_subset_candidates(pmf)
 
-    def test_support_cap_bounded(self, small_pmf):
-        assert len(enumerate_subset_candidates(small_pmf, k_cap=lp_module._MAX_SUPPORT)) == 31
-        with pytest.raises(ValueError, match="largest supported"):
-            enumerate_subset_candidates(small_pmf, k_cap=lp_module._MAX_SUPPORT + 1)
+    def test_support_cap_bounded(self):
+        # 2**64 subset masks cannot be built: the refusal must come first.
+        pmf = QuantizedPmf(np.arange(64.0), np.full(64, 1.0 / 64))
+        with pytest.raises(ValueError, match="largest supported, 19"):
+            enumerate_subset_candidates(pmf, mode="alphabet_restricted")
+
+    def test_default_candidates_take_supports_above_15(self):
+        # The default enumeration takes every support up to _MAX_SUPPORT;
+        # at 16 points the endpoints are no disclosure and full secrecy.
+        pmf = QuantizedPmf(np.arange(16.0), np.full(16, 1.0 / 16))
+        none, full = sweep_secrecy_lp(pmf, 9.0, [0.0, 4.0])
+        assert abs(none.value) <= 1e-9
+        assert full.value == pytest.approx(pmf.variance(), abs=1e-9)
 
     def test_posteriors_match_renormalization(self, small_pmf):
         cands = enumerate_subset_candidates(small_pmf)
@@ -244,7 +255,7 @@ def test_tiny_entropies_are_accurate():
     # entropies of 7.6e-11 to 1.5e-10 bits, where summing -q log q over a
     # renormalized row loses about six digits.
     pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 2.0), max_support=9)
-    cands = enumerate_subset_candidates(pmf, 9)
+    cands = enumerate_subset_candidates(pmf)
     for subset in ((0, 4), (4, 8), (0, 4, 8)):
         with mpmath.workdps(50):
             p = [mpmath.mpf(float(pmf.probs[j])) for j in subset]
@@ -549,7 +560,7 @@ class TestValueCurveSupport15:
 def lp_sweep_instance():
     """The 17-rate `lp --t 0.6 --r 3 --max-support 11` instance and its cold values."""
     pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.6), max_support=11)
-    cands = enumerate_subset_candidates(pmf, 11)
+    cands = enumerate_subset_candidates(pmf)
     grid = [i * 0.0625 for i in range(17)]
     cold = {rs: solve_secrecy_lp(pmf, RatePair(3.0, rs), cands).value for rs in grid}
     return pmf, cands, grid, cold
@@ -645,7 +656,7 @@ class TestWarmSweep:
         # solution and the pricing temporaries.  Solutions kept until the
         # sweep ends would add 17 more.
         pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=13)
-        cands = enumerate_subset_candidates(pmf, 13)
+        cands = enumerate_subset_candidates(pmf)
         rates = [i * 0.125 for i in range(17)]
         tracemalloc.start()
         try:
@@ -678,7 +689,7 @@ class TestDominatesGreedy:
         cands = enumerate_subset_candidates(pmf)
         for rs in (0.0, 0.25, 0.5, 1.0):
             point = plan.evaluate(rs)
-            assert point.meta["feasible"] and point.meta["t"] == plan.step
+            assert point.feasible
             lp = solve_secrecy_lp(pmf, RatePair(rate, rs), cands)
             assert lp.value / STANDARD_SOURCE.variance >= point.payoff.value - 1e-9
 
@@ -687,7 +698,7 @@ class TestDominatesGreedy:
 def support9_mixtures():
     """The support-9 pmf of step 0.6, its candidates, and one sweep over three key rates."""
     pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.6), max_support=9)
-    cands = enumerate_subset_candidates(pmf, 9)
+    cands = enumerate_subset_candidates(pmf)
     rates = (0.25, 0.75, 1.5)
     return pmf, cands, dict(zip(rates, sweep_secrecy_lp(pmf, 3.0, rates, cands)))
 
@@ -739,7 +750,7 @@ class TestMixtureRegionOracle:
         # The instance of tests/golden/lp.txt: t = 1, R = 5, support 9, rs 0:2:0.25.
         table = build_bin_table(STANDARD_SOURCE, 1.0)
         pmf = build_quantized_pmf(table, max_support=9)
-        cands = enumerate_subset_candidates(pmf, 9)
+        cands = enumerate_subset_candidates(pmf)
         k = pmf.points.size
         key_rates = [0.25 * i for i in range(9)]
         for rs, sol in zip(key_rates, sweep_secrecy_lp(pmf, 5.0, key_rates, cands)):

@@ -18,13 +18,18 @@ from secgauss import (
     CandidateSet,
     FiniteJoint,
     GaussianSource,
+    GreedyQuantizedScheme,
     LpSolution,
     PayoffValue,
     QuantizedPmf,
     RatePair,
+    SimConfig,
+    build_bin_table,
+    build_quantized_pmf,
     differential_entropy_bits,
     distortion_rate,
     entropy_bits,
+    fold_bin_table,
     normal_cdf,
     normal_pdf,
     payoff,
@@ -422,3 +427,31 @@ def test_pmf_rule_makes_one_clipped_read_only_copy():
     for bad in ([0.5, 0.5, -1e-11], [0.5, 0.5 + 1e-9], [math.inf, 0.0], [math.nan, 1.0]):
         with pytest.raises(ValueError):
             model._pmf(bad)
+
+
+def _integer_sites():
+    """Each library input that must be a whole number, with the message naming it."""
+    table = build_bin_table(STANDARD_SOURCE, 0.5)
+
+    def sim(**kw):
+        fields = dict(scheme="sign_pad", scenario="weak", rates=RatePair(4.0, 1.0), step=0.5,
+                      n_symbols=10, seed=1)
+        return SimConfig(**{**fields, **kw})
+
+    return {
+        "n_max": (lambda v: GreedyQuantizedScheme(2.7, n_max=v), "n_max must be an integer"),
+        "max_index": (lambda v: fold_bin_table(table, v), "max_index must be an integer"),
+        "n_symbols": (lambda v: sim(n_symbols=v), "n_symbols must be an integer"),
+        "seed": (lambda v: sim(seed=v), "seed must be a 64-bit unsigned integer"),
+        "max_support": (lambda v: build_quantized_pmf(table, v), "max_support must be an odd"),
+    }
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 9.5], ids=["inf", "nan", "9.5"])
+@pytest.mark.parametrize("site", sorted(_integer_sites()))
+def test_integer_inputs_refuse_what_is_not_whole(site, value):
+    # Every site refuses through one rule, model._whole: int() overflows on
+    # inf and fails on NaN, and 9.5 must not pass as 9 (a 9-point fold).
+    build, message = _integer_sites()[site]
+    with pytest.raises(ValueError, match=message):
+        build(value)

@@ -1,7 +1,9 @@
 """The package's public surface: every export resolves and comes from a module."""
 
+import inspect
+
 import secgauss
-from secgauss import lp, model, quantizer, schemes, sim
+from secgauss import lp, model, quantizer, schemes, sim, simplex, verify
 
 
 def test_every_export_resolves():
@@ -17,3 +19,27 @@ def test_exports_are_the_modules_exports():
         want.update(module.__all__)
     assert len(secgauss.__all__) == len(set(secgauss.__all__))
     assert set(secgauss.__all__) == want
+
+
+def test_public_keyword_settings():
+    # Every public parameter with a default, as (name, parameter).  A new
+    # setting must be added here on purpose.
+    found = set()
+    for module in (secgauss, simplex, verify):
+        for name in module.__all__:
+            obj = getattr(module, name)
+            # The error classes take Exception's arguments, which have no signature.
+            if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception)):
+                found.update((name, p.name) for p in inspect.signature(obj).parameters.values()
+                             if p.default is not inspect.Parameter.empty)
+    assert found == {
+        ("GaussianSource", "mean"),
+        ("GaussianSource", "variance"),
+        ("GreedyQuantizedScheme", "source"),
+        ("GreedyQuantizedScheme", "n_max"),
+        ("build_quantized_pmf", "max_support"),
+        ("enumerate_subset_candidates", "mode"),
+        ("solve_secrecy_lp", "candidates"),
+        ("sweep_secrecy_lp", "candidates"),
+        ("verify_jointly_gaussian_grid", "step"),
+    }

@@ -462,34 +462,34 @@ class TestGreedyScheme:
         # pin the step search and the divisor sweep against drift.
         assert plan.step == pytest.approx(0.647019590522, abs=1e-9)
         p45 = plan.evaluate(0.45)
-        assert p45.meta["n_mod"] == 5
+        assert p45.n_mod == 5
         assert float(p45.payoff) == pytest.approx(0.809832144986, abs=1e-9)
         p100 = plan.evaluate(1.0)
-        assert p100.meta["n_mod"] == 4
+        assert p100.n_mod == 4
         assert float(p100.payoff) == pytest.approx(0.938779094779, abs=1e-9)
 
     def test_payoff_monotone_in_key_rate(self, plan):
         prev = -math.inf
         for rs in np.arange(0.0, 2.01, 0.1):
             point = plan.evaluate(float(rs))
-            assert point.meta["feasible"]
+            assert point.feasible
             value = float(point.payoff)
             assert value >= prev - 1e-12
             prev = value
 
     def test_zero_key_uses_full_disclosure(self, plan):
         point = plan.evaluate(0.0)
-        assert point.meta["feasible"]
+        assert point.feasible
         # Full disclosure leaves Eve the centroid decoder, which beats
         # Bob's lattice decoder slightly.
         assert float(point.payoff) < 0.0
-        assert point.meta["n_mod"] == 2 * plan.table.max_index + 1
+        assert point.n_mod == 2 * plan.table.max_index + 1
 
     def test_restricted_search_flags_infeasible(self):
         plan = GreedyQuantizedScheme(2.7, n_max=3)
         point = plan.evaluate(0.0)
-        assert not point.meta["feasible"]
-        assert point.meta["slack_bits"] < 0.0
+        assert not point.feasible
+        assert point.slack_bits < 0.0
         for bad in (0, 2.5):
             with pytest.raises(ValueError, match="n_max"):
                 GreedyQuantizedScheme(2.7, n_max=bad)
@@ -514,12 +514,12 @@ class TestGreedyScheme:
         # a few ulps of erfc must not move the reported divisor.
         plan = GreedyQuantizedScheme(rate)
         key_rates = np.arange(0.0, 3.01, 0.05)
-        picks = [plan.evaluate(rs).meta["n_mod"] for rs in key_rates]
+        picks = [plan.evaluate(rs).n_mod for rs in key_rates]
         mmse = plan._eve_mmse.copy()
         rng = np.random.default_rng(0)
         for _ in range(20):
             plan._eve_mmse = mmse + rng.integers(-4, 5, mmse.size) * np.spacing(mmse)
-            assert [plan.evaluate(rs).meta["n_mod"] for rs in key_rates] == picks
+            assert [plan.evaluate(rs).n_mod for rs in key_rates] == picks
 
     def test_zero_rate_rejected(self):
         with pytest.raises(InfeasibleError):
@@ -530,9 +530,8 @@ class TestGreedyScheme:
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             GreedyQuantizedScheme(rate)
 
-    def test_scheme_id_and_cap(self, plan):
+    def test_payoff_within_cap(self, plan):
         point = plan.evaluate(1.5)
-        assert point.scheme_id == "quantized_greedy"
         assert float(point.payoff) <= 1.0 - 2.0 ** (-2.0 * 2.7) + 1e-9
 
 
@@ -554,8 +553,8 @@ class TestGreedyMonteCarlo:
     @pytest.mark.parametrize("rs, seed", [(0.05, 11), (0.25, 12), (0.5, 13), (0.75, 14)])
     def test_draws_reach_the_planned_payoff_and_key(self, plan, rs, seed):
         point = plan.evaluate(rs)
-        assert point.meta["feasible"]
-        table, n_mod = plan.table, point.meta["n_mod"]
+        assert point.feasible
+        table, n_mod = plan.table, point.n_mod
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(2**18)  # the standard source of `plan`
         k = table.max_index
@@ -591,12 +590,12 @@ class TestGreedyRegionOracle:
         lattice = table.source.mean + table.indices * table.step
         for rs in (0.05, 0.25, 0.5, 0.75):
             point = plan.evaluate(rs)
-            n_mod = point.meta["n_mod"]
+            n_mod = point.n_mod
             joint = np.zeros((width, width, n_mod))
             joint[np.arange(width), np.arange(width), np.mod(table.indices, n_mod)] = table.prob
             report = evaluate_finite_strategy(
                 FiniteJoint(table.centroid, lattice, np.arange(n_mod), joint), table.source)
-            need = rs - point.meta["slack_bits"]
+            need = rs - point.slack_bits
             assert report.i_xy_given_u == pytest.approx(need, abs=1e-12), rs
             assert float(report.payoff) == pytest.approx(float(point.payoff), abs=1e-12), rs
             assert report.i_x_uy == pytest.approx(plan.entropy_bits, abs=1e-12), rs
@@ -604,20 +603,9 @@ class TestGreedyRegionOracle:
 
 class TestPayoffPoint:
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            PayoffPoint(
-                rates=RatePair(1.0, 1.0),
-                scheme_id="weak",
-                payoff=PayoffValue(0.9),
-            )
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            PayoffPoint(
-                rates=RatePair(1.0, 1.0),
-                scheme_id="mystery",
-                payoff=PayoffValue(0.1),
-            )
+        with pytest.raises(ValueError, match="exceeds the rate-1.0 cap"):
+            PayoffPoint(RatePair(1.0, 1.0), PayoffValue(0.9), n_mod=1, feasible=True,
+                        slack_bits=1.0)
 
 
 class TestFiniteStrategy:

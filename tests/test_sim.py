@@ -26,9 +26,12 @@ from secgauss.sim import _BLOCK, _RATE_TOL
 
 SRC = STANDARD_SOURCE
 
+# Bob's reconstruction rule, which run_sim fixes per scheme.
+BOB_RULE = {"sign_pad": "lattice", "full_encryption": "lattice", "no_key": "centroid"}
+
 
 def make_config(scheme="sign_pad", scenario="weak", rate=4.0, rs=1.0,
-                step=0.5, n=20_000, seed=7, recon="lattice"):
+                step=0.5, n=20_000, seed=7):
     # full_encryption derives its own step.
     return SimConfig(
         scheme=scheme,
@@ -37,7 +40,6 @@ def make_config(scheme="sign_pad", scenario="weak", rate=4.0, rs=1.0,
         step=None if scheme == "full_encryption" else step,
         n_symbols=n,
         seed=seed,
-        reconstruction=recon,
     )
 
 
@@ -88,10 +90,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="step must be finite and positive"):
             make_config(step=-1.0)
 
-    def test_bad_reconstruction(self):
-        with pytest.raises(ValueError, match="unknown reconstruction rule"):
-            make_config(recon="midpoint")
-
     def test_result_rejects_nan_payoff(self):
         with pytest.raises(ValueError):
             SimResult(float("nan"), 0.1, 1.0, 1.0, 2.0, 1.0)
@@ -141,7 +139,7 @@ class TestBookkeeping:
         assert r.model_rate_bits == pytest.approx(h_mag + 1.0, abs=1e-12)
 
     def test_no_key_rates(self):
-        cfg = make_config(scheme="no_key", rs=0.0, recon="centroid")
+        cfg = make_config(scheme="no_key", rs=0.0)
         r = run_sim(cfg, SRC)
         table = build_bin_table(SRC, cfg.step)
         assert r.model_key_bits == 0.0
@@ -194,8 +192,7 @@ class TestConcordance:
         assert abs(r.empirical_payoff - target) <= 3.0 * r.std_error
 
     def test_no_key_centroid_payoff_exactly_zero(self):
-        cfg = make_config(scheme="no_key", rs=0.0, recon="centroid",
-                          n=50_000, seed=99)
+        cfg = make_config(scheme="no_key", rs=0.0, n=50_000, seed=99)
         r = run_sim(cfg, SRC)
         assert r.empirical_payoff == 0.0
         assert r.std_error == 0.0
@@ -234,7 +231,6 @@ class TestSmallSamples:
 def reference_run_sim(config, source):
     """The whole-sample run_sim that drew every symbol in one array."""
     rates = config.rates
-    recon = config.reconstruction
     if config.scheme == "full_encryption":
         table = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
     else:
@@ -253,7 +249,7 @@ def reference_run_sim(config, source):
     xs = source.mean + source.std * rng.standard_normal(config.n_symbols)
     idx = np.rint((xs - source.mean) / table.step).astype(np.int64)
     np.clip(idx, -k, k, out=idx)
-    if recon == "centroid":
+    if BOB_RULE[config.scheme] == "centroid":
         ys = table.centroid[idx + k]
     else:
         ys = source.mean + idx * table.step
@@ -282,7 +278,6 @@ def reference_run_sim(config, source):
 def reference_points(config, source):
     """Table, model rates, and Bob's and Eve's estimate per table row, as run_sim forms them."""
     rates = config.rates
-    recon = config.reconstruction
     if config.scheme == "full_encryption":
         table = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
     else:
@@ -291,7 +286,10 @@ def reference_points(config, source):
     k = table.max_index
     lattice = np.arange(-k, k + 1)
     mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
-    bob_points = table.centroid if recon == "centroid" else source.mean + lattice * table.step
+    if BOB_RULE[config.scheme] == "centroid":
+        bob_points = table.centroid
+    else:
+        bob_points = source.mean + lattice * table.step
     if config.scheme == "sign_pad":
         rates_used, eve_points = (entropy_bits(mag_prob) + 1.0, 1.0), pair_mean[np.abs(lattice)]
     elif config.scheme == "no_key":
@@ -353,10 +351,9 @@ class TestBlockedSim:
     @pytest.mark.parametrize("source", [SRC, GaussianSource(mean=0.3, variance=1.7)],
                              ids=["standard", "shifted"])
     @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
-    @pytest.mark.parametrize("recon", ["lattice", "centroid"])
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_matches_whole_sample_run(self, scheme, recon, n, source):
-        cfg = make_config(scheme=scheme, recon=recon, n=n, seed=n + 11,
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES), ids=lambda s: f"{s}-{BOB_RULE[s]}")
+    def test_matches_whole_sample_run(self, scheme, n, source):
+        cfg = make_config(scheme=scheme, n=n, seed=n + 11,
                           **self.SCHEMES[scheme])
         got = run_sim(cfg, source)
         ref = reference_run_sim(cfg, source)
@@ -368,11 +365,10 @@ class TestBlockedSim:
     @pytest.mark.parametrize("source", [SRC, GaussianSource(mean=3.0, variance=2.5)],
                              ids=["standard", "mean3"])
     @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
-    @pytest.mark.parametrize("recon", ["lattice", "centroid"])
-    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-    def test_buffers_keep_the_bits(self, scheme, recon, n, source):
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES), ids=lambda s: f"{s}-{BOB_RULE[s]}")
+    def test_buffers_keep_the_bits(self, scheme, n, source):
         # The block buffers are filled in place by the same operations in
         # the same order, so every field keeps its bits.
-        cfg = make_config(scheme=scheme, recon=recon, n=n, seed=n + 5,
+        cfg = make_config(scheme=scheme, n=n, seed=n + 5,
                           **self.SCHEMES[scheme])
         assert run_sim(cfg, source) == reference_block_loop(cfg, source)
