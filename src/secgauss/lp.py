@@ -14,6 +14,7 @@ adding one support point to a smaller subset, and the solver builds its
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -197,32 +198,30 @@ def covers_entropy(pmf: QuantizedPmf, rate: float) -> bool:
     return rate >= pmf.entropy_bits() - 1e-9
 
 
-def solve_secrecy_lp(pmf: QuantizedPmf, rates: RatePair,
-                     candidates: Optional[CandidateSet] = None) -> LpSolution:
+def solve_secrecy_lp(pmf: QuantizedPmf, rates: RatePair, candidates: CandidateSet) -> LpSolution:
     """Best eavesdropper error over key-feasible mixtures: one rate of `sweep_secrecy_lp`."""
-    return sweep_secrecy_lp(pmf, rates.rate, [rates.key_rate], candidates)[0]
+    return next(sweep_secrecy_lp(pmf, rates.rate, [rates.key_rate], candidates))
 
 
 def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
-                     candidates: Optional[CandidateSet] = None) -> list[LpSolution]:
+                     candidates: CandidateSet) -> Iterator[LpSolution]:
     """Best eavesdropper error over key-feasible mixtures at each key rate, in order.
 
     Maximizes the weighted score subject to the mixture reproducing the
     pmf and the average candidate entropy fitting the key rate.  The
     message rate must cover the pmf entropy outright; otherwise every
-    instance is reported infeasible without solving.  When `candidates`
-    is omitted the subset family is enumerated in `continuous` mode;
-    pass `enumerate_subset_candidates(pmf, mode=...)` for another.
-    Supplied candidates are trusted as scored, and must hold the singleton
-    of each point of positive mass, with entropy 0.  The program is built
-    once and only the key rate changes, so each solve starts from the
-    optimal basis of the one before.
+    instance is reported infeasible without solving.  The candidates
+    (`enumerate_subset_candidates(pmf, mode=...)` or the caller's) are
+    trusted as scored, and must hold each positive-mass point's singleton,
+    with entropy 0.  The program is built once and only the key rate
+    changes, so each solve starts from the optimal basis of the one
+    before.  Each solution is yielded as it is solved; bad rates or
+    candidates raise at the first `next()`.
     """
     pairs = [RatePair(rate, float(rs)) for rs in key_rates]
     if not covers_entropy(pmf, rate):
-        return [LpSolution(math.nan, np.zeros(0), math.nan) for _ in pairs]
-    if candidates is None:
-        candidates = enumerate_subset_candidates(pmf)
+        yield from (LpSolution(math.nan, np.zeros(0), math.nan) for _ in pairs)
+        return
     if not candidates:
         raise ValueError("candidate set is empty")
     k, n = pmf.points.size, len(candidates)
@@ -265,7 +264,6 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     # larger rate is capped there, which keeps the key row's roundoff small.
     rates = np.minimum([p.key_rate for p in pairs], ent.max())
     solved = linear_program_sweep(cost, a, b, start, key, rates)
-    out = []
     for pair, (u, value) in zip(pairs, solved):
         if not np.max(np.abs(probs * (a[:key, :n] @ u[:n]) - probs)) <= 1e-8:  # NaN fails
             raise SolverError("LP solution violates the barycenter constraint")
@@ -276,5 +274,4 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
         used = float(np.dot(weights, ent))
         if not used <= pair.key_rate + 1e-8:
             raise SolverError("LP solution violates the key-rate constraint")
-        out.append(LpSolution(max(value, 0.0), weights, pair.key_rate - used))
-    return out
+        yield LpSolution(max(value, 0.0), weights, pair.key_rate - used)

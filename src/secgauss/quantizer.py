@@ -121,8 +121,10 @@ def _bin_edges(source: GaussianSource, step: float):
     k_max = max(math.ceil(min(_TAIL_STDS * source.std / t - 0.5, _MAX_BINS)), 1)
     if 2 * k_max + 1 > _MAX_BINS:
         raise _StepError(f"step {t} needs more than the {_MAX_BINS} supported bins")
-    k = np.arange(k_max + 1)
-    return mu + (k - 0.5) * t, np.where(k < k_max, mu + (k + 0.5) * t, math.inf)
+    lower = mu + (np.arange(k_max + 1) - 0.5) * t
+    if not (np.diff(lower) > 0.0).all():
+        raise ValueError(f"step {t} is too fine for floats at the source mean {mu:g}")
+    return lower, np.append(lower[1:], math.inf)
 
 
 def _step_entropy(source: GaussianSource, step: float) -> float:

@@ -175,9 +175,7 @@ def asymptotic_quantization_bound(rate_bits: float) -> PayoffValue:
     return PayoffValue(1.0 - 0.5 * math.pi * math.e * 2.0 ** (-2.0 * rate_bits))
 
 
-def verify_jointly_gaussian_grid(
-    rates: RatePair, step: float = 0.005
-) -> tuple[float, CorrelationTriple]:
+def verify_jointly_gaussian_grid(rates: RatePair, step: float) -> tuple[float, CorrelationTriple]:
     """Exhaustive grid certificate for the jointly Gaussian payoff curve.
 
     Maximizes g = rho_xy**2 - rho_xu**2 over realizable correlation

@@ -1,7 +1,7 @@
 """Revised simplex with Dantzig pricing, a Bland fallback and warm starts.
 
-The secrecy LP has at most 20 equality rows and up to tens of thousands
-of columns, so no tableau is kept.  Every change of basis inverts the
+The secrecy LP has at most 20 equality rows and up to 2**19 columns (at
+support 19), so no tableau is kept.  Every change of basis inverts the
 small basis matrix afresh from the original data; every iteration prices
 all columns with one product ``y @ a`` and runs the ratio test on
 ``B^-1 a_col``.  The pricing that ends a solve is therefore fresh, and it

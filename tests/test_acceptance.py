@@ -202,7 +202,7 @@ def test_criterion_5_lp_endpoints_and_oracle(criterion_report):
 
     m = math.sqrt(2.0 / math.pi)
     hand = QuantizedPmf(np.array([-m, m]), np.array([0.5, 0.5]))
-    hand_val = solve_secrecy_lp(hand, RatePair(2.0, 0.5)).value
+    hand_val = solve_secrecy_lp(hand, RatePair(2.0, 0.5), enumerate_subset_candidates(hand)).value
     hand_ok = abs(hand_val - 0.5 * m * m) <= 1e-8
 
     ok = endpoints and monotone and worst_gap <= 1e-8 and hand_ok

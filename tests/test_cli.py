@@ -319,7 +319,9 @@ class TestRateChecks:
             ("quantized_greedy", "false", "nan"), ("lp_quantized", "false", "nan")]
 
     # A target past the bin limit names itself and the limit, not a step the
-    # user never gave; a mean that swallows the step still names the interval.
+    # user never gave.  At a mean so large that half a step rounds away (the
+    # float spacing is 2 at 1e16), neighbouring bin edges coincide, and the
+    # refusal names the mean, not an interval the user never gave.
     @pytest.mark.parametrize("argv, message", [
         (["curve", "--schemes", "quantized_greedy", "--r", "30", "--rs", "1"],
          "an output entropy of 30.0 bits needs more than the 1000000 supported bins"),
@@ -328,9 +330,19 @@ class TestRateChecks:
         (["sim", "--scheme", "full_encryption", "--r", "1100", "--rs", "1100", "--seed", "1",
           "--n", "10"], "an output entropy of 1100.0 bits needs more than the 1000000"),
         (["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e17"],
-         "interval must satisfy a < b"),
+         "source mean 1e+17"),
         (["quantizer-stats", "--t", "1e-320"],
          "step 1e-320 needs more than the 1000000 supported bins"),
+        (["quantizer-stats", "--t", "1", "--mu", "1e16"], "source mean 1e+16"),
+        (["lp", "--t", "1", "--r", "5", "--rs", "0.5", "--mu", "1e16"], "source mean 1e+16"),
+        (["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e16"],
+         "source mean 1e+16"),
+        (["curve", "--schemes", "lp_quantized", "--r", "2", "--rs", "1", "--mu", "1e16"],
+         "source mean 1e+16"),
+        (["sim", "--scheme", "sign_pad", "--t", "1", "--seed", "1", "--n", "10", "--mu", "1e16"],
+         "source mean 1e+16"),
+        (["sim", "--scheme", "full_encryption", "--r", "3", "--seed", "1", "--n", "10",
+          "--mu", "1e16"], "source mean 1e+16"),
     ])
     def test_unreachable_step_is_a_usage_error(self, argv, message, capsys):
         assert run_cli(argv) == 2

@@ -47,6 +47,11 @@ def small_pmf():
     )
 
 
+@pytest.fixture(scope="module")
+def small_cands(small_pmf):
+    return enumerate_subset_candidates(small_pmf)
+
+
 def brute_force_value(pmf, rs):
     """Exhaustive vertex enumeration over basic candidate subsets.
 
@@ -216,7 +221,8 @@ class TestEnumerateCandidates:
         # The default enumeration takes every support up to _MAX_SUPPORT;
         # at 16 points the endpoints are no disclosure and full secrecy.
         pmf = QuantizedPmf(np.arange(16.0), np.full(16, 1.0 / 16))
-        none, full = sweep_secrecy_lp(pmf, 9.0, [0.0, 4.0])
+        cands = enumerate_subset_candidates(pmf)
+        none, full = sweep_secrecy_lp(pmf, 9.0, [0.0, 4.0], cands)
         assert abs(none.value) <= 1e-9
         assert full.value == pytest.approx(pmf.variance(), abs=1e-9)
 
@@ -351,7 +357,7 @@ class TestCandidateSet:
             return original(c, a, b, start, row, values)
 
         monkeypatch.setattr(lp_module, "linear_program_sweep", spy)
-        sweep_secrecy_lp(small_pmf, 5.0, [0.6], cands)
+        list(sweep_secrecy_lp(small_pmf, 5.0, [0.6], cands))
         # Singleton 2**i is column 2**i - 1 in ascending order and 31 - 2**i
         # reversed; the slack is the last column.
         first = {"ascending": [0, 1, 3, 7, 15], "reversed": [30, 29, 27, 23, 15],
@@ -360,16 +366,16 @@ class TestCandidateSet:
 
 
 class TestSolveEndpoints:
-    def test_zero_key_rate_is_zero(self, small_pmf):
-        sol = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.0))
+    def test_zero_key_rate_is_zero(self, small_pmf, small_cands):
+        sol = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.0), small_cands)
         assert sol.feasible
         assert sol.value == pytest.approx(0.0, abs=1e-12)
 
-    def test_full_key_rate_is_variance(self, small_pmf):
+    def test_full_key_rate_is_variance(self, small_pmf, small_cands):
         h = small_pmf.entropy_bits()
-        sol = solve_secrecy_lp(small_pmf, RatePair(5.0, h))
+        sol = solve_secrecy_lp(small_pmf, RatePair(5.0, h), small_cands)
         assert sol.value == pytest.approx(small_pmf.variance(), abs=1e-9)
-        beyond = solve_secrecy_lp(small_pmf, RatePair(5.0, h + 2.0))
+        beyond = solve_secrecy_lp(small_pmf, RatePair(5.0, h + 2.0), small_cands)
         assert beyond.value == pytest.approx(small_pmf.variance(), abs=1e-9)
         assert beyond.slack_rs > 1.0
 
@@ -383,32 +389,32 @@ class TestSolveEndpoints:
             assert sol.value == pytest.approx(small_pmf.variance(), abs=1e-9), rs
             assert sol.slack_rs == rs - float(sol.weights @ cands.entropy_bits), rs
 
-    def test_message_rate_gate(self, small_pmf):
-        sol = solve_secrecy_lp(small_pmf, RatePair(1.0, 0.5))
+    def test_message_rate_gate(self, small_pmf, small_cands):
+        sol = solve_secrecy_lp(small_pmf, RatePair(1.0, 0.5), small_cands)
         assert not sol.feasible
         assert math.isnan(sol.value)
 
-    def test_monotone_in_key_rate(self, small_pmf):
+    def test_monotone_in_key_rate(self, small_pmf, small_cands):
         prev = -1.0
         for rs in np.linspace(0.0, 2.5, 11):
-            sol = solve_secrecy_lp(small_pmf, RatePair(5.0, float(rs)))
+            sol = solve_secrecy_lp(small_pmf, RatePair(5.0, float(rs)), small_cands)
             assert sol.value >= prev - 1e-9
             assert sol.value <= small_pmf.variance() + 1e-9
             prev = sol.value
 
-    def test_weights_form_distribution(self, small_pmf):
-        sol = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.8))
+    def test_weights_form_distribution(self, small_pmf, small_cands):
+        sol = solve_secrecy_lp(small_pmf, RatePair(5.0, 0.8), small_cands)
         assert float(sol.weights.sum()) == pytest.approx(1.0, abs=1e-8)
         assert (sol.weights >= -1e-10).all()
 
-    def test_zero_probability_point_changes_nothing(self, small_pmf):
+    def test_zero_probability_point_changes_nothing(self, small_pmf, small_cands):
         # A point of zero mass gets no barycenter row; the subsets that
         # add it to others repeat those others' columns.
         padded = QuantizedPmf(np.insert(small_pmf.points, 3, 0.5),
                               np.insert(small_pmf.probs, 3, 0.0))
         rates = [0.0, 0.4, 0.8, 1.2, 1.6, 2.5, 1.0, 0.0]
-        got = sweep_secrecy_lp(padded, 5.0, rates)
-        want = sweep_secrecy_lp(small_pmf, 5.0, rates)
+        got = sweep_secrecy_lp(padded, 5.0, rates, enumerate_subset_candidates(padded))
+        want = sweep_secrecy_lp(small_pmf, 5.0, rates, small_cands)
         for rs, g, w in zip(rates, got, want):
             assert g.feasible and g.value == pytest.approx(w.value, abs=1e-9), rs
             assert g.slack_rs == pytest.approx(w.slack_rs, abs=1e-9), rs
@@ -421,7 +427,7 @@ class TestHandInstance:
         # half, leaving m^2 / 2.
         m = math.sqrt(2.0 / math.pi)
         pmf = QuantizedPmf(np.array([-m, m]), np.array([0.5, 0.5]))
-        sol = solve_secrecy_lp(pmf, RatePair(2.0, 0.5))
+        sol = solve_secrecy_lp(pmf, RatePair(2.0, 0.5), enumerate_subset_candidates(pmf))
         assert sol.value == pytest.approx(0.5 * m * m, abs=1e-8)
         assert sol.slack_rs == pytest.approx(0.0, abs=1e-8)
 
@@ -453,30 +459,31 @@ class TestInvariances:
     def test_mirror_symmetry(self):
         pts = np.array([-2.0, -1.0, 1.0, 2.0])
         pr = np.array([0.1, 0.4, 0.4, 0.1])
-        mirrored = QuantizedPmf(-pts[::-1], pr[::-1])
-        a = solve_secrecy_lp(QuantizedPmf(pts, pr), RatePair(5.0, 0.7))
-        b = solve_secrecy_lp(mirrored, RatePair(5.0, 0.7))
+        pmf, mirrored = QuantizedPmf(pts, pr), QuantizedPmf(-pts[::-1], pr[::-1])
+        a = solve_secrecy_lp(pmf, RatePair(5.0, 0.7), enumerate_subset_candidates(pmf))
+        b = solve_secrecy_lp(mirrored, RatePair(5.0, 0.7), enumerate_subset_candidates(mirrored))
         assert a.value == pytest.approx(b.value, abs=1e-9)
 
-    def test_restricted_mode_dominates(self, small_pmf):
+    def test_restricted_mode_dominates(self, small_pmf, small_cands):
         for rs in (0.3, 0.8, 1.5):
-            cont = solve_secrecy_lp(small_pmf, RatePair(5.0, rs))
+            cont = solve_secrecy_lp(small_pmf, RatePair(5.0, rs), small_cands)
             restr = solve_secrecy_lp(small_pmf, RatePair(5.0, rs), enumerate_subset_candidates(
                 small_pmf, mode="alphabet_restricted"))
             assert restr.value >= cont.value - 1e-9
 
     def test_weak_duality_cap(self, unit_pmf):
         # No disclosure mixture can beat the blind variance.
+        cands = enumerate_subset_candidates(unit_pmf)
         for rs in (0.5, 1.5, 3.0):
-            sol = solve_secrecy_lp(unit_pmf, RatePair(5.0, rs))
+            sol = solve_secrecy_lp(unit_pmf, RatePair(5.0, rs), cands)
             assert sol.value <= unit_pmf.variance() + 1e-9
 
 
 class TestLpPayoff:
-    def test_infeasible_rejected(self, small_pmf):
+    def test_infeasible_rejected(self, small_pmf, small_cands):
         # Key rate above the rate: no feasible strategy, so the value is
         # NaN, and normalizing it into a payoff raises.
-        sol = solve_secrecy_lp(small_pmf, RatePair(0.5, 0.5))
+        sol = solve_secrecy_lp(small_pmf, RatePair(0.5, 0.5), small_cands)
         assert sol.feasible is False
         with pytest.raises(ValueError):
             PayoffValue(sol.value / STANDARD_SOURCE.variance)
@@ -544,7 +551,7 @@ class TestValueCurveSupport15:
 
         monkeypatch.setattr(lp_module, "linear_program_sweep", spy)
         rates = (0.25, float(grid[3]), float(grid[6]), float(grid[10]))
-        sweep_secrecy_lp(pmf, 2.7, rates, cands)
+        list(sweep_secrecy_lp(pmf, 2.7, rates, cands))
         (c, a, b, row, values, solved), = seen
         assert list(values) == [min(rs, cands.entropy_bits.max()) for rs in rates]
         assert values[-1] < rates[-1]
@@ -605,7 +612,7 @@ class TestWarmSweep:
     def test_lp_sweep_instance_matches_cold_solves(self, lp_sweep_instance, order):
         pmf, cands, grid, cold = lp_sweep_instance
         rates = sweep_orders(grid)[order]
-        swept = sweep_secrecy_lp(pmf, 3.0, rates, cands)
+        swept = list(sweep_secrecy_lp(pmf, 3.0, rates, cands))
         assert len(swept) == len(rates)
         for rs, sol in zip(rates, swept):
             assert sol.value == pytest.approx(cold[rs], abs=1e-9), rs
@@ -624,7 +631,7 @@ class TestWarmSweep:
         rates = [2.0, 1.5, 1.0, 0.5, 0.0]
         cold = [solve_secrecy_lp(pmf, RatePair(20.0, rs), cands).value for rs in rates]
         colds = count_calls(monkeypatch, simplex, "_cold")
-        swept = sweep_secrecy_lp(pmf, 20.0, rates, cands)
+        swept = list(sweep_secrecy_lp(pmf, 20.0, rates, cands))
         assert len(colds) == 2
         np.testing.assert_allclose([s.value for s in swept], cold, rtol=0.0, atol=1e-9)
 
@@ -650,32 +657,33 @@ class TestWarmSweep:
         assert len(rounds) == 1
 
     def test_sweep_holds_one_dense_solution_at_a_time(self):
-        # A 17-rate sweep at support 13, 8191 candidates.  Beside the
-        # (k + 1) x (n + 1) matrix and the 17 returned weight vectors it may
-        # hold only a few dense n-vectors at once: cost, scales, the current
-        # solution and the pricing temporaries.  Solutions kept until the
-        # sweep ends would add 17 more.
+        # A 17-rate sweep at support 13, 8191 candidates, read as a stream
+        # and each solution dropped once read.  Beside the (k + 1) x (n + 1)
+        # matrix it may hold only a few dense n-vectors at once: cost,
+        # scales, the current solution and weights, and the pricing
+        # temporaries.  Solutions kept until the sweep ends would add 17.
         pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=13)
         cands = enumerate_subset_candidates(pmf)
         rates = [i * 0.125 for i in range(17)]
         tracemalloc.start()
         try:
-            swept = sweep_secrecy_lp(pmf, 9.0, rates, cands)
+            feasible = [sol.feasible for sol in sweep_secrecy_lp(pmf, 9.0, rates, cands)]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         vector = 8 * (len(cands) + 1)
         matrix = (pmf.points.size + 1) * vector
-        weights = sum(sol.weights.nbytes for sol in swept)
-        assert len(cands) == 8191 and all(sol.feasible for sol in swept)
-        assert peak < matrix + weights + 10 * vector
+        assert len(cands) == 8191 and feasible == [True] * 17
+        assert peak < matrix + 14 * vector
 
-    def test_message_rate_gate_covers_the_sweep(self, small_pmf):
-        swept = sweep_secrecy_lp(small_pmf, 1.0, [0.0, 0.5, 1.0])
+    def test_message_rate_gate_covers_the_sweep(self, small_pmf, small_cands):
+        swept = list(sweep_secrecy_lp(small_pmf, 1.0, [0.0, 0.5, 1.0], small_cands))
         assert [s.feasible for s in swept] == [False] * 3
-        assert sweep_secrecy_lp(small_pmf, 5.0, []) == []
+        assert list(sweep_secrecy_lp(small_pmf, 5.0, [], small_cands)) == []
+        # A generator: a bad key rate raises when the sweep is read.
+        swept = sweep_secrecy_lp(small_pmf, 5.0, [0.5, -0.1], small_cands)
         with pytest.raises(ValueError):
-            sweep_secrecy_lp(small_pmf, 5.0, [0.5, -0.1])
+            next(swept)
 
 
 class TestDominatesGreedy:

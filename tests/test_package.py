@@ -39,7 +39,4 @@ def test_public_keyword_settings():
         ("GreedyQuantizedScheme", "n_max"),
         ("build_quantized_pmf", "max_support"),
         ("enumerate_subset_candidates", "mode"),
-        ("solve_secrecy_lp", "candidates"),
-        ("sweep_secrecy_lp", "candidates"),
-        ("verify_jointly_gaussian_grid", "step"),
     }
