@@ -7,8 +7,10 @@ eavesdropper error is then a linear program over the mixture weights.
 Candidates are the subset restrictions of the pmf, each fixed by its
 subset bitmask and held column by column in one `CandidateSet` (masks,
 entropies and scores).  Enumeration gets every subset's statistics by
-adding one support point to a smaller subset, and the solver builds its
-0/1 incidence matrix straight from the mask bits.
+adding one support point to a smaller subset.  The solver builds its
+matrix from the mask bits over orbits of the mirror sigma(i) = k - 1 - i,
+a symmetry of every bin table's pmf: an optimum gives S and sigma S one
+weight, so they share a column, and mirror points share a row.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
 
 # Largest support enumerated; above it the 2**k subset masks are
 # refused before any is built.  Peak RSS of `lp --t 0.3 --r 9 --rs 0.5`:
-# 40 MB at support 15, 63 MB at 17, 162 MB at 19.
+# 36 MB at support 15, 48 MB at 17, 96 MB at 19.
 _MAX_SUPPORT = 19
 
 _SCORE_MODES = ("continuous", "alphabet_restricted")
@@ -228,46 +230,51 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     masks, ent, score = candidates.masks, candidates.entropy_bits, candidates.scores
     if (masks >> k).any():
         raise ValueError(f"candidate mask has a bit outside the {k}-point support")
-    points = np.flatnonzero(pmf.probs > 0.0)
-    # The solver starts from each point's first singleton and the slack, the
+    sigma, twin = _mirror(pmf, candidates)
+    # One column per orbit O = {S, sigma S}, its candidate of the smaller
+    # mask, and one row per orbit {i, sigma i} of points of positive mass.
+    cols = np.flatnonzero(masks <= masks[twin])
+    m, orbit, twin = masks[cols], 1.0 + (twin[cols] != cols), twin[cols]
+    rows = np.flatnonzero((pmf.probs > 0.0) & (np.arange(k) <= sigma))
+    # The solver starts from each row's first singleton and the slack, the
     # identity (feasible while singletons spend no key).  Found before the
     # matrix is built, off the memory peak; reversed, the dict keeps the first.
-    single = np.flatnonzero((masks & (masks - 1)) == 0)[::-1]
-    first = dict(zip(masks[single].tolist(), single.tolist()))
-    start = [first.get(1 << i, -1) for i in points.tolist()] + [n]
+    single = np.flatnonzero((m & (m - 1)) == 0)[::-1]
+    first = dict(zip(m[single].tolist(), single.tolist()))
+    key, c, probs = rows.size, cols.size, pmf.probs[rows]
+    start = [first.get(1 << i, -1) for i in rows.tolist()] + [c]
 
-    # Columns: v = w / P(S) for each candidate's weight w, plus one slack
-    # for the entropy row, whose right-hand side (the key rate) the sweep
-    # sets.  Barycenter row r then sums v over the subsets holding the
-    # r-th point of positive mass to 1: a 0/1 incidence system.
-    probs, key = pmf.probs[points], points.size
-    a = np.zeros((key + 1, n + 1))
-    for r, i in enumerate(points):
-        a[r, :n] = masks >> i & 1
-    mass = probs @ a[:key, :n]
+    # Columns: v = w / P(S) for each subset's weight w, and the slack of the
+    # entropy row, whose right-hand side the sweep sets to the key rate.  Row
+    # i, of entries |O| / 2 * ([i in S] + [sigma i in S]), sums v over the S holding i to 1.
+    a = np.zeros((key + 1, c + 1))
+    for r, i in enumerate(rows):
+        a[r, :c] = (m >> i & 1) + (m >> sigma[i] & 1)
+    mass = probs / np.where(rows == sigma[rows], 2.0, 1.0) @ a[:key, :c]  # P(S), each i once
     if not (mass > 0.0).all():
         raise ValueError("candidate subset has zero mass")
-    for i, j in zip(points, start):
-        if j < 0 or abs(ent[j]) > 1e-12:
-            why = "is missing" if j < 0 else f"has entropy {ent[j]}, not 0"
+    a[:key, :c] *= orbit / 2.0
+    for i, j in zip(rows, start):
+        if j < 0 or abs(ent[cols[j]]) > 1e-12:
+            why = "is missing" if j < 0 else f"has entropy {ent[cols[j]]}, not 0"
             raise ValueError(f"the singleton subset of point {i} {why}; the LP starts from it")
-    a[key, :n] = mass * ent
-    a[key, n] = 1.0
-    b = np.append(np.ones(key), 0.0)
+    a[key, :c] = orbit * mass * ent[cols]
+    a[key, c] = 1.0
     # Equilibrate: each column over its largest entry, 1 or the key entry;
     # the solver's variables are u = scale * v.
     scale = np.maximum(a[key], 1.0)
     a /= scale
-    cost = np.append(score * mass, 0.0) / scale
+    cost = np.append(orbit * score[cols] * mass, 0.0) / scale
 
     # No mixture spends more key than its largest candidate entropy, so a
     # larger rate is capped there, which keeps the key row's roundoff small.
     rates = np.minimum([p.key_rate for p in pairs], ent.max())
-    solved = linear_program_sweep(cost, a, b, start, key, rates)
+    solved = linear_program_sweep(cost, a, np.append(np.ones(key), 0.0), start, key, rates)
     for pair, (u, value) in zip(pairs, solved):
-        if not np.max(np.abs(probs * (a[:key, :n] @ u[:n]) - probs)) <= 1e-8:  # NaN fails
-            raise SolverError("LP solution violates the barycenter constraint")
-        weights = u[:n] / scale[:n] * mass
+        if not np.max(np.abs(probs * (a[:key, :c] @ u[:c]) - probs)) <= 1e-8:
+            raise SolverError("LP solution violates the barycenter constraint")  # NaN fails too
+        weights = np.zeros(n)
+        weights[twin] = weights[cols] = u[:c] / scale[:c] * mass
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-8:
             raise SolverError(f"LP weights sum to {total}, expected 1")
@@ -275,3 +282,25 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
         if not used <= pair.key_rate + 1e-8:
             raise SolverError("LP solution violates the key-rate constraint")
         yield LpSolution(max(value, 0.0), weights, pair.key_rate - used)
+
+
+def _mirror(pmf: QuantizedPmf, candidates: CandidateSet) -> tuple[np.ndarray, np.ndarray]:
+    """sigma(i) = k - 1 - i on the points and each candidate's mirror image, or identities.
+
+    The mirror is a symmetry of the LP if it keeps the masses exactly and
+    pairs each candidate with one of equal entropy and score.
+    """
+    k, masks = pmf.points.size, candidates.masks
+    trivial = np.arange(k), np.arange(masks.size)
+    rev = np.zeros(1 << k, dtype=np.int64)  # each k-bit mask reversed
+    for j in range(k):
+        rev[1 << j:2 << j] = rev[:1 << j] | 1 << (k - 1 - j)
+    where = np.full(1 << k, -1)  # the candidate of each mask, -1 for none
+    where[masks] = trivial[1]
+    twin = where[rev[masks]]
+    paired = (twin >= 0).all() and (twin[twin] == trivial[1]).all()
+    if paired and (pmf.probs == pmf.probs[::-1]).all() and all(
+            (np.abs(x[twin] - x) <= 1e-12 * x + 1e-15).all()
+            for x in (candidates.entropy_bits, candidates.scores)):
+        return trivial[0][::-1], twin
+    return trivial

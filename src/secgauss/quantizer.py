@@ -305,7 +305,7 @@ def step_size_for_entropy(source: GaussianSource, target_bits: float) -> BinTabl
     bisected, each candidate's entropy taken from its bin masses alone
     (`_step_entropy`).  One table is built, at the chosen step (its
     `.step`), which is always on the feasible side.  A target that
-    needs more than _MAX_BINS bins raises a ValueError.
+    needs more than _MAX_BINS bins, or a step below float spacing, raises a ValueError.
     """
     RatePair(target_bits, 0.0)  # a ValueError for a non-finite or negative target
     hi = 8.0 * source.std * 2.0 ** (-target_bits)
@@ -317,9 +317,10 @@ def step_size_for_entropy(source: GaussianSource, target_bits: float) -> BinTabl
         lo = hi / 2.0
         while (h_lo := _step_entropy(source, lo)) <= target_bits:
             hi, h_hi, lo = lo, h_lo, lo / 2.0
-    except _StepError:
-        raise ValueError(f"an output entropy of {target_bits} bits needs more than "
-                         f"the {_MAX_BINS} supported bins") from None
+    except ValueError as exc:  # from _bin_edges: too many bins, or a step below float spacing
+        why = (f"more than the {_MAX_BINS} supported bins" if isinstance(exc, _StepError)
+               else f"a step too fine for floats at the source mean {source.mean:g}")
+        raise ValueError(f"an output entropy of {target_bits} bits needs {why}") from None
 
     while h_hi < target_bits - _ENTROPY_TOL and hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)

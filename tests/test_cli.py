@@ -349,6 +349,22 @@ class TestRateChecks:
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
+    # The entropy step search names the target it could not reach; a step
+    # the user gives is named as given.
+    @pytest.mark.parametrize("argv, message", [
+        (["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e16"],
+         "error: an output entropy of 2.0 bits needs a step too fine for floats at the"
+         " source mean 1e+16\n"),
+        (["curve", "--schemes", "lp_quantized", "--r", "2.5", "--rs", "1", "--mu", "1e16"],
+         "error: an output entropy of 2.5 bits needs a step too fine for floats at the"
+         " source mean 1e+16\n"),
+        (["quantizer-stats", "--t", "1", "--mu", "1e16"],
+         "error: step 1.0 is too fine for floats at the source mean 1e+16\n"),
+    ])
+    def test_huge_mean_names_the_target_or_the_given_step(self, argv, message, capsys):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", message)
+
 
 class TestQuantizerStats:
     def test_matches_library(self, capsys):
@@ -535,6 +551,16 @@ pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=19)
 code = 0 if len(enumerate_subset_candidates(pmf)) == 2**19 - 1 else 1
 """
         assert child_peak_mb(code) < 150.0
+
+    def test_largest_lp_stays_small(self):
+        # The largest LP the CLI accepts: 2**19 - 1 candidates, solved over
+        # the 262,655 mirror orbits on an 11-row matrix.  The 20-row matrix
+        # over every candidate peaked at about 158 MB (Linux, x86-64).
+        code = """
+from secgauss.cli import main
+code = main(["lp", "--t", "0.3", "--r", "9", "--rs", "0.5", "--max-support", "19"])
+"""
+        assert child_peak_mb(code) < 130.0
 
     def test_huge_grid_rejected_before_allocating(self):
         proc = run_cli_capped(

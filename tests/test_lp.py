@@ -40,7 +40,7 @@ def unit_pmf():
 
 @pytest.fixture(scope="module")
 def small_pmf():
-    # Five points, hand-checkable, asymmetric masses.
+    # Five points, hand-checkable: mirrored masses on points that are not mirrored.
     return QuantizedPmf(
         points=np.array([-2.0, -0.5, 0.0, 1.0, 2.5]),
         probs=np.array([0.1, 0.25, 0.3, 0.25, 0.1]),
@@ -52,16 +52,19 @@ def small_cands(small_pmf):
     return enumerate_subset_candidates(small_pmf)
 
 
-def brute_force_value(pmf, rs):
+def brute_force_value(pmf, rs, drop=()):
     """Exhaustive vertex enumeration over basic candidate subsets.
 
     A basic optimal solution activates at most K+1 candidates (K
     barycenter rows plus the entropy row), so checking every subset of
     that size is a complete oracle for small K.  The candidates are the
-    dense reference's posterior rows.
+    dense reference's posterior rows, less the subsets whose masks are
+    in `drop`.
     """
     k = pmf.points.size
-    _, post, ent, score = dense_subset_candidates(pmf)
+    masks, post, ent, score = dense_subset_candidates(pmf)
+    keep = ~np.isin(masks, drop)
+    post, ent, score = post[keep], ent[keep], score[keep]
     best = -1.0
     for size in range(1, k + 2):
         for idx in itertools.combinations(range(ent.size), size):
@@ -496,6 +499,138 @@ class TestLpPayoff:
             LpSolution(math.nan, [], True, math.nan)
 
 
+def mirror_index(masks, k):
+    """Index of each mask's mirror image under point i -> k - 1 - i, among `masks`."""
+    where = {int(mask): j for j, mask in enumerate(masks)}
+    return np.array([where[int(f"{int(mask):0{k}b}"[::-1], 2)] for mask in masks])
+
+
+def program_shapes(monkeypatch):
+    """Record the shape of every constraint matrix the LP hands the simplex."""
+    shapes = []
+    original = lp_module.linear_program_sweep
+
+    def spy(c, a, b, start, row, values):
+        shapes.append(a.shape)
+        return original(c, a, b, start, row, values)
+
+    monkeypatch.setattr(lp_module, "linear_program_sweep", spy)
+    return shapes
+
+
+def without(cands, mask):
+    """The candidate set less the subset `mask`."""
+    keep = cands.masks != mask
+    return CandidateSet(cands.masks[keep], cands.entropy_bits[keep], cands.scores[keep])
+
+
+def with_repeat(cands, mask):
+    """The candidate set with the subset `mask` listed twice: the same LP, not mirror-closed."""
+    j = int(np.flatnonzero(cands.masks == mask)[0])
+    return CandidateSet(*(np.append(col, col[j]) for col in
+                          (cands.masks, cands.entropy_bits, cands.scores)))
+
+
+# Mirror-symmetric pmfs: an even and an odd support, small enough for brute force.
+MIRRORED = {
+    "even": QuantizedPmf(np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.1, 0.4, 0.4, 0.1])),
+    "odd": QuantizedPmf(np.array([-1.5, 0.0, 1.5]), np.array([0.25, 0.5, 0.25])),
+}
+
+
+class TestMirrorOrbits:
+    """The LP over orbits of the mirror i -> k - 1 - i: one column per pair of
+    mirror subsets, one row per pair of mirror points, the key row.  A pmf
+    or candidate set without that symmetry takes the trivial group: every
+    candidate its own column and every point of positive mass its own row.
+    """
+
+    @pytest.mark.parametrize("support", [3, 9, 15])
+    def test_weights_are_mirror_symmetric(self, support, monkeypatch):
+        pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=support)
+        cands = enumerate_subset_candidates(pmf)
+        twin = mirror_index(cands.masks, support)
+        orbits = int(np.count_nonzero(cands.masks <= cands.masks[twin]))
+        shapes = program_shapes(monkeypatch)
+        rates = [0.0, 0.3, 0.9, 1.7, pmf.entropy_bits()]
+        for rs, sol in zip(rates, sweep_secrecy_lp(pmf, 9.0, rates, cands)):
+            assert sol.feasible, rs
+            np.testing.assert_array_equal(sol.weights[twin], sol.weights)
+        assert orbits == (2**support + 2 ** ((support + 1) // 2)) // 2 - 1
+        assert shapes == [((support + 3) // 2, orbits + 1)]
+
+    @pytest.mark.parametrize("rs", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("shape", ["even", "odd"])
+    def test_symmetric_pmf_matches_brute_force(self, shape, rs, monkeypatch):
+        pmf = MIRRORED[shape]
+        k = pmf.points.size
+        shapes = program_shapes(monkeypatch)
+        sol = solve_secrecy_lp(pmf, RatePair(5.0, rs), enumerate_subset_candidates(pmf))
+        assert sol.value == pytest.approx(brute_force_value(pmf, rs), abs=1e-9)
+        assert shapes[0][0] == (k + 3) // 2
+
+    def test_small_pmf_takes_the_trivial_group(self, small_pmf, small_cands, monkeypatch):
+        # Its masses are mirrored, its points are not, so neither are the scores.
+        shapes = program_shapes(monkeypatch)
+        solve_secrecy_lp(small_pmf, RatePair(5.0, 0.6), small_cands)
+        assert shapes == [(6, len(small_cands) + 1)]
+
+    @pytest.mark.parametrize("rs", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("probs, points", [
+        ([0.1, 0.3, 0.4, 0.2], [-2.0, -1.0, 1.0, 2.0]),  # masses not mirrored
+        ([0.1, 0.4, 0.4, 0.1], [-2.0, -0.5, 1.0, 2.0]),  # points not mirrored
+    ])
+    def test_asymmetric_pmf_takes_the_trivial_group(self, probs, points, rs, monkeypatch):
+        pmf = QuantizedPmf(np.array(points), np.array(probs))
+        cands = enumerate_subset_candidates(pmf)
+        shapes = program_shapes(monkeypatch)
+        sol = solve_secrecy_lp(pmf, RatePair(5.0, rs), cands)
+        assert sol.value == pytest.approx(brute_force_value(pmf, rs), abs=1e-9)
+        assert shapes == [(5, len(cands) + 1)]
+
+    def test_masses_decide_whatever_the_scores(self, monkeypatch):
+        # Candidates scored on the mirrored pmf, solved on one whose masses
+        # are not mirrored: the subset masses break the symmetry, so the
+        # trivial group solves it, as it does with a subset listed twice.
+        cands = enumerate_subset_candidates(MIRRORED["odd"])
+        pmf = QuantizedPmf(MIRRORED["odd"].points, np.array([0.15, 0.5, 0.35]))
+        shapes = program_shapes(monkeypatch)
+        rates = [0.0, 0.2, 0.5, 0.9]
+        got = [sol.value for sol in sweep_secrecy_lp(pmf, 5.0, rates, cands)]
+        want = [sol.value for sol in sweep_secrecy_lp(pmf, 5.0, rates, with_repeat(cands, 0b11))]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert shapes == [(4, len(cands) + 1), (4, len(cands) + 2)]
+
+    @pytest.mark.parametrize("rs", [0.0, 0.4, 1.0])
+    @pytest.mark.parametrize("shape, mask", [("even", 0b0011), ("even", 0b1101), ("odd", 0b011)])
+    def test_a_subset_without_its_mirror_takes_the_trivial_group(self, shape, mask, rs,
+                                                                 monkeypatch):
+        # The subset's mirror image (0b1100, 0b1011, 0b110) stays a candidate.
+        pmf = MIRRORED[shape]
+        k = pmf.points.size
+        cands = without(enumerate_subset_candidates(pmf), mask)
+        shapes = program_shapes(monkeypatch)
+        sol = solve_secrecy_lp(pmf, RatePair(5.0, rs), cands)
+        assert sol.value == pytest.approx(brute_force_value(pmf, rs, drop=[mask]), abs=1e-9)
+        assert shapes == [(k + 1, len(cands) + 1)]
+
+    @pytest.mark.parametrize("mode", ["continuous", "alphabet_restricted"])
+    @pytest.mark.parametrize("support", [3, 5, 7, 9, 11, 13, 15])
+    def test_orbit_program_matches_the_trivial_group(self, support, mode, monkeypatch):
+        # A subset listed twice leaves the LP as it is but the candidate set
+        # without the mirror symmetry, so the trivial group solves it.
+        pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=support)
+        cands = enumerate_subset_candidates(pmf, mode)
+        repeated = with_repeat(cands, 0b11)
+        grid = np.append(np.linspace(0.0, pmf.entropy_bits(), 9), pmf.entropy_bits() + 0.5)
+        shapes = program_shapes(monkeypatch)
+        for rates in (grid.tolist(), grid[::-1].tolist()):
+            orbit = [sol.value for sol in sweep_secrecy_lp(pmf, 9.0, rates, cands)]
+            trivial = [sol.value for sol in sweep_secrecy_lp(pmf, 9.0, rates, repeated)]
+            np.testing.assert_allclose(orbit, trivial, rtol=0.0, atol=1e-9)
+        assert [rows for rows, _ in shapes] == [(support + 3) // 2, support + 1] * 2
+
+
 @pytest.fixture(scope="module")
 def support15():
     """R = 2.7 pmf folded to 15 points, its candidates, and LP values on a key-rate grid."""
@@ -571,6 +706,28 @@ def lp_sweep_instance():
     grid = [i * 0.0625 for i in range(17)]
     cold = {rs: solve_secrecy_lp(pmf, RatePair(3.0, rs), cands).value for rs in grid}
     return pmf, cands, grid, cold
+
+
+def test_lp_sweep_instance_matches_highs_on_the_full_program(lp_sweep_instance):
+    # The program before any reduction, straight from the dense reference:
+    # one column per subset posterior and a key slack, one row per point
+    # and the key row.  HiGHS solves it at each rate; the sweep's weights,
+    # expanded to every subset, must satisfy it and reach the same value.
+    pmf, cands, grid, _ = lp_sweep_instance
+    masks, post, ent, score = dense_subset_candidates(pmf)
+    k, n = pmf.points.size, masks.size
+    np.testing.assert_array_equal(masks, cands.masks)
+    a = np.zeros((k + 1, n + 1))
+    a[:k, :n], a[k, :n], a[k, n] = post.T, ent, 1.0
+    c = np.append(score, 0.0)
+    for rs, sol in zip(grid, sweep_secrecy_lp(pmf, 3.0, grid, cands)):
+        b = np.append(pmf.probs, rs)
+        ref = linprog(-c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+        assert ref.success, rs
+        assert sol.value == pytest.approx(-ref.fun, abs=1e-7), rs
+        x = np.append(sol.weights, sol.slack_rs)
+        assert np.abs(a @ x - b).max() <= 1e-8, rs
+        assert float(c @ x) == pytest.approx(sol.value, abs=1e-9), rs
 
 
 def sweep_orders(grid):
