@@ -234,37 +234,34 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
     # One column per orbit O = {S, sigma S}, its candidate of the smaller
     # mask, and one row per orbit {i, sigma i} of points of positive mass.
     cols = np.flatnonzero(masks <= masks[twin])
-    m, orbit, twin = masks[cols], 1.0 + (twin[cols] != cols), twin[cols]
+    m, twin = masks[cols], twin[cols]
     rows = np.flatnonzero((pmf.probs > 0.0) & (np.arange(k) <= sigma))
-    # The solver starts from each row's first singleton and the slack, the
-    # identity (feasible while singletons spend no key).  Found before the
-    # matrix is built, off the memory peak; reversed, the dict keeps the first.
+    # The solver starts from each row's first singleton and the slack, a
+    # diagonal basis (feasible while singletons spend no key).  Found before
+    # the matrix is built, off the memory peak; reversed, the dict keeps the first.
     single = np.flatnonzero((m & (m - 1)) == 0)[::-1]
     first = dict(zip(m[single].tolist(), single.tolist()))
     key, c, probs = rows.size, cols.size, pmf.probs[rows]
     start = [first.get(1 << i, -1) for i in rows.tolist()] + [c]
 
-    # Columns: v = w / P(S) for each subset's weight w, and the slack of the
-    # entropy row, whose right-hand side the sweep sets to the key rate.  Row
-    # i, of entries |O| / 2 * ([i in S] + [sigma i in S]), sums v over the S holding i to 1.
+    # Each orbit's column is the mean of its subsets' columns in the program
+    # over v = w / P(S), one per subset weight w, so the solver's variable
+    # is z = |O| * w / P(S); the last column is the slack of the entropy
+    # row, whose right-hand side the sweep sets to the key rate.  Row i, of
+    # entries ([i in S] + [sigma i in S]) / 2, sums z over the S holding i to 1.
     a = np.zeros((key + 1, c + 1))
     for r, i in enumerate(rows):
-        a[r, :c] = (m >> i & 1) + (m >> sigma[i] & 1)
-    mass = probs / np.where(rows == sigma[rows], 2.0, 1.0) @ a[:key, :c]  # P(S), each i once
+        a[r, :c] = ((m >> i & 1) + (m >> sigma[i] & 1)) / 2.0
+    mass = probs * np.where(rows == sigma[rows], 1.0, 2.0) @ a[:key, :c]  # P(S), each i once
     if not (mass > 0.0).all():
         raise ValueError("candidate subset has zero mass")
-    a[:key, :c] *= orbit / 2.0
     for i, j in zip(rows, start):
         if j < 0 or abs(ent[cols[j]]) > 1e-12:
             why = "is missing" if j < 0 else f"has entropy {ent[cols[j]]}, not 0"
             raise ValueError(f"the singleton subset of point {i} {why}; the LP starts from it")
-    a[key, :c] = orbit * mass * ent[cols]
+    a[key, :c] = mass * ent[cols]
     a[key, c] = 1.0
-    # Equilibrate: each column over its largest entry, 1 or the key entry;
-    # the solver's variables are u = scale * v.
-    scale = np.maximum(a[key], 1.0)
-    a /= scale
-    cost = np.append(orbit * score[cols] * mass, 0.0) / scale
+    cost = np.append(mass * score[cols], 0.0)
 
     # No mixture spends more key than its largest candidate entropy, so a
     # larger rate is capped there, which keeps the key row's roundoff small.
@@ -274,7 +271,8 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
         if not np.max(np.abs(probs * (a[:key, :c] @ u[:c]) - probs)) <= 1e-8:
             raise SolverError("LP solution violates the barycenter constraint")  # NaN fails too
         weights = np.zeros(n)
-        weights[twin] = weights[cols] = u[:c] / scale[:c] * mass
+        weights[cols] = 0.5 * u[:c] * mass
+        weights[twin] += weights[cols]
         total = float(weights.sum())
         if not abs(total - 1.0) <= 1e-8:
             raise SolverError(f"LP weights sum to {total}, expected 1")

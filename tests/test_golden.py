@@ -142,8 +142,10 @@ class TestComparisonRule:
 # tables built one bin at a time (before they were built in one array
 # pass, which moved the tables in their last bits), then by a cold solve
 # at every key rate (before the sweep started each rate from the last
-# rate's optimal basis).  They are kept to show that they, like the
-# recorded ones, meet every constraint at the same D.
+# rate's optimal basis), then by the equilibrated orbit-sum program
+# (before each orbit column became the mean of its subsets' columns,
+# unscaled).  They are kept to show that they, like the recorded ones,
+# meet every constraint at the same D.
 EARLIER_PLATEAU_MIXTURES = {
     "0.75": [
         "4:0.323597230361;3+5:0.408556680901;3+4+5:0.134231686201;2+6:0.121195071886;"
@@ -152,6 +154,8 @@ EARLIER_PLATEAU_MIXTURES = {
         "0+2+6+8:0.0608301650221;0+1+7+8:0.00620966532578",
         "4:0.382924922548;3+5:0.241730337457;1+2+6+7:0.0665745721898;"
         "0+2+6+8:0.0608301650221;0+1+3+5+7+8:0.247940002783",
+        "4:0.382924922548;3+5:0.483460674914;2+6:0.121195071886;1+7:0.0119540724935;"
+        "0+8:0.000465258158071",
     ],
     "1": [
         "4:0.212016025252;3+5:0.267680175996;3+4+5:0.386689396214;2+6:0.121195071886;"
@@ -160,12 +164,16 @@ EARLIER_PLATEAU_MIXTURES = {
         "0+2+4+6+8:0.252292626296;0+1+7+8:0.00620966532578",
         "4:0.0886814220691;3+5:0.483460674914;1+2+6+7:0.0154179772268;"
         "0+2+6+8:0.0140876323822;0+1+7+8:0.00143809378611;0+1+2+4+6+7+8:0.396914199621",
+        "4:0.382924922548;3+5:0.483460674914;2+6:0.121195071886;1+7:0.0119540724935;"
+        "0+8:0.000465258158071",
     ],
     "1.25": [
         "4:0.100434820143;3+5:0.126803671091;3+4+5:0.639147106228;2+6:0.121195071886;"
         "1+7:0.0119540724935;0+8:0.000465258158071",
         "2+3+5+6:0.3023278734;1+4+7:0.197439497521;0+4+8:0.191695090353;"
         "0+1+2+3+5+6+7+8:0.308537538726",
+        "4:0.382924922548;3+5:0.483460674914;2+6:0.121195071886;1+7:0.0119540724935;"
+        "0+8:0.000465258158071",
     ],
     "1.5": [
         "3+4+5:0.825596434226;2+6:0.115489245768;2+3+4+5+6:0.0464949893543;"
@@ -174,6 +182,8 @@ EARLIER_PLATEAU_MIXTURES = {
         "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
         "3+4+5:0.288795199154;1+2+3+5+6+7:0.205536606431;0+2+4+6+8:0.168195084197;"
         "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
+        "4:0.382924922548;3+5:0.483460674914;2+6:0.121195071886;1+7:0.0119540724935;"
+        "0+8:0.000465258158071",
     ],
     "1.75": [
         "3+4+5:0.417275350446;2+6:0.0583709104142;2+3+4+5+6:0.511934408489;"
@@ -182,6 +192,8 @@ EARLIER_PLATEAU_MIXTURES = {
         "0+1+3+4+5+7+8:0.439402464057;0+1+2+3+5+6+7+8:0.154268769363",
         "3+4+5:0.288795199154;1+2+3+5+6+7:0.205536606431;0+2+4+6+8:0.168195084197;"
         "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
+        "4:0.382924922548;3+5:0.483460674914;2+6:0.121195071886;1+7:0.0119540724935;"
+        "0+8:0.000465258158071",
     ],
     "2": [
         "3+4+5:0.00895426666518;2+6:0.00125257506052;2+3+4+5+6:0.977373827623;"
@@ -190,6 +202,8 @@ EARLIER_PLATEAU_MIXTURES = {
         "0+1+3+4+5+7+8:0.439402464057;0+1+2+3+5+6+7+8:0.154268769363",
         "3+4+5:0.288795199154;1+2+3+5+6+7:0.205536606431;0+2+4+6+8:0.168195084197;"
         "0+1+4+7+8:0.131781417733;0+1+2+3+5+6+7+8:0.205691692484",
+        "4:0.382924922548;3+5:0.483460674914;2+6:0.121195071886;1+7:0.0119540724935;"
+        "0+8:0.000465258158071",
     ],
 }
 # Weights and D are printed to 12 significant digits.
@@ -240,8 +254,19 @@ def mixture_violations(rs: float, d: float, active: str) -> list[str]:
     return found
 
 
+def every_recorded_mixture() -> list[tuple[str, float, str]]:
+    """(Rs_bits, D, mixture) of every mixture lp.txt holds or held before."""
+    rows = golden_lp_rows()
+    d_at = {rs: d for rs, d, _ in rows}
+    return rows + [
+        (rs, d_at[rs], mixture)
+        for rs, mixtures in sorted(EARLIER_PLATEAU_MIXTURES.items())
+        for mixture in mixtures
+    ]
+
+
 class TestLpMixtures:
-    @pytest.mark.parametrize("rs, d, active", golden_lp_rows())
+    @pytest.mark.parametrize("rs, d, active", every_recorded_mixture())
     def test_recorded_mixture_is_feasible_at_d(self, rs, d, active):
         assert mixture_violations(float(rs), d, active) == []
 

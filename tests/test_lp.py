@@ -665,8 +665,8 @@ class TestValueCurveSupport15:
         assert grid[-2] == pytest.approx(pmf.entropy_bits(), abs=1e-12)
         np.testing.assert_allclose(values[-2:], pmf.variance(), atol=1e-9)
 
-    def test_matches_highs_on_the_equilibrated_lp(self, support15, monkeypatch):
-        # Capture the scaled program the sweep is handed and give it to
+    def test_matches_highs_on_the_program_it_is_handed(self, support15, monkeypatch):
+        # Capture the program the sweep is handed and give it to
         # HiGHS's interior-point method at each of its key rates; on this
         # 32767-column program it is about twice as fast as the dual
         # simplex HiGHS picks by default.  Either stops within its own
@@ -776,15 +776,15 @@ class TestWarmSweep:
             assert sol.slack_rs >= -1e-8
 
     def test_fallback_from_the_zero_key_rate_basis(self, monkeypatch):
-        # At rs = 0 the only feasible mixture is the singletons, and the
-        # optimal basis completes them with a near-singular column.  The
-        # dual pivots from the rs = 0.5 basis toward it lose dual
-        # feasibility, so the sweep must solve rs = 0 cold again and still
-        # return the cold answer at every rate.  (Whether the ascending
-        # sweep also falls back, on leaving that basis, turns on the last
-        # bits of the bin masses.)
-        pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 2.5), max_support=7)
-        cands = enumerate_subset_candidates(pmf)
+        # At rs = 0 the only feasible mixture is the singletons.  On the
+        # 11-point pmf of the 1.5-sigma table, scored in alphabet_restricted
+        # mode, the dual pivots from the rs = 0.5 basis toward it pass a
+        # basis of condition about 6e9 with basic values near -8e8 and lose
+        # dual feasibility, so the sweep must solve rs = 0 cold again and
+        # still return the cold answer at every rate.  It is the one sweep
+        # of the family below that still falls back.
+        pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 1.5), max_support=11)
+        cands = enumerate_subset_candidates(pmf, "alphabet_restricted")
         rates = [2.0, 1.5, 1.0, 0.5, 0.0]
         cold = [solve_secrecy_lp(pmf, RatePair(20.0, rs), cands).value for rs in rates]
         colds = count_calls(monkeypatch, simplex, "_cold")
@@ -792,33 +792,61 @@ class TestWarmSweep:
         assert len(colds) == 2
         np.testing.assert_allclose([s.value for s in swept], cold, rtol=0.0, atol=1e-9)
 
+    def test_family_sweeps_stay_warm(self, monkeypatch):
+        # Steps 0.25 to 3 sigma, supports 3 to 13, grids of step 0.0625 to
+        # 0.5 over 0:2, each ascending and descending, in both score modes:
+        # 672 sweeps.  Only the sweep of the test above may solve cold after
+        # its first rate; it is reached twice, since the 1.5-sigma table has
+        # 11 bins of positive mass, so supports 11 and 13 give one pmf.  On
+        # every ascending grid D is nondecreasing and concave (equal steps).
+        colds = count_calls(monkeypatch, simplex, "_cold")
+        fell_back = 0
+        for mode, step, support in itertools.product(
+                ("continuous", "alphabet_restricted"), (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
+                range(3, 14, 2)):
+            pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, step), support)
+            cands = enumerate_subset_candidates(pmf, mode)
+            for size in (0.0625, 0.125, 0.25, 0.5):
+                grid = [i * size for i in range(round(2.0 / size) + 1)]
+                for rates in (grid, grid[::-1]):
+                    swept = sweep_secrecy_lp(pmf, 20.0, rates, cands)
+                    values = [next(swept).value]
+                    first = len(colds)
+                    values += [sol.value for sol in swept]
+                    fell_back += len(colds) > first
+                    if rates is grid:
+                        rises = np.diff(values)
+                        assert (rises >= -1e-9).all(), (mode, step, support, size)
+                        assert (np.diff(rises) <= 1e-9).all(), (mode, step, support, size)
+        assert fell_back <= 2
+
     def test_lp_sweep_command_pivots(self, monkeypatch, capsys):
-        # The cold solve at every rate took 860 pivots here.
+        # 18 pivots; the cold solve at every rate took 860 here.
         pivots = count_calls(monkeypatch, simplex, "_pivot")
         code = cli_main(["lp", "--t", "0.6", "--r", "3", "--rs-range", "0:1:0.0625",
                          "--max-support", "11"])
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 18
-        assert 0 < len(pivots) < 300
+        assert 0 < len(pivots) < 60
 
     def test_curve_solve_starts_from_the_singletons(self, monkeypatch, capsys):
         # The support-15 lp_quantized solve of the benchmark's first
         # variant: the cold solve is one round of pivots from the singleton
-        # and key-slack columns, all of them primal.
+        # and key-slack columns, all of them primal: 15 pivots.
         pivots = count_calls(monkeypatch, simplex, "_pivot")
         rounds = count_calls(monkeypatch, simplex, "_iterate")
         code = cli_main(["curve", "--schemes", "lp_quantized", "--r", "2.7", "--rs", "0.25"])
         assert code == 0
         assert len(capsys.readouterr().out.splitlines()) == 2
-        assert 0 < len(pivots) < 80
+        assert 0 < len(pivots) < 40
         assert len(rounds) == 1
 
     def test_sweep_holds_one_dense_solution_at_a_time(self):
         # A 17-rate sweep at support 13, 8191 candidates, read as a stream
         # and each solution dropped once read.  Beside the (k + 1) x (n + 1)
-        # matrix it may hold only a few dense n-vectors at once: cost,
-        # scales, the current solution and weights, and the pricing
-        # temporaries.  Solutions kept until the sweep ends would add 17.
+        # matrix it may hold only a few dense n-vectors at once: cost, the
+        # current solution and weights, and the pricing temporaries.
+        # Solutions kept until the sweep ends would add 17.
         pmf = build_quantized_pmf(build_bin_table(STANDARD_SOURCE, 0.3), max_support=13)
         cands = enumerate_subset_candidates(pmf)
         rates = [i * 0.125 for i in range(17)]
