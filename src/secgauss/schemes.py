@@ -57,7 +57,7 @@ _LN2 = math.log(2.0)
 _GRID_BLOCK = 8192  # grid entries per block of whole rows of bounds: 64 KB temporaries
 _Y_PANELS, _T_PANELS = 6, 16  # Gauss-Legendre panels of the sign-split quadrature's two integrals
 _QUAD_BLOCK = 8192  # tensor nodes per block of that quadrature: 64 KB temporaries
-_MAX_SWEEP = 250_000_000  # n_max * table width: entries the greedy's residue sweep may label
+_MAX_SWEEP = 250_000_000  # n_max * table width, the greedy's residue sweep reading half of each
 
 
 @dataclass(frozen=True)
@@ -325,9 +325,11 @@ class GreedyQuantizedScheme:
     then, per key budget, discloses the bin index modulo the divisor
     that maximizes payoff subject to the residual entropy fitting the
     key rate.  Reusable across key rates: the table and both residue
-    statistics of every divisor (one array call each) are computed once.
-    `n_max` bounds the divisors (default: the table width); n_max times
-    the width may not exceed `_MAX_SWEEP`, which keeps the sweep to seconds.
+    statistics of every divisor (one array call each, which reads half
+    the table per divisor: the bins 0..k for divisors up to k, pairs of
+    bins above) are computed once.  `n_max` bounds the divisors (default:
+    the table width); n_max times the width may not exceed `_MAX_SWEEP`,
+    which keeps the sweep to seconds.
     """
 
     def __init__(

@@ -21,8 +21,11 @@ from secgauss import (
     QuantizedPmf,
     RatePair,
     build_bin_table,
+    bob_distortion,
     build_quantized_pmf,
+    entropy_given_residue,
     enumerate_subset_candidates,
+    eve_mmse_given_residue,
     evaluate_finite_strategy,
     solve_secrecy_lp,
     step_size_for_entropy,
@@ -871,20 +874,51 @@ class TestWarmSweep:
             next(swept)
 
 
+@pytest.fixture(scope="module", params=[1.5, 2.0])
+def greedy_and_lp(request):
+    """The greedy plan at R = 1.5 or 2 (9 and 15 bins), its unfolded pmf and candidates."""
+    plan = GreedyQuantizedScheme(request.param)
+    pmf = build_quantized_pmf(plan.table)
+    assert pmf.points.size == plan.table.prob.size  # every bin has mass: point i is row i
+    return plan, pmf, enumerate_subset_candidates(pmf)
+
+
 class TestDominatesGreedy:
-    @pytest.mark.parametrize("rate", [1.5, 2.0])
-    def test_lp_at_least_greedy_at_equal_step(self, rate):
-        # Greedy disclosure of the index mod n is one feasible subset
-        # mixture, and Bob's lattice decoding is no better than the
-        # centroid the LP assumes, so the LP can only do better.
-        plan = GreedyQuantizedScheme(rate)
-        pmf = build_quantized_pmf(plan.table)
-        cands = enumerate_subset_candidates(pmf)
-        for rs in (0.0, 0.25, 0.5, 1.0):
+    """Disclosing the index mod n is one subset mixture: class S weighted P(S)."""
+
+    def test_residue_classes_are_a_mixture(self, greedy_and_lp):
+        # Its key use is H(X | X mod n) and its value Eve's error less the
+        # within-bin variances, which the LP's centroid pmf does not hold.
+        plan, _, cands = greedy_and_lp
+        table = plan.table
+        within = float(np.dot(table.prob, table.within_var))
+        for n in range(1, table.prob.size + 2):
+            classes = np.mod(table.indices, n)
+            rows = [np.flatnonzero(classes == r) for r in np.unique(classes)]
+            masks = [int(np.sum(1 << i)) for i in rows]
+            at = np.searchsorted(cands.masks, masks)
+            assert cands.masks[at].tolist() == masks
+            mass = np.array([table.prob[i].sum() for i in rows])
+            assert float(mass @ cands.entropy_bits[at]) == pytest.approx(
+                entropy_given_residue(table, n), abs=1e-12), n
+            assert float(mass @ cands.scores[at]) == pytest.approx(
+                eve_mmse_given_residue(table, n) - within, abs=1e-12), n
+
+    def test_lp_at_least_greedy_at_equal_step(self, greedy_and_lp):
+        # So at each rate where the plan fits, the LP is at least the plan's
+        # mixture, and Bob decodes to lattice points, no better than centroids.
+        plan, pmf, cands = greedy_and_lp
+        var = STANDARD_SOURCE.variance
+        lattice, centroid = (bob_distortion(plan.table, rule) for rule in ("lattice", "centroid"))
+        bob_gap = (lattice - centroid) / var
+        rates = np.arange(31) * 0.05
+        checked = 0
+        for rs, lp in zip(rates, sweep_secrecy_lp(pmf, plan.rate_bits, rates, cands)):
             point = plan.evaluate(rs)
-            assert point.feasible
-            lp = solve_secrecy_lp(pmf, RatePair(rate, rs), cands)
-            assert lp.value / STANDARD_SOURCE.variance >= point.payoff.value - 1e-9
+            if point.feasible:
+                assert lp.value / var - point.payoff.value - bob_gap >= -1e-12, rs
+                checked += 1
+        assert checked == rates.size
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ variances are checked against mpmath at 50 digits as the tests run.
 
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -178,6 +179,12 @@ class TestEntropies:
             entropy_given_residue(unit_table, 0)
 
 
+# The residue sweep's two paths for moduli above k on a small table: as
+# configured, labelling bins 0..k (k below quantizer._PAIRS_FROM, as in every
+# drawn table), and from k = 1 on, as bin pairs.
+BOTH_PATHS = (quantizer._PAIRS_FROM, 1)
+
+
 class TestDistortions:
     def test_lattice_oracle(self, unit_table):
         assert bob_distortion(unit_table, "lattice") == pytest.approx(
@@ -199,14 +206,27 @@ class TestDistortions:
         with pytest.raises(ValueError):
             bob_distortion(unit_table, "midpoint")
 
-    def test_empty_bins_add_nothing_at_a_huge_step(self):
+    def test_empty_bins_add_nothing_at_a_huge_step(self, monkeypatch):
         # Bin 0 holds all the mass; the empty outer bins keep centroids
         # near +-5e299, whose squared gaps would overflow to inf * 0.
         table = build_bin_table(STANDARD_SOURCE, 1e300)
         assert table.prob.tolist() == [0.0, 1.0, 0.0]
         assert bob_distortion(table, "lattice") == 1.0
-        assert eve_mmse_given_residue(table, 2) == 1.0
         assert eve_mmse_given_magnitude(table) == 1.0
+        # Modulus 1 labels bins 0..1; 2 labels them too or takes the massless
+        # pair of bins -1 and 1; 3 and 4 leave every bin alone.  None may form
+        # 0/0 or inf * 0.
+        moduli = np.arange(1, table.prob.size + 2)
+        for pairs_from in BOTH_PATHS:
+            monkeypatch.setattr(quantizer, "_PAIRS_FROM", pairs_from)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entropies = entropy_given_residue(table, moduli)
+                errors = eve_mmse_given_residue(table, moduli)
+                assert [entropy_given_residue(table, int(n)) for n in moduli] == entropies.tolist()
+                assert [eve_mmse_given_residue(table, int(n)) for n in moduli] == errors.tolist()
+            assert np.isfinite(entropies).all() and np.isfinite(errors).all()
+            assert errors[1] == 1.0, pairs_from
 
 
 class TestEveMmse:
@@ -548,12 +568,15 @@ class TestClassStatisticsMatchReference:
         got = entropy_given_magnitude(table)
         assert got == pytest.approx(ref_entropy_given_magnitude(table), rel=1e-10, abs=0.0)
         assert math.copysign(1.0, got) == 1.0
-        for n in range(1, 2 * table.max_index + 3):
-            got = entropy_given_residue(table, n)
-            ref = ref_entropy_given_residue(table, n)
-            assert got == pytest.approx(ref, rel=1e-10, abs=0.0), n
-            assert math.copysign(1.0, got) == 1.0
-        assert_array_calls_match_scalar(entropy_given_residue, table)
+        refs = [ref_entropy_given_residue(table, n) for n in range(1, 2 * table.max_index + 3)]
+        for pairs_from in BOTH_PATHS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(quantizer, "_PAIRS_FROM", pairs_from)
+                for n, ref in enumerate(refs, start=1):
+                    got = entropy_given_residue(table, n)
+                    assert got == pytest.approx(ref, rel=1e-10, abs=0.0), (pairs_from, n)
+                    assert math.copysign(1.0, got) == 1.0
+                assert_array_calls_match_scalar(entropy_given_residue, table)
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_tables())
@@ -562,11 +585,15 @@ class TestClassStatisticsMatchReference:
         assert eve_mmse_given_magnitude(table) == pytest.approx(
             ref_eve_mmse_given_magnitude(table), abs=tol
         )
-        for n in range(1, 2 * table.max_index + 3):
-            got = eve_mmse_given_residue(table, n)
-            assert got == pytest.approx(ref_eve_mmse_given_residue(table, n), abs=tol), n
-            assert math.isfinite(got)
-        assert_array_calls_match_scalar(eve_mmse_given_residue, table)
+        refs = [ref_eve_mmse_given_residue(table, n) for n in range(1, 2 * table.max_index + 3)]
+        for pairs_from in BOTH_PATHS:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(quantizer, "_PAIRS_FROM", pairs_from)
+                for n, ref in enumerate(refs, start=1):
+                    got = eve_mmse_given_residue(table, n)
+                    assert got == pytest.approx(ref, abs=tol), (pairs_from, n)
+                    assert math.isfinite(got)
+                assert_array_calls_match_scalar(eve_mmse_given_residue, table)
 
     @settings(max_examples=150, deadline=None)
     @given(symmetric_tables())
@@ -588,11 +615,32 @@ class TestClassStatisticsMatchReference:
         for n, got in zip(moduli, eve_mmse_given_residue(table, np.array(moduli))):
             assert got == pytest.approx(ref_eve_mmse_given_residue(table, n), abs=tol), n
 
+    def test_both_statistics_at_the_rate7_path_boundaries(self, rate7_scalars):
+        # k = 221: n <= k takes the mirror classes, k < n < W = 443 the bin
+        # pairs, and n >= W leaves every bin alone.
+        table, scalars = rate7_scalars
+        k, width = table.max_index, table.prob.size
+        tol = 1e-12 * max(1.0, second_moment(table))
+        moduli = [1, 2, 3, k - 1, k, k + 1, k + 2, width - 1, width, width + 1]
+        entropies = entropy_given_residue(table, np.array(moduli))
+        errors = eve_mmse_given_residue(table, np.array(moduli))
+        for n, got_h, got_e in zip(moduli, entropies, errors):
+            ref_h = ref_entropy_given_residue(table, n)
+            assert got_h == pytest.approx(ref_h, rel=1e-10, abs=0.0), n
+            assert got_e == pytest.approx(ref_eve_mmse_given_residue(table, n), abs=tol), n
+            if n <= width:
+                assert got_h == scalars["entropy_given_residue"][n - 1]
+                assert got_e == scalars["eve_mmse_given_residue"][n - 1]
+
     @pytest.mark.parametrize("stat", [entropy_given_residue, eve_mmse_given_residue])
-    # One entry, N - 1, N, N + 1, 2N and 3N entries for the N = 443 bins at R = 7.
-    @pytest.mark.parametrize("block", [1, 442, 443, 444, 886, 1329])
+    # With k + 1 = 222 labels per modulus n <= k at R = 7: one modulus a block
+    # (1, 3, 221, 442, 443), two (444), three (886) and five (1329).  Moduli
+    # k < n < W hold 111, 110, 110, 109, ..., 1, 1 pairs: one modulus a block
+    # (1; 3 but for n = 440 with 441), two (221, the first block ending
+    # before n = 224), four (442-444), eight (886) and twelve (1329) at first.
+    @pytest.mark.parametrize("block", [1, 442, 443, 444, 886, 1329, 3, 221])
     def test_block_size_keeps_the_bits(self, monkeypatch, rate7_scalars, stat, block):
-        # Blocks of one modulus, as in a scalar call, and of two or three
+        # Blocks of one modulus, as in a scalar call, and of several
         # stacked moduli must all give the scalar calls' bits.
         table, scalars = rate7_scalars
         monkeypatch.setattr(quantizer, "_RESIDUE_BLOCK", block)
@@ -614,6 +662,21 @@ class TestClassStatisticsMatchReference:
         square = stat(unit_table, np.array([[1, 2], [3, 4]]))
         assert square.tolist() == [[stat(unit_table, 1), stat(unit_table, 2)],
                                    [stat(unit_table, 3), stat(unit_table, 4)]]
+
+    @pytest.mark.parametrize("stat", [entropy_given_residue, eve_mmse_given_residue])
+    @pytest.mark.parametrize("column", ["prob", "centroid"])
+    def test_asymmetric_table_refused(self, unit_table, stat, column):
+        # Both paths read half the table or half the pairs, so both refuse
+        # a table that is not its own mirror image: n = 3 <= k and n = 9 > k.
+        cols = {name: getattr(unit_table, name).copy()
+                for name in ("prob", "centroid", "within_var")}
+        # Mass moved from bin 2 to bin 1, or bins 1 and 2 moved right, by 1e-9.
+        cols[column][8:10] += [1e-9, -1e-9] if column == "prob" else 1e-9
+        table = BinTable(cols["prob"], cols["centroid"], cols["within_var"], unit_table.source, 1.0)
+        assert unit_table.max_index == 7
+        for n in (3, 9, np.array([3, 9])):
+            with pytest.raises(SolverError, match="not symmetric about the source mean"):
+                stat(table, n)
 
     def test_huge_modulus_needs_no_allocation(self, unit_table):
         # Every modulus past the table width discloses the index exactly.
