@@ -8,6 +8,7 @@ usage error, 3 infeasible instance, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -115,7 +116,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mu", type=float, default=0.0, help="source mean (default 0.0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The shared parser: built on the first call, the same object on every later one.
+
+    `main` parses each command with it, so a process builds it once;
+    callers must not add to it or change it.
+    """
     parser = argparse.ArgumentParser(
         prog="secgauss",
         description="Secrecy payoff curves, LP solves, and game simulations "

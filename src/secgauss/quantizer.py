@@ -5,11 +5,11 @@ source mean, tails are folded into the outermost kept bins, and every
 bin carries its exact probability, centroid, and within-bin variance.
 All entropy and distortion summaries of a quantized source are computed
 from these tables, but for the step search's candidate entropies, which
-the same code takes from the bin masses alone.  Bins grouped by their
-magnitude, or the outer bins merged by a fold, are merged by one
-routine, `_class_moments`: each group's mass and mean, and each bin's
-spread about its group mean, whose sum is Eve's error, in one vectorized
-pass.  Residues mod many moduli at once are swept over half the table
+it takes from the bin masses alone, by the tables' own mass rule.  Bins
+grouped by their magnitude, or the outer bins merged by a fold, are
+merged by one routine, `_class_moments`: each group's mass and mean, and
+each bin's spread about its group mean, whose sum is Eve's error, in one
+vectorized pass.  Residues mod many moduli at once are swept over half the table
 in cache-sized blocks (`_residue_sweep`): in a table of 2k + 1 bins, a
 modulus up to k labels only bins 0..k, as bin -i is bin i mirrored, and
 a larger one puts at most two bins in a class, read as contiguous slices
@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .model import (GaussianSource, RatePair, _frozen, _masses, _pmf, _whole, entropy_bits,
-                    truncated_moments)
+from .model import (_SQRT2, GaussianSource, RatePair, _frozen, _masses, _pmf, _whole,
+                    entropy_bits, normal_cdf, truncated_moments)
 
 __all__ = [
     "BinTable",
@@ -132,14 +132,30 @@ def _bin_edges(source: GaussianSource, step: float):
     if 2 * k_max + 1 > _MAX_BINS:
         raise _StepError(f"step {t} needs more than the {_MAX_BINS} supported bins")
     lower = mu + (np.arange(k_max + 1) - 0.5) * t
-    if not (np.diff(lower) > 0.0).all():
+    if not (lower[:-1] < lower[1:]).all():
         raise ValueError(f"step {t} is too fine for floats at the source mean {mu:g}")
     return lower, np.append(lower[1:], math.inf)
 
 
 def _step_entropy(source: GaussianSource, step: float) -> float:
-    """`output_entropy(build_bin_table(source, step))` bit for bit, from the bin masses alone."""
-    p = _masses(*_bin_edges(source, step), source)[0]
+    """`output_entropy(build_bin_table(source, step))` bit for bit, from the bin masses alone.
+
+    The masses are `_masses`' own expressions for this one partition: its
+    edges are distinct, not NaN, and at the source mean or above it from
+    bin 1 on, so bin j >= 1 takes the difference of the tails at its
+    edges, and bin 0 the erf pair when it straddles the mean.
+    """
+    lower, upper = _bin_edges(source, step)
+    if lower[-1] == math.inf:  # an edge past the float range, which _masses refuses
+        _masses(lower, upper, source)
+    alpha = (lower - source.mean) / source.std
+    tail = normal_cdf(-np.abs(np.append(alpha, math.inf)))
+    p = np.maximum(tail[:-1] - tail[1:], 0.0)
+    if alpha[0] < 0.0 < alpha[1]:
+        p[0] = 0.5 * (math.erf(float(alpha[1]) / _SQRT2) + math.erf(-float(alpha[0]) / _SQRT2))
+    else:  # an edge of bin 0 at the mean, whose tail 1/2 is the larger, as _masses orders them
+        p[0] = abs(tail[0] - tail[1])
+    p[p < 1e-300] = 0.0
     return entropy_bits(_pmf(np.concatenate([p[:0:-1], p])))
 
 

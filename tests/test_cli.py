@@ -22,7 +22,7 @@ from secgauss import (
     output_entropy,
     weak_eavesdropper_payoff,
 )
-from secgauss.cli import _MAX_GRID_POINTS, CSV_HEADER, _parse_grid, main
+from secgauss.cli import _MAX_GRID_POINTS, CSV_HEADER, _parse_grid, build_parser, main
 from secgauss.sim import _MAX_SYMBOLS
 
 
@@ -117,6 +117,26 @@ class TestCurve:
         assert run_cli(argv + ["--out", str(out1)]) == 0
         assert run_cli(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main parses with the one shared parser; a usage error, --help and an
+    # infeasible command leave the next command as a first call sees it.
+    assert build_parser() is build_parser()
+    valid = [["curve", "--schemes", "weak,quantized_greedy", "--r", "1.5", "--rs", "0.5"],
+             ["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "0", "--n", "1000"]]
+    build_parser.cache_clear()
+    first = []
+    for argv in valid:
+        first.append((run_cli(argv), *capsys.readouterr()))
+    others = [(["curve", "--schemes"], 2), (["sim", "--scheme", "nope", "--seed", "1"], 2),
+              (["curve", "--help"], 0),
+              (["sim", "--scheme", "sign_pad", "--rs", "0.5", "--seed", "1", "--n", "100"], 3)]
+    for argv, code in others:
+        assert run_cli(argv) == code, argv
+        capsys.readouterr()
+        for again, want in zip(valid, first):
+            assert (run_cli(again), *capsys.readouterr()) == want, (argv, again)
 
 
 class TestSim:

@@ -365,19 +365,39 @@ class TestStepSizeForEntropy:
     )
     @example(1e-3, 0.0, 1.0)  # the 14263-bin fine end
     @example(40.0, 1e6, 1e4)
+    @example(2.0, 2.0**52 + 1.0, 1.0)  # bin 0's edges an ulp either side of a huge mean: erf pair
+    @example(74.6, 0.0, 1.0)  # bin 1's mass about 8e-305, floored to 0
+    @example(quantizer._TAIL_STDS / 1.5, 0.0, 1.0)  # the finest three-bin step; an ulp less has five
+    @example(1e300, 0.0, 1.0)  # three bins, the outer two without mass
     def test_mass_entropy_is_the_table_entropy(self, step, mu, variance):
         source = GaussianSource(mu, variance)
         t = step * source.std
         assert quantizer._step_entropy(source, t) == output_entropy(build_bin_table(source, t))
 
+    def test_search_steps_match_table_priced_search(self, monkeypatch):
+        # The same bisection with every candidate priced by its built table
+        # lands on the same step, bit for bit.
+        sources = [GaussianSource(0.0, 1.0), GaussianSource(3.0, 0.25),
+                   GaussianSource(-1e6, 1e-4), GaussianSource(1e3, 7.0)]
+        targets = [0.25 * i for i in range(1, 29)] + [10.0, 12.0]
+        got = [step_size_for_entropy(s, r).step for s in sources for r in targets]
+        monkeypatch.setattr(quantizer, "_step_entropy",
+                            lambda source, t: output_entropy(build_bin_table(source, t)))
+        monkeypatch.setattr(quantizer, "build_bin_table", lambda source, t: t)  # the step alone
+        assert got == [step_size_for_entropy(s, r) for s in sources for r in targets]
+
+    # (2**52, 0.9): bin 1's lower edge rounds to the mean, so bin 0 does not
+    # straddle it, and the masses sum to about 1.19.  (1.5e308, 1e308): the
+    # last bin's lower edge overflows to inf.
     @pytest.mark.parametrize("mu, step", [
         (1e17, 0.5), (0.0, 1e-6), (0.0, math.inf), (0.0, math.nan), (0.0, 0.0), (0.0, 1e-320),
+        (2.0**52, 0.9), (1.5e308, 1e308),
     ])
     def test_mass_entropy_raises_as_the_table_does(self, mu, step):
         source = GaussianSource(mu, 1.0)
-        with pytest.raises(ValueError) as built:
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as built:
             build_bin_table(source, step)
-        with pytest.raises(ValueError) as evaluated:
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as evaluated:
             quantizer._step_entropy(source, step)
         assert type(evaluated.value) is type(built.value)
         assert str(evaluated.value) == str(built.value)
