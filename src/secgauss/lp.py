@@ -261,7 +261,10 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
             raise ValueError(f"the singleton subset of point {i} {why}; the LP starts from it")
     a[key, :c] = mass * ent[cols]
     a[key, c] = 1.0
-    cost = np.append(mass * score[cols], 0.0)
+    # Costs in units of the power of two nearest the pmf's variance (1 for a point mass),
+    # exact to scale back, so the simplex's absolute tolerances meet one scale.
+    scale = 2.0 ** round(math.log2(var)) if (var := pmf.variance()) > 0.0 else 1.0
+    cost = np.append(mass * score[cols], 0.0) / scale
 
     # No mixture spends more key than its largest candidate entropy, so a
     # larger rate is capped there, which keeps the key row's roundoff small.
@@ -279,7 +282,7 @@ def sweep_secrecy_lp(pmf: QuantizedPmf, rate: float, key_rates,
         used = float(np.dot(weights, ent))
         if not used <= pair.key_rate + 1e-8:
             raise SolverError("LP solution violates the key-rate constraint")
-        yield LpSolution(max(value, 0.0), weights, pair.key_rate - used)
+        yield LpSolution(max(value, 0.0) * scale, weights, pair.key_rate - used)
 
 
 def _mirror(pmf: QuantizedPmf, candidates: CandidateSet) -> tuple[np.ndarray, np.ndarray]:

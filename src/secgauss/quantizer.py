@@ -3,12 +3,13 @@
 Bins are indexed by the nearest-integer multiple of the step about the
 source mean, tails are folded into the outermost kept bins, and every
 bin carries its exact probability, centroid, and within-bin variance.
+Every table is its own mirror image about the source mean, a rule
+`BinTable` checks once when it is built, in the source's own scale.
 All entropy and distortion summaries of a quantized source are computed
 from these tables, but for the step search's candidate entropies, which
-it takes from the bin masses alone, by the tables' own mass rule.  Bins
-grouped by their magnitude, or the outer bins merged by a fold, are
-merged by one routine, `_class_moments`: each group's mass and mean, and
-each bin's spread about its group mean, whose sum is Eve's error, in one
+it takes from the bin masses alone, by the tables' own mass rule.  The
+outer bins merged by a fold are merged by `_class_moments`: each group's
+mass and mean, and each bin's spread about its group mean, in one
 vectorized pass.  Residues mod many moduli at once are swept over half the table
 in cache-sized blocks (`_residue_sweep`): in a table of 2k + 1 bins, a
 modulus up to k labels only bins 0..k, as bin -i is bin i mirrored, and
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError
-from .model import (_SQRT2, GaussianSource, RatePair, _frozen, _masses, _pmf, _whole,
+from .model import (_SQRT2, GaussianSource, RatePair, _frozen, _pmf, _whole,
                     entropy_bits, normal_cdf, truncated_moments)
 
 __all__ = [
@@ -80,7 +81,9 @@ class BinTable:
     Rows run over `indices` -max_index..max_index, set from the column
     length.  `prob` sums to one because tail mass is folded into the
     outermost bins; `centroid` and `within_var` are the source's mean
-    and variance conditional on the bin (fold included).
+    and variance conditional on the bin (fold included).  A table must be
+    its own mirror image: bins i and -i of equal mass within 1e-12, and
+    centroid offsets d = c - mean with |d_i + d_-i| <= 1e-12 max(|mean|, std).
     """
 
     prob: np.ndarray
@@ -100,6 +103,13 @@ class BinTable:
         if not len(self.centroid) == len(self.within_var) == n:
             raise ValueError("table columns must have equal length")
         object.__setattr__(self, "indices", _frozen(np.arange(-(n // 2), n // 2 + 1)))
+        # Both tests fail on NaN; quarter offsets, so no sum of two can overflow.
+        p, mu = self.prob, self.source.mean
+        if not np.abs(p - p[::-1]).max() <= _SYMMETRY_TOL:
+            raise SolverError("bin table is not symmetric about the source mean")
+        d = np.subtract(0.25 * self.centroid, 0.25 * mu)
+        if not np.abs(d + d[::-1]).max() <= 0.25 * _SYMMETRY_TOL * max(abs(mu), self.source.std):
+            raise SolverError("bin centroids are not symmetric about the source mean")
 
     @property
     def max_index(self) -> int:
@@ -131,6 +141,10 @@ def _bin_edges(source: GaussianSource, step: float):
     k_max = max(math.ceil(min(_TAIL_STDS * source.std / t - 0.5, _MAX_BINS)), 1)
     if 2 * k_max + 1 > _MAX_BINS:
         raise _StepError(f"step {t} needs more than the {_MAX_BINS} supported bins")
+    # The outer edge and its mirror image bound every edge and mirrored centroid 2 mean - c;
+    # in Python floats, an overflow of either (or of 2 mean) gives inf or NaN, with no warning.
+    if not math.isfinite(2.0 * mu - (mu + (k_max - 0.5) * t)):
+        raise ValueError(f"step {t} puts bin edges past the float range at the source mean {mu:g}")
     lower = mu + (np.arange(k_max + 1) - 0.5) * t
     if not (lower[:-1] < lower[1:]).all():
         raise ValueError(f"step {t} is too fine for floats at the source mean {mu:g}")
@@ -145,9 +159,7 @@ def _step_entropy(source: GaussianSource, step: float) -> float:
     bin 1 on, so bin j >= 1 takes the difference of the tails at its
     edges, and bin 0 the erf pair when it straddles the mean.
     """
-    lower, upper = _bin_edges(source, step)
-    if lower[-1] == math.inf:  # an edge past the float range, which _masses refuses
-        _masses(lower, upper, source)
+    lower = _bin_edges(source, step)[0]
     alpha = (lower - source.mean) / source.std
     tail = normal_cdf(-np.abs(np.append(alpha, math.inf)))
     p = np.maximum(tail[:-1] - tail[1:], 0.0)
@@ -177,7 +189,6 @@ def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
     k_old = table.max_index
     if max_index >= k_old:
         return table
-    _require_symmetric(table)
 
     # Fold the nonnegative half, then mirror it so the result is exactly symmetric.
     half = [col[k_old:] for col in (table.prob, table.centroid, table.within_var)]
@@ -217,12 +228,11 @@ def _residue_sweep(table: BinTable, moduli, classes, half, pairs, columns):
     the masses first) tiled to one row per modulus; n >= W leaves each bin
     alone, with no term.  A block holds whole moduli, up to _RESIDUE_BLOCK
     pairs or labels, so each modulus sums the same terms in the same order
-    whatever shares its block.  The table must be symmetric.
+    whatever shares its block.
     """
     f = np.asarray(moduli, dtype=float)
     if not np.all((f >= 1.0) & (f == np.floor(f)) & (f < math.inf)):
         raise ValueError(f"modulus must be an integer >= 1, got {moduli}")
-    _require_symmetric(table)
     k, width = table.max_index, table.prob.size
     n = np.minimum(f.ravel(), width).astype(np.int64)
     out = np.zeros(n.size)
@@ -321,8 +331,8 @@ def _class_spread(moduli: np.ndarray, p: np.ndarray, pd: np.ndarray, spread: flo
     classes, with offsets d = c - mean about the source mean (`pd` = p d
     per bin) and S the sum of p d over a class: a mirrored bin has offset
     -d, so S is the half's class sum less its mirror class's, and 0 in a
-    class that is its own mirror image (bin 0's own offset, within 1e-12
-    of 0 in a symmetric table, is left out of S).  A class without mass
+    class that is its own mirror image (bin 0's own offset, 0 within the
+    table's symmetry tolerance, is left out of S).  A class without mass
     adds 0.
     """
     labels, mirror, mass, first = _half_classes(moduli, p)
@@ -358,17 +368,6 @@ def _pair_spread(a: np.ndarray, b: np.ndarray, ca: np.ndarray, cb: np.ndarray) -
     return a * b / np.maximum(a + b, _TINY) * gap * gap
 
 
-def _require_symmetric(table: BinTable) -> None:
-    p = table.prob
-    c = table.centroid
-    mu = table.source.mean
-    # np.allclose with rtol=0 (NaN fails too), at a tenth of its cost on small tables.
-    if not np.abs(p - p[::-1]).max() <= _SYMMETRY_TOL:
-        raise SolverError("bin table is not symmetric about the source mean")
-    if not np.abs(c + c[::-1] - 2.0 * mu).max() <= _SYMMETRY_TOL * max(1.0, abs(mu)):
-        raise SolverError("bin centroids are not symmetric about the source mean")
-
-
 def output_entropy(table: BinTable) -> float:
     """Entropy in bits of the quantizer output."""
     return entropy_bits(table.prob)
@@ -377,11 +376,9 @@ def output_entropy(table: BinTable) -> float:
 def entropy_given_magnitude(table: BinTable) -> float:
     """Conditional entropy in bits of the output given its magnitude.
 
-    Only the sign is left once the magnitude is known, so for a
-    symmetric table this equals the probability that the output is
-    nonzero.  Asymmetric tables are rejected.
+    Only the sign is left once the magnitude is known, so this equals
+    the probability that the output is nonzero.
     """
-    _require_symmetric(table)
     k = table.max_index
     # Magnitude i > 0 is the class of bins i and -i; magnitude 0 is bin 0 alone.
     nats = float(np.sum(_pair_log_shares(table.prob[k + 1:], table.prob[k - 1::-1])))
@@ -394,7 +391,6 @@ def entropy_given_residue(table: BinTable, modulus):
     Residues are the nonnegative representatives 0..modulus-1, matching
     the arithmetic a decoder applies to received indices.  An integer
     array of moduli gives an array, bit for bit the scalar calls.
-    Asymmetric tables are rejected.
     """
     half = (table.prob[table.max_index:],)
     nats = _residue_sweep(table, modulus, _class_log_shares, half, _pair_log_shares, (table.prob,))
@@ -421,8 +417,7 @@ def bob_distortion(table: BinTable, reconstruction: str) -> float:
 def eve_mmse_given_residue(table: BinTable, modulus):
     """Least mean squared error of an estimator that sees only index mod `modulus` (or array).
 
-    The within-bin variances plus each bin's squared gap from its class mean;
-    asymmetric tables are rejected.
+    The within-bin variances plus each bin's squared gap from its class mean.
     """
     k = table.max_index
     p, d = table.prob[k:], table.centroid[k:] - table.source.mean
@@ -438,14 +433,16 @@ def eve_mmse_given_residue(table: BinTable, modulus):
 def eve_mmse_given_magnitude(table: BinTable) -> float:
     """Least mean squared error of an estimator that sees only the magnitude.
 
-    For a symmetric table the magnitude is independent of the sign and
-    carries no information about the source beyond its mean, so the
-    value must equal the source variance; that identity is asserted.
+    In a symmetric table each {+u, -u} pair has the source mean as its
+    mean, so the magnitude says nothing about the source beyond it, and
+    the value, sum p v + sum p d**2 with offsets d = c - mean, must equal
+    the source variance; that identity is asserted to 1e-9 of it.
     """
-    _require_symmetric(table)
-    mmse = float(np.sum(_class_moments(table, np.abs(table.indices))[2]))
+    d = table.centroid - table.source.mean
+    # p * d first: a bin without mass adds 0, where a huge step's d**2 would overflow.
+    mmse = float(np.dot(table.prob, table.within_var)) + float(np.dot(table.prob * d, d))
     expected = table.source.variance
-    if abs(mmse - expected) > 1e-9 * max(1.0, expected):
+    if not abs(mmse - expected) <= 1e-9 * expected:  # NaN fails too
         raise SolverError(f"magnitude-only MMSE {mmse} differs from the source variance {expected}")
     return mmse
 

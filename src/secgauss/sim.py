@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InfeasibleError
 from .model import GaussianSource, RatePair, _whole, entropy_bits
-from .quantizer import _class_moments, _step, build_bin_table, output_entropy, step_size_for_entropy
+from .quantizer import _step, build_bin_table, output_entropy, step_size_for_entropy
 
 __all__ = [
     "SIM_SCHEMES",
@@ -113,23 +113,21 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     h_table = output_entropy(table)
 
     # Bob's and Eve's estimate for each table row (index n at row n + k);
-    # Bob's is the lattice point but under no_key.
+    # Bob's is the lattice point but under no_key.  Eve's is the source mean under
+    # full_encryption, and under sign_pad, as each {+u, -u} pair of bins has that mean.
     k = table.max_index
     bob_points = source.mean + table.indices * table.step
+    eve_points = np.full(2 * k + 1, source.mean)
     if config.scheme == "sign_pad":
-        mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
+        mag_prob = np.append(table.prob[k], 2.0 * table.prob[k + 1:])  # p_0, 2 p_1, ..., 2 p_k
         model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
-        # Eve sees only the magnitude; condition on the {+u, -u} pair.
-        eve_points = pair_mean[np.abs(table.indices)]
     elif config.scheme == "no_key":
         model_rate, model_key = h_table, 0.0
         # Eve decodes the message exactly, so Bob's best play is the same
         # centroid estimate and the payoff is exactly zero.
         eve_points = bob_points = table.centroid
     else:
-        # The pad makes the whole message independent of the symbol.
         model_rate, model_key = h_table, h_table
-        eve_points = np.full(2 * k + 1, source.mean)
     for need, budget, name in ((model_rate, rates.rate, "rate"),
                                (model_key, rates.key_rate, "key rate")):
         if not need <= budget + _RATE_TOL:

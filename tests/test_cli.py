@@ -386,6 +386,39 @@ class TestRateChecks:
         assert capsys.readouterr() == ("", message)
 
 
+class TestScaleAndLocation:
+    """Every payoff is free of the source's location and scale, as the paper's payoff is."""
+
+    MEANS = ("0", "0.3", "-1.1")
+    VARIANCES = ("1e-8", "1e-4", "1", "1e4", "1e7", "1e12")
+
+    @staticmethod
+    def curve(argv, capsys):
+        code = run_cli(argv)
+        out, err = capsys.readouterr()
+        return code, err, [(row["payoff"], row["N"]) for row in parse_csv(out)] if out else []
+
+    def test_payoffs_match_the_standard_source(self, capsys):
+        # 72 shifted or scaled curves: greedy at R = 2 and 5, the LP at
+        # R = 2 and 3.  A symmetry tolerance blind to the variance, or LP
+        # costs in source units against absolute simplex tolerances, make a
+        # curve exit 4 or drift (by up to 1.4e-2).
+        off = []
+        for scheme, rates in (("quantized_greedy", ("2", "5")), ("lp_quantized", ("2", "3"))):
+            for r in rates:
+                argv = ["curve", "--schemes", scheme, "--r", r, "--rs-range", "0:1.5:0.25"]
+                code, err, want = self.curve(argv, capsys)
+                assert code == 0 and len(want) == 7, err
+                for mu in self.MEANS:
+                    for s2 in self.VARIANCES:
+                        code, err, got = self.curve(argv + ["--mu", mu, "--sigma2", s2], capsys)
+                        if code != 0 or len(got) != len(want) or any(
+                                n != m or not abs(float(x) - float(y)) <= 1e-9
+                                for (x, n), (y, m) in zip(got, want)):
+                            off.append((scheme, r, mu, s2, code, err.strip()))
+        assert off == []
+
+
 class TestQuantizerStats:
     def test_matches_library(self, capsys):
         code = run_cli(["quantizer-stats", "--t", "0.5", "--n-mod", "3"])
@@ -426,6 +459,34 @@ class TestQuantizerStats:
         far = capsys.readouterr().out
         assert run_cli(["quantizer-stats", "--t", "3", "--sigma2", "1e-4"]) == 0
         assert far == capsys.readouterr().out
+
+    @pytest.mark.parametrize("mu, sigma2, t", [("0.3", "1e7", "100"),
+                                               ("-1.1103405879995603", "40213331.8", "4155.258")])
+    def test_wide_source_matches_its_standard_twin(self, mu, sigma2, t, capsys):
+        # Where the variance dwarfs 1 and the mean, the mirror images 2 mu - c
+        # round by more than 1e-12 max(1, |mu|), so a tolerance blind to the
+        # variance would refuse these tables as asymmetric.
+        assert run_cli(["quantizer-stats", "--t", t, "--mu", mu, "--sigma2", sigma2]) == 0
+        got = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        twin = ["quantizer-stats", "--t", repr(float(t) / math.sqrt(float(sigma2)))]
+        assert run_cli(twin) == 0
+        want = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
+        for name in ("entropy_bits", "entropy_given_magnitude_bits"):
+            assert float(got[name]) == pytest.approx(float(want[name]), rel=1e-9)
+        assert float(got["eve_mmse_magnitude"]) == pytest.approx(float(sigma2), rel=1e-12)
+
+    @pytest.mark.parametrize("t", ["1e308", "4e307"])
+    def test_edges_past_the_float_range_refused_without_warnings(self, t):
+        # In a child under -W error, so a numpy overflow warning would end in
+        # a traceback: the refusal must come first, by name.
+        env = dict(os.environ, PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "secgauss.cli", "quantizer-stats",
+             "--mu", "1.5e308", "--t", t],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: step {float(t)} puts bin edges past the float range"
+                               " at the source mean 1.5e+308\n")
 
     def test_finest_step_centroid_mse(self, capsys):
         # Near the bin cap the within-bin variance is step^2/12 up to the

@@ -117,6 +117,35 @@ class TestBinTable:
             right = table.centroid[table.row(i)] - 0.3
             assert right == pytest.approx(-left, abs=1e-12)
 
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.floats(-1e15, 1e15),
+        st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+        st.floats(-3.0, math.log10(40.0)).map(lambda e: 10.0**e),
+        st.integers(1, 20),
+    )
+    @example(0.3, 1e7, 100.0 / math.sqrt(1e7), 3)  # a tolerance blind to the variance fails these two
+    @example(-1.1103405879995603, 40213331.8, 4155.258 / math.sqrt(40213331.8), 1)
+    @example(1e15, 1e-12, 1.0, 2)
+    def test_every_built_and_folded_table_is_symmetric(self, mu, variance, step, fold):
+        # Symmetry is checked where every table is made, in the source's own
+        # scale, so building or folding one never trips it.
+        source = GaussianSource(mu, variance)
+        try:
+            table = build_bin_table(source, step * source.std)
+        except ValueError as exc:  # a step below the float spacing at a huge mean
+            assert "too fine for floats" in str(exc)
+            assume(False)
+        assert fold_bin_table(table, fold).max_index == min(fold, table.max_index)
+
+    @pytest.mark.parametrize("mu, step", [(1.5e308, 1e308), (1.5e308, 4e307), (-1e308, 1e307)])
+    def test_edges_past_the_float_range_refused_by_name(self, mu, step):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"step {step} puts bin edges past the float range at the source mean {mu:g}")):
+                build_bin_table(GaussianSource(mu, 1.0), step)
+
     def test_tail_width_literal_is_erfcinv(self):
         # The package keeps the constant as a literal so as not to import scipy.
         assert quantizer._TAIL_STDS == math.sqrt(2.0) * float(special.erfcinv(1e-12))
@@ -238,6 +267,17 @@ class TestEveMmse:
     def test_magnitude_is_blind(self, unit_table):
         # Pairwise symmetry collapses Eve's estimate to the mean.
         assert eve_mmse_given_magnitude(unit_table) == pytest.approx(1.0, abs=1e-9)
+
+    def test_magnitude_identity_checked_in_the_source_scale(self):
+        # A variance off by 1e-6 of itself is refused at 1e-8 as at 1 (an
+        # absolute 1e-9 would let it pass at 1e-8), and a NaN is refused.
+        for variance in (1e-8, 1.0, 1e8):
+            table = build_bin_table(GaussianSource(0.3, variance), math.sqrt(variance))
+            assert eve_mmse_given_magnitude(table) == pytest.approx(variance, rel=1e-12)
+            for wrong in (table.within_var * (1.0 + 1e-6), table.within_var + math.nan):
+                off = BinTable(table.prob, table.centroid, wrong, table.source, table.step)
+                with pytest.raises(SolverError, match="magnitude-only MMSE"):
+                    eve_mmse_given_magnitude(off)
 
     def test_modulus_one_is_blind(self, unit_table):
         assert eve_mmse_given_residue(unit_table, 1) == pytest.approx(1.0, abs=1e-12)
@@ -686,17 +726,25 @@ class TestClassStatisticsMatchReference:
     @pytest.mark.parametrize("stat", [entropy_given_residue, eve_mmse_given_residue])
     @pytest.mark.parametrize("column", ["prob", "centroid"])
     def test_asymmetric_table_refused(self, unit_table, stat, column):
-        # Both paths read half the table or half the pairs, so both refuse
-        # a table that is not its own mirror image: n = 3 <= k and n = 9 > k.
-        cols = {name: getattr(unit_table, name).copy()
-                for name in ("prob", "centroid", "within_var")}
-        # Mass moved from bin 2 to bin 1, or bins 1 and 2 moved right, by 1e-9.
-        cols[column][8:10] += [1e-9, -1e-9] if column == "prob" else 1e-9
-        table = BinTable(cols["prob"], cols["centroid"], cols["within_var"], unit_table.source, 1.0)
+        # Both paths read half the table or half the pairs (n = 3 <= k and
+        # n = 9 > k), so a table that is not its own mirror image is refused
+        # when it is built; one within the 1e-12 tolerance is built and scored.
+        def perturbed(by):
+            cols = {name: getattr(unit_table, name).copy()
+                    for name in ("prob", "centroid", "within_var")}
+            # Mass moved from bin 2 to bin 1, or bins 1 and 2 moved right.
+            cols[column][8:10] += [by, -by] if column == "prob" else by
+            return BinTable(cols["prob"], cols["centroid"], cols["within_var"],
+                            unit_table.source, 1.0)
+
         assert unit_table.max_index == 7
-        for n in (3, 9, np.array([3, 9])):
-            with pytest.raises(SolverError, match="not symmetric about the source mean"):
-                stat(table, n)
+        message = {"prob": "bin table is not symmetric about the source mean",
+                   "centroid": "bin centroids are not symmetric about the source mean"}[column]
+        with pytest.raises(SolverError, match=f"^{message}$"):
+            perturbed(1e-9)
+        table = perturbed(1e-13)
+        for n in (3, 9):
+            assert stat(table, n) == pytest.approx(stat(unit_table, n), rel=0.0, abs=1e-12)
 
     def test_huge_modulus_needs_no_allocation(self, unit_table):
         # Every modulus past the table width discloses the index exactly.

@@ -285,17 +285,20 @@ def reference_points(config, source):
     h_table = output_entropy(table)
     k = table.max_index
     lattice = np.arange(-k, k + 1)
-    mag_prob, pair_mean = _class_moments(table, np.abs(table.indices))[:2]
+    mag_prob = _class_moments(table, np.abs(table.indices))[0]
     if BOB_RULE[config.scheme] == "centroid":
         bob_points = table.centroid
     else:
         bob_points = source.mean + lattice * table.step
+    # Each {+u, -u} pair of a symmetric table has the source mean as its
+    # mean, so Eve plays the mean under sign_pad as under full_encryption.
+    eve_points = np.full(2 * k + 1, source.mean)
     if config.scheme == "sign_pad":
-        rates_used, eve_points = (entropy_bits(mag_prob) + 1.0, 1.0), pair_mean[np.abs(lattice)]
+        rates_used = (entropy_bits(mag_prob) + 1.0, 1.0)
     elif config.scheme == "no_key":
         rates_used, eve_points = (h_table, 0.0), table.centroid
     else:
-        rates_used, eve_points = (h_table, h_table), np.full(2 * k + 1, source.mean)
+        rates_used = (h_table, h_table)
     return table, rates_used, bob_points, eve_points
 
 
