@@ -1,9 +1,9 @@
 """Key-limited disclosure of a quantized Gaussian source as a linear program.
 
-The quantized source is a finite pmf over bin centroids.  A disclosure
-strategy mixes posterior candidates whose barycenter is that pmf and
-whose average entropy fits the key rate; the best achievable
-eavesdropper error is then a linear program over the mixture weights.
+The quantized source is a finite pmf over bin offsets (centroids less
+the source mean).  A disclosure strategy mixes posterior candidates
+whose barycenter is that pmf and whose average entropy fits the key
+rate; the best eavesdropper error is a linear program over the weights.
 Candidates are the subset restrictions of the pmf, each fixed by its
 subset bitmask and held column by column in one `CandidateSet` (masks,
 entropies and scores).  Enumeration gets every subset's statistics by
@@ -123,13 +123,12 @@ class LpSolution:
 
 
 def build_quantized_pmf(table: BinTable, max_support: Optional[int] = None) -> QuantizedPmf:
-    """Pmf of the centroid-reconstructed output of a bin table.
+    """Pmf of the centroid-reconstructed output of a bin table, over its bin offsets.
 
-    Zero-mass bins are dropped.  With `max_support` (odd, 3 to 19), outer
-    bins are folded together first so that the support fits the LP cap;
-    the fold only coarsens the pmf, so the entropy never grows.
+    Zero-mass bins are dropped; the mean, 0, is checked to 1e-9 std.  With
+    `max_support` (odd, 3 to 19), outer bins are folded together first so that the
+    support fits the LP cap; the fold only coarsens the pmf, so the entropy never grows.
     """
-    source = table.source
     if max_support is not None:
         if not _whole(max_support) or max_support < 3 or max_support % 2 == 0:
             raise ValueError(f"max_support must be an odd integer >= 3, got {max_support}")
@@ -138,9 +137,9 @@ def build_quantized_pmf(table: BinTable, max_support: Optional[int] = None) -> Q
                 f"support cap {max_support} exceeds the largest supported, {_MAX_SUPPORT}")
         table = fold_bin_table(table, (max_support - 1) // 2)
     keep = table.prob > 0.0
-    pmf = QuantizedPmf(table.centroid[keep], table.prob[keep])
-    drift = abs(pmf.mean() - source.mean)
-    if drift > 1e-9 * source.std:
+    pmf = QuantizedPmf(table.offset[keep], table.prob[keep])
+    drift = abs(pmf.mean())
+    if not drift <= 1e-9 * table.source.std:  # NaN fails too
         raise SolverError(f"quantized pmf mean drifted by {drift} from the source mean")
     return pmf
 
@@ -152,7 +151,8 @@ def enumerate_subset_candidates(pmf: QuantizedPmf, mode: str = "continuous") -> 
     these realize every "reveal which subset the symbol fell in"
     disclosure.  Subsets of zero mass are left out.  A support of more
     than `_MAX_SUPPORT` points is refused outright rather than
-    approximated, before any mask is built.
+    approximated, before any mask is built, as is one whose spread (max -
+    min) squares past the float range: then no squared gap can overflow.
 
     A candidate's score is the least squared error of an eavesdropper
     who knows its posterior: the variance in `continuous` mode; in
@@ -166,6 +166,9 @@ def enumerate_subset_candidates(pmf: QuantizedPmf, mode: str = "continuous") -> 
         raise ValueError(f"support size {k} exceeds the largest supported, {_MAX_SUPPORT};"
                          " fold the pmf (build_quantized_pmf's max_support)")
     pts, probs = pmf.points, pmf.probs
+    spread = float(pts[-1]) - float(pts[0])  # Python floats overflow to inf without a warning
+    if not math.isfinite(spread * spread):
+        raise ValueError(f"support spread {spread:g} squares past the float range")
     # Entry S describes the subset with bitmask S.  The subsets whose
     # highest point is j are R + {j} for every R below 2**j; each merges
     # R's (mass, mean, M2) with the one point (Chan, Golub & LeVeque

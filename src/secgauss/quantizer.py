@@ -2,9 +2,10 @@
 
 Bins are indexed by the nearest-integer multiple of the step about the
 source mean, tails are folded into the outermost kept bins, and every
-bin carries its exact probability, centroid, and within-bin variance.
-Every table is its own mirror image about the source mean, a rule
-`BinTable` checks once when it is built, in the source's own scale.
+bin carries its exact probability, offset (conditional mean less the
+source mean) and within-bin variance.  Tables are built and scored about
+0, so no computation reads the mean.  Every table is its own mirror
+image, a rule `BinTable` checks once when it is built, in the source's own scale.
 All entropy and distortion summaries of a quantized source are computed
 from these tables, but for the step search's candidate entropies, which
 it takes from the bin masses alone, by the tables' own mass rule.  The
@@ -63,14 +64,10 @@ _TINY = np.finfo(float).tiny  # least normal float, a floor for divisors and log
 _ENTROPY_TOL = 1e-4
 
 
-class _StepError(ValueError):
-    """A step no table can have: not finite and positive, or too fine for _MAX_BINS bins."""
-
-
 def _step(value) -> float:
     """The one quantizer-step rule: finite and positive, as a float."""
     if not math.isfinite(value) or value <= 0.0:
-        raise _StepError(f"step must be finite and positive, got {value}")
+        raise ValueError(f"step must be finite and positive, got {value}")
     return float(value)
 
 
@@ -80,14 +77,14 @@ class BinTable:
 
     Rows run over `indices` -max_index..max_index, set from the column
     length.  `prob` sums to one because tail mass is folded into the
-    outermost bins; `centroid` and `within_var` are the source's mean
-    and variance conditional on the bin (fold included).  A table must be
-    its own mirror image: bins i and -i of equal mass within 1e-12, and
-    centroid offsets d = c - mean with |d_i + d_-i| <= 1e-12 max(|mean|, std).
+    outermost bins; `offset` and `within_var` are the source's mean (less
+    its mean) and variance conditional on the bin (fold included).  A table
+    must be its own mirror image: bins i and -i of equal mass within 1e-12,
+    and offsets with |d_i + d_-i| <= 1e-12 std.
     """
 
     prob: np.ndarray
-    centroid: np.ndarray
+    offset: np.ndarray
     within_var: np.ndarray
     source: GaussianSource
     step: float
@@ -95,21 +92,20 @@ class BinTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prob", _pmf(self.prob))
-        for name in ("centroid", "within_var"):
+        for name in ("offset", "within_var"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
         n = len(self.prob)
         if n % 2 != 1 or n < 3:
             raise ValueError("table must cover -k..k for some k >= 1")
-        if not len(self.centroid) == len(self.within_var) == n:
+        if not len(self.offset) == len(self.within_var) == n:
             raise ValueError("table columns must have equal length")
         object.__setattr__(self, "indices", _frozen(np.arange(-(n // 2), n // 2 + 1)))
         # Both tests fail on NaN; quarter offsets, so no sum of two can overflow.
-        p, mu = self.prob, self.source.mean
+        p, d = self.prob, 0.25 * self.offset
         if not np.abs(p - p[::-1]).max() <= _SYMMETRY_TOL:
             raise SolverError("bin table is not symmetric about the source mean")
-        d = np.subtract(0.25 * self.centroid, 0.25 * mu)
-        if not np.abs(d + d[::-1]).max() <= 0.25 * _SYMMETRY_TOL * max(abs(mu), self.source.std):
-            raise SolverError("bin centroids are not symmetric about the source mean")
+        if not np.abs(d + d[::-1]).max() <= 0.25 * _SYMMETRY_TOL * self.source.std:
+            raise SolverError("bin offsets are not symmetric about the source mean")
 
     @property
     def max_index(self) -> int:
@@ -130,24 +126,19 @@ def build_bin_table(source: GaussianSource, step: float) -> BinTable:
     at most 1e-12 probability; those tails are then folded into the
     outermost bins so that the table is a true partition.
     """
-    m = truncated_moments(*_bin_edges(source, step), source)
+    m = truncated_moments(*_bin_edges(source, step), GaussianSource(0.0, source.variance))
     return _mirrored(m.mass, m.mean, m.variance, source, float(step))
 
 
 def _bin_edges(source: GaussianSource, step: float):
-    """Lower and upper edges of bins 0..k at `step`, the last bin open above."""
-    mu, t = source.mean, _step(step)
-    # Clamped, so a subnormal step's infinite extent is refused, not converted to an int.
+    """Edges of bins 0..k at `step`, as offsets from the mean, the last bin open above."""
+    t = _step(step)
+    # Clamped, so a subnormal step's infinite extent is refused, not converted to an int;
+    # within _MAX_BINS bins the edges (j - 1/2) t neither overflow nor round together.
     k_max = max(math.ceil(min(_TAIL_STDS * source.std / t - 0.5, _MAX_BINS)), 1)
     if 2 * k_max + 1 > _MAX_BINS:
-        raise _StepError(f"step {t} needs more than the {_MAX_BINS} supported bins")
-    # The outer edge and its mirror image bound every edge and mirrored centroid 2 mean - c;
-    # in Python floats, an overflow of either (or of 2 mean) gives inf or NaN, with no warning.
-    if not math.isfinite(2.0 * mu - (mu + (k_max - 0.5) * t)):
-        raise ValueError(f"step {t} puts bin edges past the float range at the source mean {mu:g}")
-    lower = mu + (np.arange(k_max + 1) - 0.5) * t
-    if not (lower[:-1] < lower[1:]).all():
-        raise ValueError(f"step {t} is too fine for floats at the source mean {mu:g}")
+        raise ValueError(f"step {t} needs more than the {_MAX_BINS} supported bins")
+    lower = (np.arange(k_max + 1) - 0.5) * t
     return lower, np.append(lower[1:], math.inf)
 
 
@@ -155,12 +146,11 @@ def _step_entropy(source: GaussianSource, step: float) -> float:
     """`output_entropy(build_bin_table(source, step))` bit for bit, from the bin masses alone.
 
     The masses are `_masses`' own expressions for this one partition: its
-    edges are distinct, not NaN, and at the source mean or above it from
-    bin 1 on, so bin j >= 1 takes the difference of the tails at its
-    edges, and bin 0 the erf pair when it straddles the mean.
+    edges are distinct, not NaN, and at 0 or above it from bin 1 on, so
+    bin j >= 1 takes the difference of the tails at its edges, and bin 0
+    the erf pair when it straddles 0.
     """
-    lower = _bin_edges(source, step)[0]
-    alpha = (lower - source.mean) / source.std
+    alpha = _bin_edges(source, step)[0] / source.std
     tail = normal_cdf(-np.abs(np.append(alpha, math.inf)))
     p = np.maximum(tail[:-1] - tail[1:], 0.0)
     if alpha[0] < 0.0 < alpha[1]:
@@ -171,14 +161,13 @@ def _step_entropy(source: GaussianSource, step: float) -> float:
     return entropy_bits(_pmf(np.concatenate([p[:0:-1], p])))
 
 
-def _mirrored(p, c, v, source: GaussianSource, step: float) -> BinTable:
+def _mirrored(p, d, v, source: GaussianSource, step: float) -> BinTable:
     """Table over -k..k from bins 0..k; bins -k..-1 are their mirror images.
 
-    The mirror is taken about the source mean, exact by its symmetry;
-    mass and variance carry over unchanged.
+    A mirrored bin's offset is -d, exact; mass and variance carry over
+    unchanged.
     """
-    centroid = np.concatenate([(2.0 * source.mean - c)[:0:-1], c])
-    return BinTable(np.concatenate([p[:0:-1], p]), centroid,
+    return BinTable(np.concatenate([p[:0:-1], p]), np.concatenate([-d[:0:-1], d]),
                     np.concatenate([v[:0:-1], v]), source, step)
 
 
@@ -191,28 +180,28 @@ def fold_bin_table(table: BinTable, max_index: int) -> BinTable:
         return table
 
     # Fold the nonnegative half, then mirror it so the result is exactly symmetric.
-    half = [col[k_old:] for col in (table.prob, table.centroid, table.within_var)]
+    half = [col[k_old:] for col in (table.prob, table.offset, table.within_var)]
     labels = np.minimum(table.indices[k_old:], int(max_index))
-    mass, mean, spread = _class_moments(table, labels, half)
+    mass, offset, spread = _class_moments(table, labels, half)
     # The law of total variance: class spread / class mass, a massless class 0.
     var = np.divide(np.bincount(labels, weights=spread), mass, out=np.zeros(mass.size),
                     where=mass > 0.0)
-    return _mirrored(mass, mean, var, table.source, table.step)
+    return _mirrored(mass, offset, var, table.source, table.step)
 
 
 def _class_moments(table: BinTable, labels: np.ndarray, columns=None):
-    """Mass and mean of each class of bins, and each row's spread about its class mean.
+    """Mass and offset of each class of bins, and each row's spread about its class offset.
 
     `labels` gives the nonnegative integer class of each row of `columns`
-    (prob, centroid, within_var; the table's by default); mass and mean are
-    summed in row order.  A row's spread is p*(v + (c - class mean)**2),
-    exactly 0 without mass; a class without mass has the source mean.
+    (prob, offset, within_var; the table's by default); mass and offset
+    are summed in row order.  A row's spread is p*(v + (d - class offset)**2),
+    exactly 0 without mass; a class without mass has offset 0.
     """
-    p, c, v = columns or (table.prob, table.centroid, table.within_var)
+    p, d, v = columns or (table.prob, table.offset, table.within_var)
     mass = np.bincount(labels, weights=p)
-    mean = np.divide(np.bincount(labels, weights=p * c), mass,
-                     out=np.full(mass.size, table.source.mean), where=mass > 0.0)
-    dev = c - mean.take(labels)
+    mean = np.divide(np.bincount(labels, weights=p * d), mass, out=np.zeros(mass.size),
+                     where=mass > 0.0)
+    dev = d - mean.take(labels)
     if not p.all():  # rows without mass: at huge steps their squared gap would overflow
         dev[p == 0.0] = 0.0
     return mass, mean, np.multiply(p, np.add(v, np.square(dev, out=dev), out=dev), out=dev)
@@ -325,15 +314,14 @@ def _class_log_shares(moduli: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _class_spread(moduli: np.ndarray, p: np.ndarray, pd: np.ndarray, spread: float) -> np.ndarray:
-    """sum p (c - class mean)**2 over the whole table, per modulus n < W, from bins 0..k.
+    """sum p (d - class offset)**2 over the whole table, per modulus n < W, from bins 0..k.
 
     That is `spread` = sum p d**2 over the table less sum S**2 / P over the
-    classes, with offsets d = c - mean about the source mean (`pd` = p d
-    per bin) and S the sum of p d over a class: a mirrored bin has offset
-    -d, so S is the half's class sum less its mirror class's, and 0 in a
-    class that is its own mirror image (bin 0's own offset, 0 within the
-    table's symmetry tolerance, is left out of S).  A class without mass
-    adds 0.
+    classes, with offsets d (`pd` = p d per bin) and S the sum of p d over
+    a class: a mirrored bin has offset -d, so S is the half's class sum
+    less its mirror class's, and 0 in a class that is its own mirror image
+    (bin 0's own offset, 0 within the table's symmetry tolerance, is left
+    out of S).  A class without mass adds 0.
     """
     labels, mirror, mass, first = _half_classes(moduli, p)
     moment = np.bincount(labels, weights=pd, minlength=mirror.size)
@@ -358,12 +346,12 @@ def _pair_log_shares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _pair_spread(a: np.ndarray, b: np.ndarray, ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
-    """p (c - class mean)**2 summed over a class of two bins: a b / (a + b) (ca - cb)**2.
+def _pair_spread(a: np.ndarray, b: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+    """p (d - class offset)**2 summed over a class of two bins: a b / (a + b) (da - db)**2.
 
     A pair without mass adds exactly 0.
     """
-    gap = ca - cb
+    gap = da - db
     # weight * gap first: a massless pair adds 0, where a huge step's gap**2 would overflow.
     return a * b / np.maximum(a + b, _TINY) * gap * gap
 
@@ -407,9 +395,8 @@ def bob_distortion(table: BinTable, reconstruction: str) -> float:
     if reconstruction == "centroid":
         return float(np.dot(table.prob, table.within_var))
     if reconstruction == "lattice":
-        points = table.source.mean + table.indices * table.step
         # A bin without mass adds exactly 0; at huge steps its squared gap would overflow.
-        gap = np.where(table.prob > 0.0, table.centroid - points, 0.0)
+        gap = np.where(table.prob > 0.0, table.offset - table.indices * table.step, 0.0)
         return float(np.dot(table.prob, table.within_var + gap * gap))
     raise ValueError(f"unknown reconstruction rule {reconstruction!r}")
 
@@ -420,13 +407,13 @@ def eve_mmse_given_residue(table: BinTable, modulus):
     The within-bin variances plus each bin's squared gap from its class mean.
     """
     k = table.max_index
-    p, d = table.prob[k:], table.centroid[k:] - table.source.mean
+    p, d = table.prob[k:], table.offset[k:]
     pd = p * d
     # Bins 1..k stand for their mirror images too.  p * d first: a bin without
     # mass adds 0, where a huge step's d**2 would overflow.
     spread = 2.0 * float(np.dot(pd[1:], d[1:])) + pd[0] * d[0]
     between = _residue_sweep(table, modulus, lambda n, *cols: _class_spread(n, *cols, spread),
-                             (p, pd), _pair_spread, (table.prob, table.centroid))
+                             (p, pd), _pair_spread, (table.prob, table.offset))
     return float(np.dot(table.prob, table.within_var)) + between
 
 
@@ -435,10 +422,10 @@ def eve_mmse_given_magnitude(table: BinTable) -> float:
 
     In a symmetric table each {+u, -u} pair has the source mean as its
     mean, so the magnitude says nothing about the source beyond it, and
-    the value, sum p v + sum p d**2 with offsets d = c - mean, must equal
-    the source variance; that identity is asserted to 1e-9 of it.
+    the value, sum p v + sum p d**2 over the offsets d, must equal the
+    source variance; that identity is asserted to 1e-9 of it.
     """
-    d = table.centroid - table.source.mean
+    d = table.offset
     # p * d first: a bin without mass adds 0, where a huge step's d**2 would overflow.
     mmse = float(np.dot(table.prob, table.within_var)) + float(np.dot(table.prob * d, d))
     expected = table.source.variance
@@ -455,7 +442,7 @@ def step_size_for_entropy(source: GaussianSource, target_bits: float) -> BinTabl
     bisected, each candidate's entropy taken from its bin masses alone
     (`_step_entropy`).  One table is built, at the chosen step (its
     `.step`), which is always on the feasible side.  A target that
-    needs more than _MAX_BINS bins, or a step below float spacing, raises a ValueError.
+    needs more than _MAX_BINS bins raises a ValueError.
     """
     RatePair(target_bits, 0.0)  # a ValueError for a non-finite or negative target
     hi = 8.0 * source.std * 2.0 ** (-target_bits)
@@ -467,10 +454,9 @@ def step_size_for_entropy(source: GaussianSource, target_bits: float) -> BinTabl
         lo = hi / 2.0
         while (h_lo := _step_entropy(source, lo)) <= target_bits:
             hi, h_hi, lo = lo, h_lo, lo / 2.0
-    except ValueError as exc:  # from _bin_edges: too many bins, or a step below float spacing
-        why = (f"more than the {_MAX_BINS} supported bins" if isinstance(exc, _StepError)
-               else f"a step too fine for floats at the source mean {source.mean:g}")
-        raise ValueError(f"an output entropy of {target_bits} bits needs {why}") from None
+    except ValueError:  # from _bin_edges: too many bins
+        raise ValueError(f"an output entropy of {target_bits} bits needs more than the"
+                         f" {_MAX_BINS} supported bins") from None
 
     while h_hi < target_bits - _ENTROPY_TOL and hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)

@@ -31,7 +31,6 @@ from .quantizer import (
     bob_distortion,
     entropy_given_residue,
     eve_mmse_given_residue,
-    output_entropy,
     step_size_for_entropy,
 )
 
@@ -348,7 +347,6 @@ class GreedyQuantizedScheme:
         self.source = source
         self.table = step_size_for_entropy(source, rate_bits)
         self.step = self.table.step
-        self.entropy_bits = output_entropy(self.table)
         self.bob_mse = bob_distortion(self.table, "lattice")
         full = 2 * self.table.max_index + 1
         self.n_max = min(int(n_max), full) if n_max is not None else full

@@ -4,10 +4,10 @@ Each scheme quantizes the source symbol by symbol, one-time-pads part
 of the index, and sends the rest in clear.  Bob reconstructs at the bin
 centroid under no_key and at the lattice point otherwise; the
 eavesdropper plays her exact conditional-mean estimate given what she
-can see.  An i.i.d. source and per-symbol schemes make all causal
-histories uninformative, so the three eavesdropper scenarios differ in
-bookkeeping only; the simulator accepts them and verifies nothing
-depends on them.
+can see.  Symbols and estimates are offsets from the source mean.  An
+i.i.d. source and per-symbol schemes make all causal histories
+uninformative, so the three eavesdropper scenarios differ in bookkeeping
+only; the simulator accepts them and verifies nothing depends on them.
 
 Randomness: numpy Generator over the PCG64 bit generator, seeded from
 the config; source symbols via its standard_normal transform.  The
@@ -112,12 +112,12 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         table = build_bin_table(source, config.step)
     h_table = output_entropy(table)
 
-    # Bob's and Eve's estimate for each table row (index n at row n + k);
-    # Bob's is the lattice point but under no_key.  Eve's is the source mean under
-    # full_encryption, and under sign_pad, as each {+u, -u} pair of bins has that mean.
+    # Bob's and Eve's estimate for each table row (index n at row n + k), as offsets from
+    # the mean; Bob's is the lattice point but under no_key.  Eve's is the mean (offset 0)
+    # under full_encryption, and under sign_pad, as each {+u, -u} pair of bins has that mean.
     k = table.max_index
-    bob_points = source.mean + table.indices * table.step
-    eve_points = np.full(2 * k + 1, source.mean)
+    bob_points = table.indices * table.step
+    eve_points = np.zeros(2 * k + 1)
     if config.scheme == "sign_pad":
         mag_prob = np.append(table.prob[k], 2.0 * table.prob[k + 1:])  # p_0, 2 p_1, ..., 2 p_k
         model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
@@ -125,7 +125,7 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         model_rate, model_key = h_table, 0.0
         # Eve decodes the message exactly, so Bob's best play is the same
         # centroid estimate and the payoff is exactly zero.
-        eve_points = bob_points = table.centroid
+        eve_points = bob_points = table.offset
     else:
         model_rate, model_key = h_table, h_table
     for need, budget, name in ((model_rate, rates.rate, "rate"),
@@ -147,8 +147,7 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         xs, t, r, b, e = (buf[: n - start] for buf in (draw, lat, rows, bob, eve))
         rng.standard_normal(out=xs)
         xs *= source.std
-        xs += source.mean
-        np.divide(np.subtract(xs, source.mean, out=t), table.step, out=t)
+        np.divide(xs, table.step, out=t)
         r[:] = np.add(np.rint(t, out=t), k, out=t)  # take's "clip" mode clamps it to 0..2k
         for points, sq in ((bob_points, b), (eve_points, e)):
             np.square(np.subtract(np.take(points, r, out=sq, mode="clip"), xs, out=sq), out=sq)

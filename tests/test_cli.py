@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -339,9 +340,7 @@ class TestRateChecks:
             ("quantized_greedy", "false", "nan"), ("lp_quantized", "false", "nan")]
 
     # A target past the bin limit names itself and the limit, not a step the
-    # user never gave.  At a mean so large that half a step rounds away (the
-    # float spacing is 2 at 1e16), neighbouring bin edges coincide, and the
-    # refusal names the mean, not an interval the user never gave.
+    # user never gave.
     @pytest.mark.parametrize("argv, message", [
         (["curve", "--schemes", "quantized_greedy", "--r", "30", "--rs", "1"],
          "an output entropy of 30.0 bits needs more than the 1000000 supported bins"),
@@ -349,41 +348,34 @@ class TestRateChecks:
          "an output entropy of 1100.0 bits needs more than the 1000000 supported bins"),
         (["sim", "--scheme", "full_encryption", "--r", "1100", "--rs", "1100", "--seed", "1",
           "--n", "10"], "an output entropy of 1100.0 bits needs more than the 1000000"),
-        (["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e17"],
-         "source mean 1e+17"),
+        (["lp", "--t", "1e-320", "--r", "5", "--rs", "0.5"],
+         "step 1e-320 needs more than the 1000000 supported bins"),
         (["quantizer-stats", "--t", "1e-320"],
          "step 1e-320 needs more than the 1000000 supported bins"),
-        (["quantizer-stats", "--t", "1", "--mu", "1e16"], "source mean 1e+16"),
-        (["lp", "--t", "1", "--r", "5", "--rs", "0.5", "--mu", "1e16"], "source mean 1e+16"),
-        (["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e16"],
-         "source mean 1e+16"),
-        (["curve", "--schemes", "lp_quantized", "--r", "2", "--rs", "1", "--mu", "1e16"],
-         "source mean 1e+16"),
-        (["sim", "--scheme", "sign_pad", "--t", "1", "--seed", "1", "--n", "10", "--mu", "1e16"],
-         "source mean 1e+16"),
-        (["sim", "--scheme", "full_encryption", "--r", "3", "--seed", "1", "--n", "10",
-          "--mu", "1e16"], "source mean 1e+16"),
     ])
     def test_unreachable_step_is_a_usage_error(self, argv, message, capsys):
         assert run_cli(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
-    # The entropy step search names the target it could not reach; a step
-    # the user gives is named as given.
-    @pytest.mark.parametrize("argv, message", [
-        (["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e16"],
-         "error: an output entropy of 2.0 bits needs a step too fine for floats at the"
-         " source mean 1e+16\n"),
-        (["curve", "--schemes", "lp_quantized", "--r", "2.5", "--rs", "1", "--mu", "1e16"],
-         "error: an output entropy of 2.5 bits needs a step too fine for floats at the"
-         " source mean 1e+16\n"),
-        (["quantizer-stats", "--t", "1", "--mu", "1e16"],
-         "error: step 1.0 is too fine for floats at the source mean 1e+16\n"),
-    ])
-    def test_huge_mean_names_the_target_or_the_given_step(self, argv, message, capsys):
-        assert run_cli(argv) == 2
-        assert capsys.readouterr() == ("", message)
+    # Near the float limit, a variance leaves the subset LP no finite squared
+    # gap: it is refused by name before any subset is formed.  In a child under
+    # -W error, so a warning would end in a traceback.  The greedy scheme
+    # squares no gap of the support, and runs.
+    @pytest.mark.parametrize("argv, code, err", [
+        (["curve", "--schemes", "lp_quantized", "--r", "2", "--rs", "0.5", "--sigma2", "1.3e308"],
+         2, "error: support spread 1.63576e+155 squares past the float range\n"),
+        (["lp", "--t", "1e154", "--r", "5", "--rs", "0.5", "--sigma2", "1.3e308"],
+         2, "error: support spread 1.33785e+155 squares past the float range\n"),
+        (["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "0.5",
+          "--sigma2", "1.3e308"], 0, ""),
+    ], ids=["curve-lp", "lp", "curve-greedy"])
+    def test_huge_variance_under_warnings_as_errors(self, argv, code, err):
+        env = dict(os.environ, PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "secgauss.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, err)
+        assert (proc.stdout == "") == (code != 0)
 
 
 class TestScaleAndLocation:
@@ -397,6 +389,59 @@ class TestScaleAndLocation:
         code = run_cli(argv)
         out, err = capsys.readouterr()
         return code, err, [(row["payoff"], row["N"]) for row in parse_csv(out)] if out else []
+
+    @staticmethod
+    def stdout(argv, capsys):
+        code = run_cli(argv)
+        return code, capsys.readouterr().out
+
+    def test_outputs_are_free_of_the_mean(self, capsys):
+        # Tables, pmfs and samples are offsets from the mean, so a shifted
+        # source prints the centred one's output byte for byte, even a mean of
+        # 1e6 next to a variance of 1e-4.
+        off = []
+        for s2 in self.VARIANCES:
+            argv = ["curve", "--schemes", "quantized_greedy,lp_quantized", "--r", "2",
+                    "--rs-range", "0:1.5:0.5", "--sigma2", s2]
+            want = self.stdout(argv, capsys)
+            assert want[0] == 0
+            off += [(s2, mu) for mu in ("0.3", "-1.1", "1e6", "1e16")
+                    if self.stdout(argv + ["--mu", mu], capsys) != want]
+        for argv in (["lp", "--t", "0.6", "--r", "5", "--rs-range", "0:1:0.5"],
+                     ["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "3", "--n", "2000"],
+                     ["sim", "--scheme", "no_key", "--t", "0.5", "--r", "4", "--rs", "0",
+                      "--seed", "3", "--n", "2000"],
+                     ["sim", "--scheme", "full_encryption", "--r", "2", "--rs", "2", "--seed", "3",
+                      "--n", "2000"],
+                     ["quantizer-stats", "--t", "0.5", "--n-mod", "3"]):
+            want = self.stdout(argv, capsys)
+            assert want[0] == 0
+            off += [(argv[0], mu) for mu in ("1e6", "1e16", "-1e300")
+                    if self.stdout(argv + [f"--mu={mu}"], capsys) != want]
+        assert off == []
+
+    # Means at which bin edges in source units would round together (1e16,
+    # 1e17: the float spacing is 2 at 1e16) or overflow (1.5e308): each
+    # command prints the centred source's output, with warnings as errors.
+    @pytest.mark.parametrize("argv", [
+        ["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e17"],
+        ["quantizer-stats", "--t", "1", "--mu", "1e16"],
+        ["lp", "--t", "1", "--r", "5", "--rs", "0.5", "--mu", "1e16"],
+        ["curve", "--schemes", "quantized_greedy", "--r", "2", "--rs", "1", "--mu", "1e16"],
+        ["curve", "--schemes", "lp_quantized", "--r", "2", "--rs", "1", "--mu", "1e16"],
+        ["curve", "--schemes", "lp_quantized", "--r", "2.5", "--rs", "1", "--mu", "1e16"],
+        ["sim", "--scheme", "sign_pad", "--t", "1", "--seed", "1", "--n", "10", "--mu", "1e16"],
+        ["sim", "--scheme", "full_encryption", "--r", "3", "--seed", "1", "--n", "10",
+         "--mu", "1e16"],
+        ["quantizer-stats", "--t", "1e308", "--mu", "1.5e308"],
+        ["quantizer-stats", "--t", "4e307", "--mu", "1.5e308"],
+    ])
+    def test_huge_mean_prints_the_centred_output(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = self.stdout(argv, capsys)
+            assert (code, out) == self.stdout(argv[:-2], capsys)
+        assert code == 0
 
     def test_payoffs_match_the_standard_source(self, capsys):
         # 72 shifted or scaled curves: greedy at R = 2 and 5, the LP at
@@ -474,19 +519,6 @@ class TestQuantizerStats:
         for name in ("entropy_bits", "entropy_given_magnitude_bits"):
             assert float(got[name]) == pytest.approx(float(want[name]), rel=1e-9)
         assert float(got["eve_mmse_magnitude"]) == pytest.approx(float(sigma2), rel=1e-12)
-
-    @pytest.mark.parametrize("t", ["1e308", "4e307"])
-    def test_edges_past_the_float_range_refused_without_warnings(self, t):
-        # In a child under -W error, so a numpy overflow warning would end in
-        # a traceback: the refusal must come first, by name.
-        env = dict(os.environ, PYTHONPATH=str(Path(secgauss.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "secgauss.cli", "quantizer-stats",
-             "--mu", "1.5e308", "--t", t],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == (f"error: step {float(t)} puts bin edges past the float range"
-                               " at the source mean 1.5e+308\n")
 
     def test_finest_step_centroid_mse(self, capsys):
         # Near the bin cap the within-bin variance is step^2/12 up to the

@@ -375,7 +375,7 @@ def _value_type_cases():
     half = np.array([0.25, 0.5, 0.25])
     return {
         "BinTable": (BinTable, {"prob": half.copy(),
-                                "centroid": np.array([-1.5, 0.0, 1.5]),
+                                "offset": np.array([-1.5, 0.0, 1.5]),
                                 "within_var": np.full(3, 0.1)},
                      {"source": STANDARD_SOURCE, "step": 1.0}),
         "QuantizedPmf": (QuantizedPmf, {"points": np.array([-1.0, 0.0, 1.0]),

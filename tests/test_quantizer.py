@@ -66,7 +66,7 @@ class TestBinTable:
             assert unit_table.prob[unit_table.row(i)] == unit_table.prob[
                 unit_table.row(-i)
             ]
-            assert unit_table.centroid[unit_table.row(i)] == -unit_table.centroid[
+            assert unit_table.offset[unit_table.row(i)] == -unit_table.offset[
                 unit_table.row(-i)
             ]
 
@@ -76,7 +76,7 @@ class TestBinTable:
         assert total_variance(unit_table) == pytest.approx(1.0, abs=1e-12)
 
     def test_total_mean_is_source_mean(self, unit_table):
-        mean = float(unit_table.prob @ unit_table.centroid)
+        mean = float(unit_table.prob @ unit_table.offset)
         assert mean == pytest.approx(0.0, abs=1e-13)
 
     def test_arrays_read_only(self, unit_table):
@@ -85,7 +85,7 @@ class TestBinTable:
 
     def test_indices_set_from_the_columns(self, unit_table):
         k = unit_table.max_index
-        table = BinTable(unit_table.prob, unit_table.centroid, unit_table.within_var,
+        table = BinTable(unit_table.prob, unit_table.offset, unit_table.within_var,
                          unit_table.source, unit_table.step)
         assert table.max_index == k
         np.testing.assert_array_equal(table.indices, np.arange(-k, k + 1))
@@ -93,7 +93,7 @@ class TestBinTable:
             table.indices[0] = 0
         # A row column can no longer be passed, so it can no longer disagree.
         with pytest.raises(TypeError):
-            BinTable(unit_table.prob, unit_table.centroid, unit_table.within_var,
+            BinTable(unit_table.prob, unit_table.offset, unit_table.within_var,
                      unit_table.source, unit_table.step, indices=np.arange(2 * k + 1))
         assert bob_distortion(table, "lattice") == bob_distortion(unit_table, "lattice")
 
@@ -112,9 +112,9 @@ class TestBinTable:
         k = table.max_index
         for i in range(1, k + 1):
             assert table.prob[table.row(i)] == table.prob[table.row(-i)]
-            # Centroids mirror around the source mean.
-            left = table.centroid[table.row(-i)] - 0.3
-            right = table.centroid[table.row(i)] - 0.3
+            # Offsets from the source mean mirror about 0.
+            left = table.offset[table.row(-i)]
+            right = table.offset[table.row(i)]
             assert right == pytest.approx(-left, abs=1e-12)
 
     @settings(deadline=None, max_examples=300)
@@ -131,20 +131,27 @@ class TestBinTable:
         # Symmetry is checked where every table is made, in the source's own
         # scale, so building or folding one never trips it.
         source = GaussianSource(mu, variance)
-        try:
-            table = build_bin_table(source, step * source.std)
-        except ValueError as exc:  # a step below the float spacing at a huge mean
-            assert "too fine for floats" in str(exc)
-            assume(False)
+        table = build_bin_table(source, step * source.std)
         assert fold_bin_table(table, fold).max_index == min(fold, table.max_index)
 
-    @pytest.mark.parametrize("mu, step", [(1.5e308, 1e308), (1.5e308, 4e307), (-1e308, 1e307)])
-    def test_edges_past_the_float_range_refused_by_name(self, mu, step):
+    # Means at which bin edges in source units would overflow (1.5e308, -1e308)
+    # or round together (1e16, 1e17, and 2**52, where bin 1's lower edge would
+    # round to the mean).
+    @pytest.mark.parametrize("mu, step", [(1.5e308, 1e308), (1.5e308, 4e307), (-1e308, 1e307),
+                                          (1e16, 1.0), (1e17, 0.5), (2.0**52, 0.9)])
+    def test_a_huge_mean_builds_the_centred_table(self, mu, step):
+        # Offsets about the mean neither overflow nor round together at any
+        # mean: the table and its mass-only entropy are the centred source's,
+        # bit for bit, with no warning.
+        source = GaussianSource(mu, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=re.escape(
-                    f"step {step} puts bin edges past the float range at the source mean {mu:g}")):
-                build_bin_table(GaussianSource(mu, 1.0), step)
+            got = build_bin_table(source, step)
+            entropy = quantizer._step_entropy(source, step)
+        want = build_bin_table(STANDARD_SOURCE, step)
+        for column in ("prob", "offset", "within_var"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+        assert entropy == output_entropy(got) == quantizer._step_entropy(STANDARD_SOURCE, step)
 
     def test_tail_width_literal_is_erfcinv(self):
         # The package keeps the constant as a literal so as not to import scipy.
@@ -236,7 +243,7 @@ class TestDistortions:
             bob_distortion(unit_table, "midpoint")
 
     def test_empty_bins_add_nothing_at_a_huge_step(self, monkeypatch):
-        # Bin 0 holds all the mass; the empty outer bins keep centroids
+        # Bin 0 holds all the mass; the empty outer bins keep offsets
         # near +-5e299, whose squared gaps would overflow to inf * 0.
         table = build_bin_table(STANDARD_SOURCE, 1e300)
         assert table.prob.tolist() == [0.0, 1.0, 0.0]
@@ -275,7 +282,7 @@ class TestEveMmse:
             table = build_bin_table(GaussianSource(0.3, variance), math.sqrt(variance))
             assert eve_mmse_given_magnitude(table) == pytest.approx(variance, rel=1e-12)
             for wrong in (table.within_var * (1.0 + 1e-6), table.within_var + math.nan):
-                off = BinTable(table.prob, table.centroid, wrong, table.source, table.step)
+                off = BinTable(table.prob, table.offset, wrong, table.source, table.step)
                 with pytest.raises(SolverError, match="magnitude-only MMSE"):
                     eve_mmse_given_magnitude(off)
 
@@ -304,7 +311,7 @@ class TestFolding:
         folded = fold_bin_table(unit_table, 3)
         assert folded.max_index == 3
         assert float(folded.prob.sum()) == pytest.approx(1.0, abs=1e-12)
-        mean = float(folded.prob @ folded.centroid)
+        mean = float(folded.prob @ folded.offset)
         assert mean == pytest.approx(0.0, abs=1e-13)
         assert total_variance(folded) == pytest.approx(1.0, abs=1e-12)
 
@@ -394,7 +401,7 @@ class TestStepSizeForEntropy:
         assert len(evaluated) == len(set(evaluated)) <= 16
         assert step in evaluated
         fresh = build_bin_table(STANDARD_SOURCE, table.step)
-        for column in ("indices", "prob", "centroid", "within_var"):
+        for column in ("indices", "prob", "offset", "within_var"):
             assert np.array_equal(getattr(table, column), getattr(fresh, column)), column
 
     @settings(deadline=None)
@@ -426,15 +433,21 @@ class TestStepSizeForEntropy:
         monkeypatch.setattr(quantizer, "build_bin_table", lambda source, t: t)  # the step alone
         assert got == [step_size_for_entropy(s, r) for s in sources for r in targets]
 
-    # (2**52, 0.9): bin 1's lower edge rounds to the mean, so bin 0 does not
-    # straddle it, and the masses sum to about 1.19.  (1.5e308, 1e308): the
-    # last bin's lower edge overflows to inf.
+    # Steps no table is built for raise the same error from both.  At the
+    # huge means, where bin edges in source units would round together
+    # (1e17, 2**52) or overflow (1.5e308), neither raises, and the two agree.
     @pytest.mark.parametrize("mu, step", [
         (1e17, 0.5), (0.0, 1e-6), (0.0, math.inf), (0.0, math.nan), (0.0, 0.0), (0.0, 1e-320),
         (2.0**52, 0.9), (1.5e308, 1e308),
     ])
     def test_mass_entropy_raises_as_the_table_does(self, mu, step):
         source = GaussianSource(mu, 1.0)
+        if mu != 0.0:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                entropy = quantizer._step_entropy(source, step)
+                assert entropy == output_entropy(build_bin_table(source, step))
+            return
         with np.errstate(over="ignore"), pytest.raises(ValueError) as built:
             build_bin_table(source, step)
         with np.errstate(over="ignore"), pytest.raises(ValueError) as evaluated:
@@ -455,9 +468,14 @@ class TestStepSizeForEntropy:
 
 
 def total_variance(table):
-    """Source variance from a table: within-bin spread plus spread of the centroids."""
-    mean = float(table.prob @ table.centroid)
-    return float(table.prob @ (table.within_var + (table.centroid - mean) ** 2))
+    """Source variance from a table: within-bin spread plus spread of the offsets."""
+    mean = float(table.prob @ table.offset)
+    return float(table.prob @ (table.within_var + (table.offset - mean) ** 2))
+
+
+def centroids(table):
+    """Each bin's conditional mean in source units, for the references below."""
+    return table.source.mean + table.offset
 
 
 # Reference implementations: the per-class loops that the vectorized
@@ -470,9 +488,8 @@ def ref_fold_bin_table(table, max_index):
         return table
     k = int(max_index)
     prob = np.zeros(2 * k + 1)
-    centroid = np.zeros(2 * k + 1)
+    offset = np.zeros(2 * k + 1)
     within_var = np.zeros(2 * k + 1)
-    mu = table.source.mean
     for j in range(k + 1):
         if j < k:
             rows = [table.row(j)]
@@ -480,24 +497,24 @@ def ref_fold_bin_table(table, max_index):
             rows = [table.row(i) for i in range(k, k_old + 1)]
         p = float(sum(table.prob[r] for r in rows))
         # Centered sums: within-bin variance plus the spread of the
-        # centroids about the merged mean.  A class without mass gets
-        # the source mean and no spread.
-        c, v = mu, 0.0
+        # offsets about the merged offset.  A class without mass gets
+        # offset 0 and no spread.
+        c, v = 0.0, 0.0
         if p > 0.0:
-            c = float(sum(table.prob[r] * table.centroid[r] for r in rows)) / p
+            c = float(sum(table.prob[r] * table.offset[r] for r in rows)) / p
             # d * d, as numpy squares an array: a scalar ** 2 goes through
             # libm's pow, which can round the square the other way.
-            dev = [table.centroid[r] - c for r in rows]
+            dev = [table.offset[r] - c for r in rows]
             v = float(sum(table.prob[r] * (table.within_var[r] + d * d)
                           for r, d in zip(rows, dev))) / p
         prob[k + j] = p
-        centroid[k + j] = c
+        offset[k + j] = c
         within_var[k + j] = v
         if j > 0:
             prob[k - j] = p
-            centroid[k - j] = 2.0 * mu - c
+            offset[k - j] = -c
             within_var[k - j] = v
-    return BinTable(prob, centroid, within_var, table.source, table.step)
+    return BinTable(prob, offset, within_var, table.source, table.step)
 
 
 def binary_entropy(p):
@@ -533,7 +550,7 @@ def ref_entropy_given_residue(table, modulus):
 
 def second_moment(table):
     """E[X^2] from a table, the raw form the centered tables replaced."""
-    return float(np.dot(table.prob, table.within_var + table.centroid**2))
+    return float(np.dot(table.prob, table.within_var + centroids(table)**2))
 
 
 def ref_eve_mmse_given_residue(table, modulus):
@@ -545,7 +562,7 @@ def ref_eve_mmse_given_residue(table, modulus):
         pu = float(table.prob[mask].sum())
         if pu <= 0.0:
             continue
-        mean_u = float(np.dot(table.prob[mask], table.centroid[mask])) / pu
+        mean_u = float(np.dot(table.prob[mask], centroids(table)[mask])) / pu
         acc += pu * mean_u * mean_u
     return max(second - acc, 0.0)
 
@@ -561,7 +578,7 @@ def ref_eve_mmse_given_magnitude(table):
         pu = float(sum(table.prob[r] for r in rows))
         if pu <= 0.0:
             continue
-        mean_u = float(sum(table.prob[r] * table.centroid[r] for r in rows)) / pu
+        mean_u = float(sum(table.prob[r] * centroids(table)[r] for r in rows)) / pu
         acc += pu * mean_u * mean_u
     return max(second - acc, 0.0)
 
@@ -583,17 +600,17 @@ def symmetric_tables(draw):
 
 
 def symmetric_table(mu, weights, offset, spread):
-    """Bins 0..k weighted by `weights`, centroids mu + [0] + `offset`, mirrored about mu."""
+    """Bins 0..k weighted by `weights`, offsets [0] + `offset` from mu, mirrored about 0."""
     w, spread = np.array(weights, dtype=float), np.array(spread, dtype=float)
     if w.sum() == 0.0:
         w[0] = 1.0
     offset = np.array([0.0] + list(offset))
     half = w / (w[0] + 2.0 * w[1:].sum())
     prob = np.concatenate([half[:0:-1], half])
-    centroid = mu + np.concatenate([-offset[:0:-1], offset])
+    offset = np.concatenate([-offset[:0:-1], offset])
     within_var = np.concatenate([spread[:0:-1], spread])
-    variance = float(prob @ (within_var + (centroid - mu) ** 2))
-    return BinTable(prob, centroid, within_var, GaussianSource(mu, variance), 1.0)
+    variance = float(prob @ (within_var + offset**2))
+    return BinTable(prob, offset, within_var, GaussianSource(mu, variance), 1.0)
 
 
 # Each class of residues mod 1 and mod 5 is nearly all one bin, whose
@@ -603,15 +620,17 @@ _NEAR_POINT_MASS_TABLE = symmetric_table(0.0, [1.0, 2e-12, 0.0, 0.0, 0.0, 2e-12]
                                          [1.0] * 6)
 
 
-# Folding to k = 1 squares a centroid offset of 0.9135239674620381, whose
-# square libm's pow rounds one ulp above the exact product d * d.
+# Folding to k = 2 squares bin 4's gap from its class offset, 0.7615905401174479,
+# whose square libm's pow rounds one ulp away from the exact product d * d, and
+# the within-bin variance keeps that ulp.  The offsets are centroids less the
+# mean 1.9, but bins +-2's, set to 2.089175 so that some gap rounds so.
 _POW_ROUNDING_TABLE = BinTable(
     np.array([0.17329951929302995, 0.0, 0.17225463380372533, 0.0, 1.4297557291688563e-05,
               0.1544315493459531, 0.0, 0.1544315493459531, 1.4297557291688563e-05, 0.0,
               0.17225463380372533, 0.0, 0.17329951929302995]),
-    np.array([1.308980419161156, 1.9, -0.20966989809203618, 1.9, -0.20792346997542577,
-              -0.7698500547029585, 1.9, 4.569850054702958, 4.007923469975426, 1.9,
-              4.009669898092036, 1.9, 2.491019580838844]),
+    np.array([-0.5910195808388439, 0.0, -2.109669898092036, 0.0, -2.089175,
+              -2.6698500547029584, 0.0, 2.6698500547029584, 2.089175, 0.0,
+              2.109669898092036, 0.0, 0.5910195808388439]),
     np.array([0.5, 1.0, 2.0, 1.0, 0.8125, 1.4883873502437106, 1.0, 1.4883873502437106,
               0.8125, 1.0, 2.0, 1.0, 0.5]),
     GaussianSource(1.9, 5.178161433935129), 1.0,
@@ -664,7 +683,7 @@ class TestClassStatisticsMatchReference:
             got, ref = fold_bin_table(table, k), ref_fold_bin_table(table, k)
             assert np.array_equal(got.indices, ref.indices)
             assert np.array_equal(got.prob, ref.prob)
-            assert np.array_equal(got.centroid, ref.centroid)
+            assert np.array_equal(got.offset, ref.offset)
             assert np.array_equal(got.within_var, ref.within_var)
 
     def test_eve_mmse_at_rate7_width(self, rate7_scalars):
@@ -724,22 +743,22 @@ class TestClassStatisticsMatchReference:
                                    [stat(unit_table, 3), stat(unit_table, 4)]]
 
     @pytest.mark.parametrize("stat", [entropy_given_residue, eve_mmse_given_residue])
-    @pytest.mark.parametrize("column", ["prob", "centroid"])
+    @pytest.mark.parametrize("column", ["prob", "offset"])
     def test_asymmetric_table_refused(self, unit_table, stat, column):
         # Both paths read half the table or half the pairs (n = 3 <= k and
         # n = 9 > k), so a table that is not its own mirror image is refused
         # when it is built; one within the 1e-12 tolerance is built and scored.
         def perturbed(by):
             cols = {name: getattr(unit_table, name).copy()
-                    for name in ("prob", "centroid", "within_var")}
+                    for name in ("prob", "offset", "within_var")}
             # Mass moved from bin 2 to bin 1, or bins 1 and 2 moved right.
             cols[column][8:10] += [by, -by] if column == "prob" else by
-            return BinTable(cols["prob"], cols["centroid"], cols["within_var"],
+            return BinTable(cols["prob"], cols["offset"], cols["within_var"],
                             unit_table.source, 1.0)
 
         assert unit_table.max_index == 7
         message = {"prob": "bin table is not symmetric about the source mean",
-                   "centroid": "bin centroids are not symmetric about the source mean"}[column]
+                   "offset": "bin offsets are not symmetric about the source mean"}[column]
         with pytest.raises(SolverError, match=f"^{message}$"):
             perturbed(1e-9)
         table = perturbed(1e-13)
@@ -821,18 +840,19 @@ def bin_edges(source, step, k, k_max):
 
 
 def ref_build_bin_table(source, t):
-    """Indices, masses and centroids of the table, one bin at a time."""
+    """Indices, masses and offsets of the table, one bin at a time, about 0."""
+    centred = GaussianSource(0.0, source.variance)
     need = _SQRT2 * float(special.erfcinv(1e-12)) * source.std / t - 0.5
     k_max = max(int(math.ceil(need)), 1)
     prob = np.zeros(2 * k_max + 1)
-    centroid = np.zeros(2 * k_max + 1)
+    offset = np.zeros(2 * k_max + 1)
     for k in range(k_max + 1):
-        p, c = ref_truncated_moments(*bin_edges(source, t, k, k_max), source)
-        prob[k_max + k], centroid[k_max + k] = p, c
+        p, d = ref_truncated_moments(*bin_edges(centred, t, k, k_max), centred)
+        prob[k_max + k], offset[k_max + k] = p, d
         if k > 0:
             prob[k_max - k] = p
-            centroid[k_max - k] = 2.0 * source.mean - c
-    return np.arange(-k_max, k_max + 1, dtype=np.int64), prob, centroid
+            offset[k_max - k] = -d
+    return np.arange(-k_max, k_max + 1, dtype=np.int64), prob, offset
 
 
 def mp_within_var(a, b, source):
@@ -854,9 +874,9 @@ def mp_within_var(a, b, source):
 class TestBinTableMatchesReference:
     # The masses come from math.erf/erfc on the same arguments as the
     # loop's, so they are the same bits.  numpy's exp may differ from
-    # math's in the last ulp, and the centroid divides a difference of
+    # math's in the last ulp, and the offset divides a difference of
     # two densities by the mass, reaching 7 sigma in the tails; the bound
-    # on centroids is the one set when the masses came from scipy (worst
+    # on offsets is the one set when the masses came from scipy (worst
     # gap then 6.4e-12 sigma over 1500 random tables).
     @settings(max_examples=100, deadline=None)
     @given(
@@ -867,11 +887,10 @@ class TestBinTableMatchesReference:
     def test_array_table_matches_per_bin_loop(self, step, mu, variance):
         source = GaussianSource(mu, variance)
         got = build_bin_table(source, step)
-        indices, prob, centroid = ref_build_bin_table(source, step)
+        indices, prob, offset = ref_build_bin_table(source, step)
         assert np.array_equal(got.indices, indices)
         assert np.array_equal(got.prob, prob)
-        np.testing.assert_allclose(got.centroid, centroid, rtol=0.0,
-                                   atol=5e-11 * source.std)
+        np.testing.assert_allclose(got.offset, offset, rtol=0.0, atol=5e-11 * source.std)
 
     # The rounding of alpha = (a - mu)/sigma alone moves a bin's width by
     # up to 2 * 8 * 1.1e-16 / step relative, 1.8e-10 at step 1e-5 sigma,
@@ -951,12 +970,12 @@ def ref_two_tail_moments(a, b, source):
 
 
 def ref_two_tail_table(source, t):
-    """build_bin_table's table from the two-tail moments."""
-    mu = source.mean
+    """build_bin_table's table from the two-tail moments, about 0."""
+    centred = GaussianSource(0.0, source.variance)
     k_max = max(int(math.ceil(quantizer._TAIL_STDS * source.std / t - 0.5)), 1)
     k = np.arange(k_max + 1)
-    hi = np.where(k < k_max, mu + (k + 0.5) * t, math.inf)
-    return quantizer._mirrored(*ref_two_tail_moments(mu + (k - 0.5) * t, hi, source), source, t)
+    hi = np.where(k < k_max, (k + 0.5) * t, math.inf)
+    return quantizer._mirrored(*ref_two_tail_moments((k - 0.5) * t, hi, centred), source, t)
 
 
 def intervals(draw, size):
@@ -984,7 +1003,7 @@ class TestSharedEdgesKeepTheBits:
         source = GaussianSource(mu, variance)
         t = step * source.std
         got, ref = build_bin_table(source, t), ref_two_tail_table(source, t)
-        for column in ("indices", "prob", "centroid", "within_var"):
+        for column in ("indices", "prob", "offset", "within_var"):
             assert np.array_equal(getattr(got, column), getattr(ref, column)), column
 
     @settings(max_examples=120, deadline=None)

@@ -29,6 +29,7 @@ from secgauss import (
     evaluate_finite_strategy,
     jointly_gaussian_payoff,
     optimal_high_key_payoff,
+    output_entropy,
     sign_split_key_requirement,
     verify_jointly_gaussian_grid,
     weak_eavesdropper_payoff,
@@ -454,8 +455,8 @@ def plan():
 
 class TestGreedyScheme:
     def test_rate_binds(self, plan):
-        assert plan.entropy_bits <= 2.7 + 1e-9
-        assert plan.entropy_bits >= 2.7 - 5e-4
+        assert output_entropy(plan.table) <= 2.7 + 1e-9
+        assert output_entropy(plan.table) >= 2.7 - 5e-4
 
     def test_known_points(self, plan):
         # Frozen from this implementation's first verified run; they
@@ -594,11 +595,12 @@ class TestGreedyRegionOracle:
             joint = np.zeros((width, width, n_mod))
             joint[np.arange(width), np.arange(width), np.mod(table.indices, n_mod)] = table.prob
             report = evaluate_finite_strategy(
-                FiniteJoint(table.centroid, lattice, np.arange(n_mod), joint), table.source)
+                FiniteJoint(table.source.mean + table.offset, lattice, np.arange(n_mod), joint),
+                table.source)
             need = rs - point.slack_bits
             assert report.i_xy_given_u == pytest.approx(need, abs=1e-12), rs
             assert float(report.payoff) == pytest.approx(float(point.payoff), abs=1e-12), rs
-            assert report.i_x_uy == pytest.approx(plan.entropy_bits, abs=1e-12), rs
+            assert report.i_x_uy == pytest.approx(output_entropy(table), abs=1e-12), rs
 
 
 class TestPayoffPoint:

@@ -57,13 +57,13 @@ class TestEveOracle:
     def test_zero_magnitude_is_center_centroid(self):
         for source in self.SOURCES:
             table, means = pair_means(source)
-            assert means[0] == pytest.approx(float(table.centroid[table.row(0)]), abs=1e-15)
+            assert means[0] == pytest.approx(float(table.offset[table.row(0)]), abs=1e-15)
 
     def test_symmetric_pair_averages_to_mean(self):
-        # +u and -u carry equal mass and their centroids mirror about the mean.
+        # +u and -u carry equal mass and their offsets mirror about 0, the mean's.
         for source in self.SOURCES:
             _, means = pair_means(source)
-            np.testing.assert_allclose(means[1:], source.mean, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(means[1:], 0.0, rtol=0.0, atol=1e-12)
 
 
 class TestConfigValidation:
@@ -250,15 +250,15 @@ def reference_run_sim(config, source):
     idx = np.rint((xs - source.mean) / table.step).astype(np.int64)
     np.clip(idx, -k, k, out=idx)
     if BOB_RULE[config.scheme] == "centroid":
-        ys = table.centroid[idx + k]
+        ys = source.mean + table.offset[idx + k]
     else:
         ys = source.mean + idx * table.step
     if config.scheme == "no_key":
-        zs = table.centroid[idx + k]
+        zs = source.mean + table.offset[idx + k]
     elif config.scheme == "full_encryption":
         zs = np.full(config.n_symbols, source.mean)
     else:
-        zs = pair_mean[np.abs(idx)]
+        zs = source.mean + pair_mean[np.abs(idx)]
     bob_sq = (ys - xs) ** 2
     eve_sq = (zs - xs) ** 2
     bob_mse = float(bob_sq.mean())
@@ -276,7 +276,7 @@ def reference_run_sim(config, source):
 
 
 def reference_points(config, source):
-    """Table, model rates, and Bob's and Eve's estimate per table row, as run_sim forms them."""
+    """Table, model rates, and Bob's and Eve's offset per table row, as run_sim forms them."""
     rates = config.rates
     if config.scheme == "full_encryption":
         table = step_size_for_entropy(source, min(rates.rate, rates.key_rate))
@@ -287,16 +287,16 @@ def reference_points(config, source):
     lattice = np.arange(-k, k + 1)
     mag_prob = _class_moments(table, np.abs(table.indices))[0]
     if BOB_RULE[config.scheme] == "centroid":
-        bob_points = table.centroid
+        bob_points = table.offset
     else:
-        bob_points = source.mean + lattice * table.step
+        bob_points = lattice * table.step
     # Each {+u, -u} pair of a symmetric table has the source mean as its
-    # mean, so Eve plays the mean under sign_pad as under full_encryption.
-    eve_points = np.full(2 * k + 1, source.mean)
+    # mean, so Eve plays the mean (offset 0) under sign_pad as under full_encryption.
+    eve_points = np.zeros(2 * k + 1)
     if config.scheme == "sign_pad":
         rates_used = (entropy_bits(mag_prob) + 1.0, 1.0)
     elif config.scheme == "no_key":
-        rates_used, eve_points = (h_table, 0.0), table.centroid
+        rates_used, eve_points = (h_table, 0.0), table.offset
     else:
         rates_used = (h_table, h_table)
     return table, rates_used, bob_points, eve_points
@@ -313,8 +313,7 @@ def reference_block_loop(config, source):
     for start in range(0, n, _BLOCK):
         xs = rng.standard_normal(out=buf[: n - start])
         xs *= source.std
-        xs += source.mean
-        rows = (np.clip(np.rint((xs - source.mean) / table.step), -k, k) + k).astype(np.intp)
+        rows = (np.clip(np.rint(xs / table.step), -k, k) + k).astype(np.intp)
         bob_sq = (bob_points[rows] - xs) ** 2
         eve_sq = (eve_points[rows] - xs) ** 2
         bob_total += float(bob_sq.sum())
