@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 
 from .errors import InfeasibleError, SolverError
@@ -182,6 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"])
     for p in sub.choices.values():  # all take --out; verify's suites fix their own sources
         p.add_argument("--out", default=None, help="output path (default standard output)")
+        # -1e6 after a space is a value, as argparse reads -1.5; a word such as -x is a flag.
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     return parser
 

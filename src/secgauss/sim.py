@@ -2,18 +2,19 @@
 
 Each scheme quantizes the source symbol by symbol, one-time-pads part
 of the index, and sends the rest in clear.  Bob reconstructs at the bin
-centroid under no_key and at the lattice point otherwise; the
-eavesdropper plays her exact conditional-mean estimate given what she
-can see.  Symbols and estimates are offsets from the source mean.  An
-i.i.d. source and per-symbol schemes make all causal histories
-uninformative, so the three eavesdropper scenarios differ in bookkeeping
-only; the simulator accepts them and verifies nothing depends on them.
+centroid under no_key and at the lattice point otherwise.  The
+eavesdropper plays her conditional mean given what she sees: Bob's
+centroid under no_key, the source mean under either pad.  Symbols and
+estimates are offsets from the source mean.  An i.i.d. source and
+per-symbol schemes make all causal histories uninformative, so the
+three eavesdropper scenarios differ in bookkeeping only; the simulator
+accepts them and verifies nothing depends on them.
 
 Randomness: numpy Generator over the PCG64 bit generator, seeded from
-the config; source symbols via its standard_normal transform.  The
-sample is drawn and estimated block by block, with running error sums
-and a merged payoff variance, so memory does not grow with its size.
-Reruns with one config are bit-identical within this implementation.
+the config; source symbols via its standard_normal transform.  Each
+block is drawn and scored for what its scheme needs, into running
+error sums and a merged payoff variance, so memory does not grow with
+the sample.  Reruns of a config are bit-identical in this implementation.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ SIM_SCENARIOS = ("weak", "causal_source", "causal_general")
 _RATE_TOL = 1e-9
 
 # Largest run accepted; it bounds run time, not memory: symbols are drawn
-# and scored _BLOCK at a time, so a `secgauss sim` run peaks near 38 MB at
-# any size, nearly all of it the interpreter and numpy.
+# and scored _BLOCK at a time, so a `secgauss sim` run peaks near 37 MB
+# (VmHWM) at any size, nearly all of it the interpreter and numpy.
 _MAX_SYMBOLS = 10_000_000
 _BLOCK = 1 << 14
 
@@ -112,22 +113,12 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         table = build_bin_table(source, config.step)
     h_table = output_entropy(table)
 
-    # Bob's and Eve's estimate for each table row (index n at row n + k), as offsets from
-    # the mean; Bob's is the lattice point but under no_key.  Eve's is the mean (offset 0)
-    # under full_encryption, and under sign_pad, as each {+u, -u} pair of bins has that mean.
-    k = table.max_index
-    bob_points = table.indices * table.step
-    eve_points = np.zeros(2 * k + 1)
+    k, no_key = table.max_index, config.scheme == "no_key"
     if config.scheme == "sign_pad":
         mag_prob = np.append(table.prob[k], 2.0 * table.prob[k + 1:])  # p_0, 2 p_1, ..., 2 p_k
         model_rate, model_key = entropy_bits(mag_prob) + 1.0, 1.0
-    elif config.scheme == "no_key":
-        model_rate, model_key = h_table, 0.0
-        # Eve decodes the message exactly, so Bob's best play is the same
-        # centroid estimate and the payoff is exactly zero.
-        eve_points = bob_points = table.offset
     else:
-        model_rate, model_key = h_table, h_table
+        model_rate, model_key = h_table, 0.0 if no_key else h_table
     for need, budget, name in ((model_rate, rates.rate, "rate"),
                                (model_key, rates.key_rate, "key rate")):
         if not need <= budget + _RATE_TOL:
@@ -140,18 +131,24 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
     rng = np.random.Generator(np.random.PCG64(config.seed))
     n = config.n_symbols
     # Block buffers, filled in place; np.take writes into them unbuffered in "clip" mode.
-    draw, lat, bob, eve = np.empty((4, min(n, _BLOCK)))
-    rows = np.empty(draw.size, dtype=np.intp)
+    draw, bob = np.empty((2, min(n, _BLOCK)))
+    rows = np.empty(draw.size if no_key else 0, dtype=np.intp)
     bob_total = eve_total = mean = m2 = 0.0
     for start in range(0, n, _BLOCK):
-        xs, t, r, b, e = (buf[: n - start] for buf in (draw, lat, rows, bob, eve))
+        xs, b, r = draw[: n - start], bob[: n - start], rows[: n - start]
         rng.standard_normal(out=xs)
         xs *= source.std
-        np.divide(xs, table.step, out=t)
-        r[:] = np.add(np.rint(t, out=t), k, out=t)  # take's "clip" mode clamps it to 0..2k
-        for points, sq in ((bob_points, b), (eve_points, e)):
-            np.square(np.subtract(np.take(points, r, out=sq, mode="clip"), xs, out=sq), out=sq)
+        np.rint(np.divide(xs, table.step, out=b), out=b)  # index i, at table row i + k
+        if no_key:  # Bob's centroid; take's "clip" mode clamps the row to 0..2k
+            r[:] = np.add(b, k, out=b)
+            np.take(table.offset, r, out=b, mode="clip")
+        else:  # Bob's lattice point, bit for bit (table.indices * table.step)[row]
+            np.multiply(np.clip(b, -k, k, out=b), table.step, out=b)
+        np.square(np.subtract(b, xs, out=b), out=b)
         bob_total += float(b.sum())
+        if no_key:  # Eve's error is Bob's, so every payoff sample is exactly 0
+            continue
+        e = np.square(xs, out=xs)  # Eve plays the mean, and (0 - x)**2 is x**2 exactly
         eve_total += float(e.sum())
         samples = np.divide(np.subtract(e, b, out=e), source.variance, out=e)
         block_mean = float(samples.mean())
@@ -159,7 +156,7 @@ def run_sim(config: SimConfig, source: GaussianSource) -> SimResult:
         mean += delta * m / (start + m)
         dev = np.square(np.subtract(samples, block_mean, out=b), out=b)
         m2 += float(dev.sum()) + delta * delta * start * m / (start + m)
-    bob_mse, eve_mse = bob_total / n, eve_total / n
+    bob_mse, eve_mse = bob_total / n, (bob_total if no_key else eve_total) / n
     return SimResult(
         empirical_payoff=(eve_mse - bob_mse) / source.variance,
         std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n >= 2 else 0.0,

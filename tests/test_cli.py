@@ -314,6 +314,7 @@ class TestRateChecks:
         ["curve", "--schemes", "quantized_greedy", "--r", "inf", "--rs", "0.5"],
         ["curve", "--schemes", "weak", "--r", "inf", "--rs", "0.5"],
         ["curve", "--schemes", "quantized_greedy,lp_quantized", "--r", "-1", "--rs", "0.5"],
+        ["curve", "--schemes", "weak", "--r", "2", "--rs", "-1e-3"],  # a value, not a flag
     ])
     def test_bad_rate_is_a_usage_error(self, argv, capsys):
         assert run_cli(argv) == 2
@@ -398,14 +399,15 @@ class TestScaleAndLocation:
     def test_outputs_are_free_of_the_mean(self, capsys):
         # Tables, pmfs and samples are offsets from the mean, so a shifted
         # source prints the centred one's output byte for byte, even a mean of
-        # 1e6 next to a variance of 1e-4.
+        # 1e6 next to a variance of 1e-4.  A negative mean with an exponent
+        # reads as a value after a space as after "=".
         off = []
         for s2 in self.VARIANCES:
             argv = ["curve", "--schemes", "quantized_greedy,lp_quantized", "--r", "2",
                     "--rs-range", "0:1.5:0.5", "--sigma2", s2]
             want = self.stdout(argv, capsys)
             assert want[0] == 0
-            off += [(s2, mu) for mu in ("0.3", "-1.1", "1e6", "1e16")
+            off += [(s2, mu) for mu in ("0.3", "-1.1", "1e6", "1e16", "-1e6", "-1e300")
                     if self.stdout(argv + ["--mu", mu], capsys) != want]
         for argv in (["lp", "--t", "0.6", "--r", "5", "--rs-range", "0:1:0.5"],
                      ["sim", "--scheme", "sign_pad", "--t", "0.5", "--seed", "3", "--n", "2000"],
@@ -418,6 +420,8 @@ class TestScaleAndLocation:
             assert want[0] == 0
             off += [(argv[0], mu) for mu in ("1e6", "1e16", "-1e300")
                     if self.stdout(argv + [f"--mu={mu}"], capsys) != want]
+            off += [(argv[0], mu) for mu in ("-1e6", "-1e300")
+                    if self.stdout(argv + ["--mu", mu], capsys) != want]
         assert off == []
 
     # Means at which bin edges in source units would round together (1e16,
@@ -645,7 +649,7 @@ class TestInputBounds:
 
     def test_largest_sim_stays_small(self):
         # run_sim draws and scores the sample in fixed blocks, so the largest
-        # accepted run peaks near the interpreter's own footprint (about 38 MB
+        # accepted run peaks near the interpreter's own footprint (about 37 MB
         # on Linux).
         code = f"""
 from secgauss.cli import main

@@ -191,8 +191,9 @@ class TestConcordance:
         target = (d_eve - d_bob) / SRC.variance
         assert abs(r.empirical_payoff - target) <= 3.0 * r.std_error
 
-    def test_no_key_centroid_payoff_exactly_zero(self):
-        cfg = make_config(scheme="no_key", rs=0.0, n=50_000, seed=99)
+    @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+    def test_no_key_centroid_payoff_exactly_zero(self, n):
+        cfg = make_config(scheme="no_key", rs=0.0, n=n, seed=99)
         r = run_sim(cfg, SRC)
         assert r.empirical_payoff == 0.0
         assert r.std_error == 0.0
